@@ -2,7 +2,7 @@ GO ?= go
 BIN := bin
 LINT := $(BIN)/lightpc-lint
 
-.PHONY: all build test race race-parallel vet lint bench bench-json profile perfdiff fuzz-smoke obs-smoke energy-smoke crash-smoke ci clean
+.PHONY: all build test race vet lint bench bench-json profile perfdiff fuzz-smoke obs-smoke energy-smoke crash-smoke ci clean
 
 all: build
 
@@ -15,22 +15,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-parallel: the conservative-parallel engine's tests under the race
-# detector at a forced 8-way GOMAXPROCS, so the epoch-barrier handshakes
-# are exercised with real preemption even on small CI runners (the
-# lockstep differential and fuzz-seed replays run goroutine pools at
-# worker counts up to 8).
-race-parallel:
-	GOMAXPROCS=8 $(GO) test -race -count=1 \
-		-run 'Parallel|Lockstep|Island|PDES' ./internal/sim ./internal/experiments ./internal/obs
-
+# vet: go vet plus a gofmt check; unformatted files are listed and fail.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # lightpc-lint: the repo's own go/analysis suite (nodeterminism,
-# epcutorder, maporder, simtime, obsdeterminism, hotpath, islandsafe,
-# plus the fact-based interprocedural passes zeroalloc, detreach,
-# persistorder)
+# epcutorder, maporder, simtime, obsdeterminism, hotpath, plus the
+# fact-based interprocedural passes zeroalloc, detreach, persistorder)
 # run through go vet's -vettool hook over the whole module — internal/,
 # cmd/, and examples/ alike. The wall time is printed so CI logs track
 # the cost of the suite as it grows.
@@ -41,7 +33,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 10 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: 9 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -77,7 +69,6 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEngineScheduleCancel -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzParallelDispatch -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s
@@ -121,7 +112,7 @@ crash-smoke: | $(BIN)
 	$(BIN)/lightpc-crash -mode sweep -workloads Redis -seeds 1 -cuts 4 -j 0 -q && \
 	echo "crash-smoke: all recovery invariants hold in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
-ci: build vet lint test race race-parallel fuzz-smoke obs-smoke energy-smoke crash-smoke
+ci: build vet lint test race fuzz-smoke obs-smoke energy-smoke crash-smoke
 
 clean:
 	rm -rf $(BIN)

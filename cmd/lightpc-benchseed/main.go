@@ -1,17 +1,16 @@
 // Command lightpc-benchseed snapshots the benchmark suite into
 // BENCH_SEED.json: it times the quick experiment suite serially and through
-// the parallel runner (-j, independent experiments fanned out), times the
-// long-horizon conservative-parallel scenario serially and island-parallel
-// (-p, one worker per island), then runs every `go test -bench` benchmark
-// once with -benchmem and captures each bench's ns/op, B/op, allocs/op,
-// plus its custom paper metrics. cmd/lightpc-perfdiff compares two
-// snapshots.
+// the parallel runner (-j, independent experiments fanned out), times one
+// crash-sweep cell rebuilt per cut and forked per cut, then runs every
+// `go test -bench` benchmark once with -benchmem and captures each bench's
+// ns/op, B/op, allocs/op, plus its custom paper metrics.
+// cmd/lightpc-perfdiff compares two snapshots.
 //
 // The process pins GOMAXPROCS to the real CPU count before timing anything
 // (an inherited GOMAXPROCS=1 would silently record a crippled snapshot)
-// and records num_cpu alongside the speedups: a -j or -p figure is only
-// meaningful relative to the cores it ran on, and on a single-CPU host
-// both are honestly ~1.0x.
+// and records num_cpu alongside the speedups: a -j figure is only
+// meaningful relative to the cores it ran on, and on a single-CPU host it
+// is honestly ~1.0x.
 //
 // Usage:
 //
@@ -52,16 +51,9 @@ type seed struct {
 	ParallelMs float64 `json:"suite_parallel_ms"`
 	SpeedupX   float64 `json:"runner_speedup_x"`
 
-	// The -p axis: the long-horizon PDES scenario at one worker vs one
-	// worker per island (intra-experiment parallelism, where -j cannot
-	// help because it is a single experiment).
-	PDESSerialMs   float64 `json:"pdes_serial_ms"`
-	PDESParallelMs float64 `json:"pdes_parallel_ms"`
-	PDESSpeedupX   float64 `json:"pdes_speedup_x"`
-
 	// The snapshot axis: one crash-sweep cell with a fresh Build per cut
 	// (the historical cell) vs one Build forked per cut (the shipping
-	// cell). Orthogonal to -j/-p: this is single-cell wall time, the win
+	// cell). Orthogonal to -j: this is single-cell wall time, the win
 	// every sweep worker gets regardless of fan-out.
 	SweepRebuildMs float64 `json:"sweep_rebuild_ms"`
 	SweepForkMs    float64 `json:"sweep_fork_ms"`
@@ -80,17 +72,6 @@ func timeSuite(jobs int) (float64, string) {
 	start := time.Now()
 	out := experiments.Render(experiments.RunAll(o))
 	return float64(time.Since(start).Microseconds()) / 1000, out
-}
-
-// timePDES runs the long-horizon conservative-parallel scenario at the
-// given island-worker count and returns its wall-clock plus the rendered
-// table (checked for byte-equality across worker counts — a snapshot whose
-// parallel run computed different physics would be worthless).
-func timePDES(par int) (float64, string) {
-	o := experiments.Options{SampleOps: 60_000, Seed: 1, Par: par}
-	start := time.Now()
-	_, tbl := experiments.PDES(o)
-	return float64(time.Since(start).Microseconds()) / 1000, tbl.String()
 }
 
 // timeSweep runs one crash-sweep cell both ways — a fresh Build for every
@@ -196,13 +177,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	pdesSerialMs, pdesSerialOut := timePDES(1)
-	pdesParMs, pdesParOut := timePDES(0) // 0 = GOMAXPROCS, clamped to islands
-	if pdesSerialOut != pdesParOut {
-		fmt.Fprintln(os.Stderr, "lightpc-benchseed: -p 1 and -p N PDES outputs diverged")
-		os.Exit(1)
-	}
-
 	sweepRebuildMs, sweepForkMs, sweepRebuildOut, sweepForkOut, err := timeSweep()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightpc-benchseed: sweep cell: %v\n", err)
@@ -220,9 +194,6 @@ func main() {
 		SerialMs:       serialMs,
 		ParallelMs:     parallelMs,
 		SpeedupX:       serialMs / parallelMs,
-		PDESSerialMs:   pdesSerialMs,
-		PDESParallelMs: pdesParMs,
-		PDESSpeedupX:   pdesSerialMs / pdesParMs,
 		SweepRebuildMs: sweepRebuildMs,
 		SweepForkMs:    sweepForkMs,
 		SweepSpeedupX:  sweepRebuildMs / sweepForkMs,
@@ -265,11 +236,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lightpc-benchseed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s: %d benches on %d CPU(s), suite %.0fms serial / %.0fms at -j %d (%.2fx), pdes %.0fms serial / %.0fms at -p %d (%.2fx), sweep cell %.0fms rebuilt / %.0fms forked (%.2fx)\n",
+	fmt.Printf("wrote %s: %d benches on %d CPU(s), suite %.0fms serial / %.0fms at -j %d (%.2fx), sweep cell %.0fms rebuilt / %.0fms forked (%.2fx)\n",
 		*out, len(s.Benches), s.NumCPU, s.SerialMs, s.ParallelMs, s.GOMAXPROCS, s.SpeedupX,
-		s.PDESSerialMs, s.PDESParallelMs, s.GOMAXPROCS, s.PDESSpeedupX,
 		s.SweepRebuildMs, s.SweepForkMs, s.SweepSpeedupX)
 	if s.NumCPU < 2 {
-		fmt.Println("note: single-CPU host — the -j and -p speedups above are nominal, not evidence of scaling")
+		fmt.Println("note: single-CPU host — the -j speedup above is nominal, not evidence of scaling")
 	}
 }

@@ -4,7 +4,7 @@
 //	go build -o bin/lightpc-lint ./cmd/lightpc-lint
 //	go vet -vettool=$(pwd)/bin/lightpc-lint ./...
 //
-// (or simply `make lint`). It bundles ten analyzers that enforce, at vet
+// (or simply `make lint`). It bundles nine analyzers that enforce, at vet
 // time, the invariants the reproduction otherwise only checks dynamically:
 //
 //	nodeterminism  no wall-clock time or ambient randomness in internal/;
@@ -34,11 +34,6 @@
 //	hotpath        the device hot packages (pram, memctrl, psm) may not
 //	               hold map[uint64]-keyed fields; per-line metadata lives
 //	               on internal/linetab's paged tables
-//	islandsafe     state annotated //lightpc:island is confined to its
-//	               island: unannotated code may not touch it, island-local
-//	               code may not select it by index (another island's state
-//	               is only reachable through the barrier-exchange API), and
-//	               island-local code may not call barrier-phase functions
 //
 // Findings can be suppressed in place with a reasoned directive:
 //
@@ -52,7 +47,6 @@ import (
 	"repro/internal/lint/detreach"
 	"repro/internal/lint/epcutorder"
 	"repro/internal/lint/hotpath"
-	"repro/internal/lint/islandsafe"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/nodeterminism"
 	"repro/internal/lint/obsdeterminism"
@@ -73,6 +67,5 @@ func main() {
 		simtime.Analyzer,
 		obsdeterminism.Analyzer,
 		hotpath.Analyzer,
-		islandsafe.Analyzer,
 	)
 }

@@ -40,14 +40,12 @@ type benchLine struct {
 }
 
 type seed struct {
-	GoVersion      string      `json:"go_version"`
-	NumCPU         int         `json:"num_cpu"`
-	GOMAXPROCS     int         `json:"gomaxprocs"`
-	SerialMs       float64     `json:"suite_serial_ms"`
-	ParallelMs     float64     `json:"suite_parallel_ms"`
-	PDESSerialMs   float64     `json:"pdes_serial_ms"`
-	PDESParallelMs float64     `json:"pdes_parallel_ms"`
-	Benches        []benchLine `json:"benches"`
+	GoVersion  string      `json:"go_version"`
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	SerialMs   float64     `json:"suite_serial_ms"`
+	ParallelMs float64     `json:"suite_parallel_ms"`
+	Benches    []benchLine `json:"benches"`
 }
 
 func load(path string) (seed, error) {
@@ -151,11 +149,6 @@ func main() {
 		fmt.Printf("\nsuite serial: %.0fms -> %.0fms (%s)   parallel (-j): %.0fms -> %.0fms (%s)\n",
 			oldSeed.SerialMs, newSeed.SerialMs, fmtDelta(oldSeed.SerialMs, newSeed.SerialMs),
 			oldSeed.ParallelMs, newSeed.ParallelMs, fmtDelta(oldSeed.ParallelMs, newSeed.ParallelMs))
-	}
-	if oldSeed.PDESSerialMs > 0 && newSeed.PDESSerialMs > 0 {
-		fmt.Printf("pdes serial:  %.0fms -> %.0fms (%s)   parallel (-p): %.0fms -> %.0fms (%s)\n",
-			oldSeed.PDESSerialMs, newSeed.PDESSerialMs, fmtDelta(oldSeed.PDESSerialMs, newSeed.PDESSerialMs),
-			oldSeed.PDESParallelMs, newSeed.PDESParallelMs, fmtDelta(oldSeed.PDESParallelMs, newSeed.PDESParallelMs))
 	}
 	if oldSeed.NumCPU != 0 && newSeed.NumCPU != 0 && oldSeed.NumCPU != newSeed.NumCPU {
 		fmt.Printf("note: snapshots ran on different core counts (%d vs %d) — wall-clock deltas are not comparable\n",

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/kernel"
@@ -21,17 +23,34 @@ import (
 	"repro/internal/sng"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, narrates the power cycle on
+// stdout, and returns the exit code (2 for bad flags, 1 when recovery
+// fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lightpc-sng", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cores   = flag.Int("cores", 8, "core count")
-		user    = flag.Int("user", 72, "user processes")
-		kprocs  = flag.Int("kernelprocs", 48, "kernel threads")
-		devices = flag.Int("devices", 250, "dpm_list length")
-		psuName = flag.String("psu", "atx", "psu: atx | server")
-		holdup  = flag.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
+		cores   = fs.Int("cores", 8, "core count")
+		user    = fs.Int("user", 72, "user processes")
+		kprocs  = fs.Int("kernelprocs", 48, "kernel threads")
+		devices = fs.Int("devices", 250, "dpm_list length")
+		psuName = fs.String("psu", "atx", "psu: atx | server")
+		holdup  = fs.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
+		seed    = fs.Uint64("seed", 1, "simulation seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	psu, err := power.PSUByName(*psuName)
+	if err != nil {
+		fmt.Fprintf(stderr, "lightpc-sng: -psu: %v\n", err)
+		return 2
+	}
 
 	cfg := kernel.DefaultConfig()
 	cfg.Cores = *cores
@@ -42,43 +61,39 @@ func main() {
 	k := kernel.New(cfg)
 	k.Tick(20)
 
-	psu := power.ATX()
-	if *psuName == "server" {
-		psu = power.Server()
-	}
 	window := sim.Duration(psu.SpecHoldUp)
 	if *holdup > 0 {
 		window = sim.Duration(holdup.Nanoseconds()) * sim.Nanosecond
 	}
 
-	fmt.Printf("system: %d cores, %d processes (%d sleeping), %d devices\n",
+	fmt.Fprintf(stdout, "system: %d cores, %d processes (%d sleeping), %d devices\n",
 		len(k.Cores), len(k.Procs), len(k.Sleepers()), len(k.Devices))
 	checksum := k.ProcsChecksum()
 
 	s := sng.New(k)
-	fmt.Printf("\n-- power failure (hold-up window: %v, %s) --\n", window, psu.Name)
+	fmt.Fprintf(stdout, "\n-- power failure (hold-up window: %v, %s) --\n", window, psu.Name)
 	rep := s.Stop(0, sim.Time(window))
-	fmt.Printf("Drive-to-Idle: %-10v (%d sleepers woken, %d tasks parked)\n",
+	fmt.Fprintf(stdout, "Drive-to-Idle: %-10v (%d sleepers woken, %d tasks parked)\n",
 		rep.ProcessStop, rep.WokenSleepers, rep.ParkedTasks)
-	fmt.Printf("device stop:   %-10v (%d devices, %d peripherals)\n",
+	fmt.Fprintf(stdout, "device stop:   %-10v (%d devices, %d peripherals)\n",
 		rep.DeviceStop, rep.StoppedDevices, rep.Peripherals)
-	fmt.Printf("offline:       %-10v (%d cache lines flushed)\n",
+	fmt.Fprintf(stdout, "offline:       %-10v (%d cache lines flushed)\n",
 		rep.Offline, rep.FlushedLines)
-	fmt.Printf("total:         %-10v — completed: %v\n", rep.Total, rep.Completed)
+	fmt.Fprintf(stdout, "total:         %-10v — completed: %v\n", rep.Total, rep.Completed)
 
 	k.PowerLoss()
-	fmt.Println("\n-- rails down; volatile state wiped --")
+	fmt.Fprintln(stdout, "\n-- rails down; volatile state wiped --")
 
 	grep, err := s.Go(0)
 	if err != nil {
-		fmt.Printf("Go: %v\n", err)
-		fmt.Println("cold boot required (no committed EP-cut)")
-		os.Exit(1)
+		fmt.Fprintf(stdout, "Go: %v\n", err)
+		fmt.Fprintln(stdout, "cold boot required (no committed EP-cut)")
+		return 1
 	}
-	fmt.Printf("Go: boot %v, cores %v, devices %v (%d), processes %v (%d)\n",
+	fmt.Fprintf(stdout, "Go: boot %v, cores %v, devices %v (%d), processes %v (%d)\n",
 		grep.BootCheck, grep.CoreBringUp, grep.DeviceResume, grep.ResumedDevices,
 		grep.ProcessResume, grep.ResumedTasks)
-	fmt.Printf("recovery total: %v\n", grep.Total)
+	fmt.Fprintf(stdout, "recovery total: %v\n", grep.Total)
 
 	// Verify exact resumption.
 	for _, p := range k.Procs {
@@ -86,10 +101,10 @@ func main() {
 			p.RestoreContext()
 		}
 	}
-	if got := k.ProcsChecksum(); got == checksum {
-		fmt.Println("EP-cut verified: every process resumed with identical state ✓")
-	} else {
-		fmt.Println("EP-cut MISMATCH: state diverged ✗")
-		os.Exit(1)
+	if k.ProcsChecksum() != checksum {
+		fmt.Fprintln(stdout, "EP-cut MISMATCH: state diverged ✗")
+		return 1
 	}
+	fmt.Fprintln(stdout, "EP-cut verified: every process resumed with identical state ✓")
+	return 0
 }

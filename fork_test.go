@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/sng"
 	"repro/internal/snapshot"
+	"repro/internal/sng"
 )
 
 // TestForkCompleteness pins Platform's (and SnG's, which Fork value-copies

@@ -111,10 +111,6 @@ func All() []Named {
 			_, t := IntroMotivation(o)
 			return t
 		})},
-		{"pdes", "conservative parallel DES (island partition, -p knob)", one(func(o Options) *report.Table {
-			_, t := PDES(o)
-			return t
-		})},
 		{"energy", "per-device joule metering across a power cycle", func(o Options) []*report.Table {
 			_, ts := EnergyAccounting(o)
 			return ts

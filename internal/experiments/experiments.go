@@ -26,11 +26,10 @@ type Options struct {
 	// 0 means GOMAXPROCS; 1 forces serial execution. Output is
 	// byte-for-byte identical at every setting (see internal/runner).
 	Jobs int
-	// Par caps the worker count of the island-partitioned parallel
-	// engines (the -p knob, orthogonal to Jobs: Jobs fans out whole
-	// platform cells, Par parallelizes islands within one simulation).
-	// 0 means GOMAXPROCS; 1 forces the inline serial path. Output is
-	// byte-for-byte identical at every setting (see internal/sim).
+	// Par is unused: it was the worker count of the retired island-parallel
+	// engine. It stays only because cmd/lightpc-benchmark, a separate
+	// module pinned by the repository benchmark, still assigns it; remove
+	// it together with that assignment.
 	Par int
 
 	// Energy attaches per-device joule meters to every platform the

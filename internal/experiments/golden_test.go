@@ -16,15 +16,18 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden experiment out
 // cells are sub-seeded by label and merged in canonical order, so any
 // diff is a real behaviour change — at every parallelism. The test runs
 // through the parallel runner (Jobs = GOMAXPROCS); the serial/parallel
-// equivalence test pins the j-independence itself. Regenerate
-// intentionally with
+// equivalence test pins the j-independence itself. A golden file that
+// names no experiment fails too, so a deleted experiment cannot leave its
+// golden behind. Regenerate intentionally with
 //
 //	go test ./internal/experiments -run Golden -update
 func TestGoldenOutputs(t *testing.T) {
 	o := QuickOptions()
 	o.Jobs = runtime.GOMAXPROCS(0)
+	ids := map[string]bool{}
 	for _, n := range All() {
 		n := n
+		ids[n.ID] = true
 		t.Run(n.ID, func(t *testing.T) {
 			var b strings.Builder
 			for _, tab := range n.Run(o) {
@@ -51,6 +54,15 @@ func TestGoldenOutputs(t *testing.T) {
 					n.ID, firstDiff(got, string(want)))
 			}
 		})
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range goldens {
+		if id := strings.TrimSuffix(filepath.Base(path), ".golden"); !ids[id] {
+			t.Errorf("%s matches no experiment id in All(); delete it", path)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/lint/detreach"
-	"repro/internal/lint/islandsafe"
 	"repro/internal/lint/linttest"
 	"repro/internal/lint/persistorder"
 	"repro/internal/lint/zeroalloc"
@@ -148,60 +147,4 @@ func useNodeEnv() string {
 		t.Fatal(err)
 	}
 	linttest.Run(t, root, detreach.Analyzer, "repro/internal/cpu")
-}
-
-// expClosure is the dependency closure of internal/experiments (go list
-// -deps), the package holding the island-partitioned pdes scenario. The
-// empty entry is the root package ("repro") itself.
-var expClosure = []string{
-	"internal/sim",
-	"internal/trace",
-	"internal/obs",
-	"internal/power",
-	"internal/energy",
-	"internal/cache",
-	"internal/workload",
-	"internal/cpu",
-	"internal/dram",
-	"internal/kernel",
-	"internal/linetab",
-	"internal/pmemdimm",
-	"internal/ecc",
-	"internal/pram",
-	"internal/nvdimm",
-	"internal/psm",
-	"internal/memctrl",
-	"internal/sng",
-	"internal/journal",
-	"internal/noc",
-	"internal/persist",
-	"internal/pmdk",
-	"internal/report",
-	"internal/runner",
-	"internal/experiments",
-	"",
-}
-
-// TestIslandsafeCatchesCrossIslandRead seeds a direct read of another
-// island's node into the live pdes quantum closure — the race class the
-// conservative engine's correctness rests on excluding — and asserts
-// islandsafe reports it. A peer registry is added alongside (the realistic
-// shape of the bug: setup state left reachable from the hot loop).
-func TestIslandsafeCatchesCrossIslandRead(t *testing.T) {
-	root := scratchTree(t, expClosure)
-	expDir := filepath.Join(root, "src", "repro", "internal", "experiments")
-	registry := `package experiments
-
-// pdesPeers is the seeded leak: barrier-phase setup state left visible to
-// the island-local hot loop.
-var pdesPeers []*pdesNode
-`
-	if err := os.WriteFile(filepath.Join(expDir, "zz_seeded.go"), []byte(registry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mutate(t, filepath.Join(expDir, "pdes.go"),
-		"\tnd.budget -= ops\n",
-		"\tnd.budget -= ops\n"+
-			"\t_ = pdesPeers[(nd.id+1)%len(pdesPeers)].cursor // want `selects island-owned state by index`\n")
-	linttest.Run(t, root, islandsafe.Analyzer, "repro/internal/experiments")
 }

@@ -9,10 +9,10 @@ type lineIndex = uint64
 type wearMap map[uint64]uint64
 
 type Device struct {
-	inFlight map[uint64]rowTime   // want `map\[uint64\]-keyed field inFlight`
-	wear     map[uint64]uint64    // want `map\[uint64\]-keyed field wear`
-	named    wearMap              // want `map\[uint64\]-keyed field named`
-	aliased  map[lineIndex]bool   // want `map\[uint64\]-keyed field aliased`
+	inFlight map[uint64]rowTime // want `map\[uint64\]-keyed field inFlight`
+	wear     map[uint64]uint64  // want `map\[uint64\]-keyed field wear`
+	named    wearMap            // want `map\[uint64\]-keyed field named`
+	aliased  map[lineIndex]bool // want `map\[uint64\]-keyed field aliased`
 	byDev    map[struct{ d int }]bool
 	byStr    map[string]uint64
 	byU32    map[uint32]uint64

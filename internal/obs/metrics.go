@@ -357,28 +357,3 @@ func RegisterSnapshotStats(r *Registry, prefix string, s *snapshot.Stats) {
 	r.CounterFunc(prefix+"snapshot_forks_total", "platform forks taken from snapshots", s.Forks)
 	r.CounterFunc(prefix+"snapshot_bytes_total", "approximate bytes of mutable state duplicated by forks", s.Bytes)
 }
-
-// RegisterParallelEngine exposes a sim.ParallelEngine's coordinator
-// counters plus every island's engine stats and barrier accounting. All
-// values except the worker knob are pure functions of the simulation —
-// identical at every -p — so dashboards built on them cannot leak
-// scheduling noise.
-func RegisterParallelEngine(r *Registry, prefix string, p *sim.ParallelEngine) {
-	if r == nil || p == nil {
-		return
-	}
-	r.GaugeFunc(prefix+"islands", "islands in the partition", func() float64 { return float64(p.Stats().Islands) })
-	r.GaugeFunc(prefix+"workers", "resolved -p worker count (the knob, not a result)", func() float64 { return float64(p.Stats().Workers) })
-	r.GaugeFunc(prefix+"lookahead_ps", "static epoch lookahead", func() float64 { return float64(p.Stats().Lookahead) })
-	r.CounterFunc(prefix+"epochs_total", "epoch barriers crossed", func() uint64 { return p.Stats().Epochs })
-	r.CounterFunc(prefix+"messages_total", "cross-island messages delivered", func() uint64 { return p.Stats().Messages })
-	for i := 0; i < p.Islands(); i++ {
-		il := p.Island(i)
-		ip := fmt.Sprintf("%sisland%d_", prefix, i)
-		RegisterEngine(r, ip, il.Engine())
-		r.CounterFunc(ip+"sent_total", "cross-island messages emitted", func() uint64 { return il.Stats().Sent })
-		r.CounterFunc(ip+"delivered_total", "cross-island messages received", func() uint64 { return il.Stats().Delivered })
-		r.CounterFunc(ip+"idle_epochs_total", "epochs that dispatched nothing (barrier-bound)", func() uint64 { return il.Stats().IdleEpochs })
-		r.GaugeFunc(ip+"barrier_stall_ps", "sim-time spent drained before epoch bounds", func() float64 { return float64(il.Stats().BarrierStall) })
-	}
-}

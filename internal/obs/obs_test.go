@@ -271,35 +271,3 @@ func TestRegisterEngineSamplesLive(t *testing.T) {
 		t.Fatalf("heap depth max = %v, want 1", got)
 	}
 }
-
-func TestRegisterParallelEngineSamplesLive(t *testing.T) {
-	const L = 10 * sim.Nanosecond
-	p := sim.NewParallel(sim.ParallelConfig{Islands: 2, Lookahead: L, Workers: 1})
-	r := NewRegistry()
-	RegisterParallelEngine(r, "pdes_", p)
-	p.Island(0).Engine().Schedule(0, "start", func(now sim.Time) {
-		p.Island(0).Send(1, L, "ping", func(sim.Time) {})
-	})
-	p.Run()
-	if got := r.Lookup("pdes_islands").Value(); got != 2 {
-		t.Fatalf("islands metric = %v, want 2", got)
-	}
-	if got := r.Lookup("pdes_messages_total").Value(); got != 1 {
-		t.Fatalf("messages metric = %v, want 1", got)
-	}
-	if got := r.Lookup("pdes_lookahead_ps").Value(); got != float64(L) {
-		t.Fatalf("lookahead metric = %v, want %v", got, float64(L))
-	}
-	if got := r.Lookup("pdes_island0_sent_total").Value(); got != 1 {
-		t.Fatalf("island0 sent metric = %v, want 1", got)
-	}
-	if got := r.Lookup("pdes_island1_delivered_total").Value(); got != 1 {
-		t.Fatalf("island1 delivered metric = %v, want 1", got)
-	}
-	if got := r.Lookup("pdes_island1_engine_dispatched_total").Value(); got != 1 {
-		t.Fatalf("island1 dispatched metric = %v, want 1", got)
-	}
-	if r.Lookup("pdes_epochs_total").Value() == 0 {
-		t.Fatal("epochs metric did not advance")
-	}
-}

@@ -9,7 +9,11 @@
 // specification guarantees.
 package power
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Params is the per-component power budget in watts.
 type Params struct {
@@ -166,6 +170,17 @@ func Server() PSU {
 		StoredJ:    0.055 * 18.9,
 		SpecHoldUp: 55 * sim.Millisecond,
 	}
+}
+
+// PSUByName resolves a supply by the name the CLIs take: "atx" or "server".
+func PSUByName(name string) (PSU, error) {
+	switch name {
+	case "atx":
+		return ATX(), nil
+	case "server":
+		return Server(), nil
+	}
+	return PSU{}, fmt.Errorf("unknown PSU %q (want atx or server)", name)
 }
 
 // HoldUp reports how long the rails stay in spec at the given load.

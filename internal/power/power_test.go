@@ -110,3 +110,14 @@ func TestPSUZeroLoad(t *testing.T) {
 		t.Fatal("zero-load hold-up should saturate")
 	}
 }
+
+func TestPSUByName(t *testing.T) {
+	atx, errATX := PSUByName("atx")
+	server, errServer := PSUByName("server")
+	if errATX != nil || errServer != nil || atx != ATX() || server != Server() {
+		t.Errorf("PSUByName: atx = %v, %v; server = %v, %v", atx, errATX, server, errServer)
+	}
+	if _, err := PSUByName("ATX"); err == nil {
+		t.Error("PSUByName accepted \"ATX\"; the names are lower case")
+	}
+}

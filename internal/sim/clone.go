@@ -29,13 +29,12 @@ func (h *Histogram) Clone() *Histogram {
 
 // Clone returns a deep copy of the engine's scheduling state: the slot
 // arena, timer heap, immediate ring, free list, and all counters. Pending
-// event closures (fn/argFn) are shared with the source — a closure is
-// immutable code plus captured pointers, and the engine cannot rewrite what
-// a closure captured. Callers forking a platform must therefore only clone
-// engines whose pending closures capture state owned by the clone (in
-// practice: engines with no pending events, which is what the platform
-// surface guarantees — every Run/Stop/Go drains its engine before
-// returning).
+// event closures are shared with the source — a closure is immutable code
+// plus captured pointers, and the engine cannot rewrite what a closure
+// captured. Callers forking a platform must therefore only clone engines
+// whose pending closures capture state owned by the clone (in practice:
+// engines with no pending events, which is what the platform surface
+// guarantees — every Run/Stop/Go drains its engine before returning).
 func (e *Engine) Clone() *Engine {
 	if e == nil {
 		return nil

@@ -14,10 +14,10 @@ func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, Engine{},
 		"now", "seq", "events", "live", "immHits", "heapMax",
 		"slots", "free", "heap", "imm", "immHead")
-	// eventSlot is copied wholesale by slices.Clone; fn/argFn are shared by
-	// design (see Engine.Clone).
+	// eventSlot is copied wholesale by slices.Clone; fn is shared by design
+	// (see Engine.Clone).
 	snapshot.CheckCovered(t, eventSlot{},
-		"at", "seq", "fn", "argFn", "arg", "label", "gen", "state", "next")
+		"at", "seq", "fn", "label", "gen", "state", "next")
 }
 
 // TestRNGCloneIndependence checks a cloned generator continues the same

@@ -46,8 +46,6 @@ type eventSlot struct {
 	at    Time
 	seq   uint64 // tiebreaker: FIFO among same-timestamp events
 	fn    func(now Time)
-	argFn func(now Time, arg uint64) // parameterized form; set instead of fn
-	arg   uint64                     // argument delivered to argFn
 	label string
 	gen   uint32
 	state uint8
@@ -153,7 +151,6 @@ func (e *Engine) alloc(at Time, label string, fn func(now Time)) int32 {
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.fn = nil
-	s.argFn = nil
 	s.label = ""
 	s.gen++
 	s.state = slotFree
@@ -195,30 +192,6 @@ func (e *Engine) ScheduleAt(at Time, label string, fn func(now Time)) EventID {
 	return makeEventID(idx, e.slots[idx].gen)
 }
 
-// ScheduleArgAt queues a parameterized event: at timestamp at, fn runs with
-// the stored 64-bit argument. Unlike wrapping the argument in a closure,
-// the argument rides in the event arena slot, so scheduling a data-carrying
-// event (a cross-island message word, a line address) allocates nothing.
-//
-//lightpc:zeroalloc
-func (e *Engine) ScheduleArgAt(at Time, label string, fn func(now Time, arg uint64), arg uint64) EventID {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", label, at, e.now))
-	}
-	idx := e.alloc(at, label, nil)
-	s := &e.slots[idx]
-	s.argFn = fn
-	s.arg = arg
-	if at == e.now {
-		//lint:allow zeroalloc ring backing is reused after each drain; growth is amortized
-		e.imm = append(e.imm, idx)
-		e.immHits++
-	} else {
-		e.heapPush(idx)
-	}
-	return makeEventID(idx, s.gen)
-}
-
 // Cancel removes a scheduled event. Canceling an already-fired,
 // already-canceled, or zero handle is a no-op. Cancellation is lazy: the
 // slot is marked dead and collected when it reaches the front of its queue,
@@ -236,7 +209,6 @@ func (e *Engine) Cancel(id EventID) {
 	}
 	s.state = slotCanceled
 	s.fn = nil // release the closure now; the slot itself is collected later
-	s.argFn = nil
 	e.live--
 }
 
@@ -312,16 +284,11 @@ func (e *Engine) peek() (idx int32, fromImm, ok bool) {
 func (e *Engine) dispatch(idx int32, fromImm bool) {
 	e.popTop(fromImm)
 	s := &e.slots[idx]
-	at, fn, argFn, arg := s.at, s.fn, s.argFn, s.arg
+	at, fn := s.at, s.fn
 	e.release(idx)
 	e.live--
 	e.now = at
 	e.events++
-	if argFn != nil {
-		//lint:allow zeroalloc the event callback owns its own allocation budget
-		argFn(e.now, arg)
-		return
-	}
 	//lint:allow zeroalloc the event callback owns its own allocation budget
 	fn(e.now)
 }
@@ -368,35 +335,6 @@ func (e *Engine) RunUntil(deadline Time) {
 //
 //lightpc:zeroalloc
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// runBefore dispatches every event with a timestamp strictly before bound
-// and reports how many ran. The clock is left at the last dispatched event
-// (not advanced to bound): the parallel engine's epochs must be able to
-// deliver cross-island messages landing exactly on the bound afterwards.
-//
-//lightpc:zeroalloc
-func (e *Engine) runBefore(bound Time) (n uint64) {
-	for {
-		idx, fromImm, ok := e.peek()
-		if !ok || e.slots[idx].at >= bound {
-			return n
-		}
-		e.dispatch(idx, fromImm)
-		n++
-	}
-}
-
-// nextEventTime peeks the earliest live event's timestamp without
-// dispatching it; ok is false when the queue is empty.
-//
-//lightpc:zeroalloc
-func (e *Engine) nextEventTime() (Time, bool) {
-	idx, _, ok := e.peek()
-	if !ok {
-		return 0, false
-	}
-	return e.slots[idx].at, true
-}
 
 // less orders slots by (time, seq).
 //
