@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEngineScheduleCancel -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
+	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s
 

@@ -210,7 +210,9 @@ func main() {
 	// benches are pinned at 0 allocs/op like the disabled obs instruments.
 	// internal/linetab also carries the per-table Clone microbenches, and
 	// internal/crashpoint the fork-vs-rebuild sweep-cell comparison.
-	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint")
+	// internal/pmemdimm: the LRU tier's steady state (pinned at 0 allocs/op)
+	// and the per-fork copy of a full DIMM.
+	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint", "./internal/pmemdimm")
 	// The bench subprocess must also see the real core count, both so the
 	// parallel benches (which skip below 2) get their chance and so the
 	// "-N" name suffix matches what parseBench strips.

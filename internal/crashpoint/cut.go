@@ -3,8 +3,6 @@ package crashpoint
 import (
 	"errors"
 
-	"sort"
-
 	"repro/internal/checkpoint"
 	"repro/internal/journal"
 	"repro/internal/kernel"
@@ -165,7 +163,7 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 	if got, want := s.journal.Len(), len(s.shadow.jCommitted); got != want {
 		out.report(label, InvTornCommit, "journal recovered %d keys, committed %d", got, want)
 	}
-	for _, key := range sortedKeys(s.shadow.jCommitted) {
+	for _, key := range s.shadow.committedKeys {
 		v, err := s.journal.Get(key)
 		if err != nil {
 			out.report(label, InvLostCommit, "committed journal key %d lost: %v", key, err)
@@ -176,10 +174,7 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 				"journal key %d = %d, committed %d", key, v, s.shadow.jCommitted[key])
 		}
 	}
-	for _, key := range sortedKeys(s.shadow.jStaged) {
-		if _, wasCommitted := s.shadow.jCommitted[key]; wasCommitted {
-			continue
-		}
+	for _, key := range s.shadow.stagedKeys {
 		if v, err := s.journal.Get(key); !errors.Is(err, journal.ErrNotFound) {
 			out.report(label, InvResidue, "staged journal key %d readable (= %d)", key, v)
 		}
@@ -232,7 +227,7 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 
 	// PSM datastore: every written line must read back byte-identical.
 	if ds := s.Platform.DataStore(); ds != nil {
-		for _, line := range sortedLineKeys(s.shadow.lines) {
+		for _, line := range s.shadow.lineKeys {
 			data, _, err := ds.ReadData(0, line)
 			if err != nil {
 				out.report(label, InvLostCommit, "datastore line %d unreadable: %v", line, err)
@@ -243,16 +238,6 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 			}
 		}
 	}
-}
-
-// sortedLineKeys returns the line map's keys in ascending order.
-func sortedLineKeys(m map[uint64][]byte) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // bytesEqual reports whether two byte slices hold the same content.

@@ -10,8 +10,10 @@ import (
 // CutAt: the platform is deep-forked (lightpc.Platform.Fork), the WAL store
 // and its block device are cloned, the pool handle re-attaches to the
 // fork's OC-PMEM without running recovery (the staged residue transaction
-// must survive into the fork exactly as Build left it), and the shadow
-// model, checkpoint-region shadows, and pre-cut capture are deep-copied.
+// must survive into the fork exactly as Build left it), and the
+// checkpoint-region shadows are copied. The shadow model and the pre-cut
+// capture are frozen at the end of Build and never written again, so every
+// fork shares them read-only instead of copying them.
 //
 // Forking replaces rebuilding: Build(sc) once, then Fork per cut, and every
 // forked CutAt outcome is byte-identical to cutting a freshly built
@@ -30,21 +32,8 @@ func (s *System) Fork() *System {
 		journal:  s.journal.Clone(),
 		pool:     pmdk.Attach(p.Kernel().OCPMEM),
 		poolObj:  s.poolObj,
-		shadow: sysShadow{
-			jCommitted: cloneWordMap(s.shadow.jCommitted),
-			jStaged:    cloneWordMap(s.shadow.jStaged),
-			pool:       slices.Clone(s.shadow.pool),
-			poolStaged: slices.Clone(s.shadow.poolStaged),
-			poolOpen:   s.shadow.poolOpen,
-			lines:      cloneLineMap(s.shadow.lines),
-		},
-		pre: preState{
-			appChecksum: s.pre.appChecksum,
-			coreMRegs:   slices.Clone(s.pre.coreMRegs),
-			devContext:  slices.Clone(s.pre.devContext),
-			devMMIO:     slices.Clone(s.pre.devMMIO),
-			aliveCount:  s.pre.aliveCount,
-		},
+		shadow:   s.shadow,
+		pre:      s.pre,
 	}
 	for _, r := range s.ckpt {
 		out.ckpt = append(out.ckpt, &sysRegion{
@@ -52,22 +41,6 @@ func (s *System) Fork() *System {
 			live:      slices.Clone(r.live),
 			committed: slices.Clone(r.committed),
 		})
-	}
-	return out
-}
-
-func cloneWordMap(m map[uint64]uint64) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneLineMap(m map[uint64][]byte) map[uint64][]byte {
-	out := make(map[uint64][]byte, len(m))
-	for k, v := range m {
-		out[k] = slices.Clone(v)
 	}
 	return out
 }

@@ -3,7 +3,7 @@ package crashpoint
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/journal"
 	"repro/internal/pmemdimm"
@@ -95,11 +95,11 @@ func CheckJournal(seed uint64, ops int) []Violation {
 
 // sortedKeys returns the map's keys in ascending order (deterministic
 // violation order).
-func sortedKeys(m map[uint64]uint64) []uint64 {
+func sortedKeys[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -100,7 +100,9 @@ type sysRegion struct {
 }
 
 // sysShadow is the reference model of everything the cut may and may not
-// surface: committed state must survive, staged state must not.
+// surface: committed state must survive, staged state must not. Build
+// fills it and then freezes it; from then on it is read-only, and every
+// fork of the system shares it.
 type sysShadow struct {
 	jCommitted map[uint64]uint64
 	jStaged    map[uint64]uint64
@@ -110,10 +112,30 @@ type sysShadow struct {
 	poolOpen   bool
 
 	lines map[uint64][]byte
+
+	// The ascending orders CutAt walks, computed once by freeze: the
+	// committed journal keys, the staged journal keys no commit covers,
+	// and the written datastore lines.
+	committedKeys []uint64
+	stagedKeys    []uint64
+	lineKeys      []uint64
+}
+
+// freeze computes the shadow's key orders. Build calls it last; nothing
+// writes the shadow afterwards.
+func (sh *sysShadow) freeze() {
+	sh.committedKeys = sortedKeys(sh.jCommitted)
+	for _, k := range sortedKeys(sh.jStaged) {
+		if _, committed := sh.jCommitted[k]; !committed {
+			sh.stagedKeys = append(sh.stagedKeys, k)
+		}
+	}
+	sh.lineKeys = sortedKeys(sh.lines)
 }
 
 // preState captures the kernel image before Stop begins, for the
-// restored-exactly (I1) and untouched-regions (I2) comparisons.
+// restored-exactly (I1) and untouched-regions (I2) comparisons. Like the
+// shadow it is read-only once Build returns and shared by every fork.
 type preState struct {
 	appChecksum uint64
 	coreMRegs   [][4]uint64
@@ -134,8 +156,8 @@ type System struct {
 	poolObj pmdk.OID
 	ckpt    []*sysRegion
 
-	shadow sysShadow
-	pre    preState
+	shadow *sysShadow
+	pre    *preState
 }
 
 // Build assembles the system: platform, application persistence stacks
@@ -170,7 +192,7 @@ func Build(sc Scenario) (*System, error) {
 		Platform: p,
 		Window:   sc.Holdup,
 		journal:  journal.Open(pmemdimm.NewSectorDevice(pmemdimm.New(pmemdimm.DefaultConfig()))),
-		shadow: sysShadow{
+		shadow: &sysShadow{
 			jCommitted: map[uint64]uint64{},
 			jStaged:    map[uint64]uint64{},
 			pool:       make([]uint64, poolObjWords),
@@ -196,7 +218,8 @@ func Build(sc Scenario) (*System, error) {
 		return nil, err
 	}
 	p.Kernel().Tick(sc.Ticks)
-	s.capturePre()
+	s.shadow.freeze()
+	s.pre = capturePre(p.Kernel())
 	return s, nil
 }
 
@@ -332,15 +355,17 @@ func appRegionsChecksum(b *kernel.Bank) uint64 {
 }
 
 // capturePre snapshots the kernel image Stop must preserve or restore.
-func (s *System) capturePre() {
-	k := s.Platform.Kernel()
-	s.pre.appChecksum = appRegionsChecksum(k.OCPMEM)
+func capturePre(k *kernel.Kernel) *preState {
+	pre := &preState{
+		appChecksum: appRegionsChecksum(k.OCPMEM),
+		aliveCount:  len(k.Alive()),
+	}
 	for _, c := range k.Cores {
-		s.pre.coreMRegs = append(s.pre.coreMRegs, c.MRegs)
+		pre.coreMRegs = append(pre.coreMRegs, c.MRegs)
 	}
 	for _, d := range k.Devices {
-		s.pre.devContext = append(s.pre.devContext, d.Context)
-		s.pre.devMMIO = append(s.pre.devMMIO, d.MMIO)
+		pre.devContext = append(pre.devContext, d.Context)
+		pre.devMMIO = append(pre.devMMIO, d.MMIO)
 	}
-	s.pre.aliveCount = len(k.Alive())
+	return pre
 }

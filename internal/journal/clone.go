@@ -1,26 +1,21 @@
 package journal
 
-import "slices"
+import (
+	"maps"
+	"slices"
+)
 
 // Clone returns a deep copy of the store — volatile memory, the WAL, the
 // home image, checkpoint cursor, and the block device underneath — so a
 // forked system can crash and recover its copy without disturbing the
 // source.
 func (s *Store) Clone() *Store {
-	mem := make(map[uint64]uint64, len(s.mem))
-	for k, v := range s.mem {
-		mem[k] = v
-	}
-	home := make(map[uint64]uint64, len(s.home))
-	for k, v := range s.home {
-		home[k] = v
-	}
 	return &Store{
 		dev:         s.dev.Clone(),
-		mem:         mem,
+		mem:         maps.Clone(s.mem),
 		log:         slices.Clone(s.log),
 		committed:   s.committed,
-		home:        home,
+		home:        maps.Clone(s.home),
 		ckptPos:     s.ckptPos,
 		nextLBA:     s.nextLBA,
 		appends:     s.appends,

@@ -150,9 +150,12 @@ func (s *Store) CheckpointStep(now sim.Time, n int) (sim.Time, bool) {
 // location and the committed log prefix survive. An in-progress
 // incremental checkpoint loses its cursor.
 func (s *Store) Crash() {
-	s.mem = make(map[uint64]uint64)
-	s.log = append([]logRecord{}, s.log[:s.committed]...)
-	s.committed = len(s.log)
+	// Recovery can only bring back keys that were put, so the live key
+	// count sizes the map it rebuilds.
+	s.mem = make(map[uint64]uint64, len(s.mem))
+	// Clipping the capacity at the durable prefix keeps the committed
+	// records in place without copying them; the next append reallocates.
+	s.log = s.log[:s.committed:s.committed]
 	s.ckptPos = 0
 }
 

@@ -1,6 +1,9 @@
 package kernel
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // Bank is one addressable memory region. LightPC runs everything out of the
 // persistent OC-PMEM bank; LegacyPC additionally has a volatile DRAM bank
@@ -120,16 +123,7 @@ func (b *Bank) ChecksumRange(lo, hi uint64) uint64 {
 // carried over). The crash-point recorder clones the final image and
 // rewinds it to reconstruct intermediate crash states.
 func (b *Bank) Clone() *Bank {
-	c := NewBank(b.name, b.persistent)
-	addrs := make([]uint64, 0, len(b.words))
-	for a := range b.words {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		c.words[a] = b.words[a]
-	}
-	return c
+	return &Bank{name: b.name, persistent: b.persistent, words: maps.Clone(b.words)}
 }
 
 // CopyTo snapshots every word of b into dst at the given address offset —

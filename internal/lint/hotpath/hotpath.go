@@ -1,5 +1,5 @@
 // Package hotpath forbids map[uint64]-keyed fields in the device hot
-// packages (pram, memctrl, psm).
+// packages (pram, memctrl, psm, pmemdimm).
 //
 // Those packages perform one metadata lookup per simulated memory access —
 // in-flight cooling windows, wear counters, near-cache tags, line content —
@@ -7,7 +7,9 @@
 // Go map machinery for exactly these lookups. internal/linetab provides the
 // paged, epoch-stamped replacements (Counters, Table, Bits, Slab, Flight)
 // with O(1) access, index-ordered iteration, and zero steady-state
-// allocation; this analyzer keeps the maps from creeping back.
+// allocation. A bounded structure keyed by block — pmemdimm's LRU tiers —
+// uses a fixed-capacity open-addressed index instead, sized once at
+// construction. This analyzer keeps the maps from creeping back.
 //
 // Only struct fields are flagged: a local map inside a constructor or a
 // cold path is fine; persistent per-line state held by a device model is
@@ -29,13 +31,13 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid map[uint64]-keyed fields in device hot packages (use internal/linetab)",
+	Doc:  "forbid map[uint64]-keyed fields in device hot packages (use internal/linetab or a fixed-capacity index)",
 	Run:  run,
 }
 
 // hotPackages are the device-model packages with per-access metadata
 // lookups on the simulated memory path.
-var hotPackages = []string{"pram", "memctrl", "psm"}
+var hotPackages = []string{"pram", "memctrl", "psm", "pmemdimm"}
 
 // hotPackage reports whether the import path names a device hot package
 // (matched by final path element so fixture stubs scope the same way).
@@ -74,7 +76,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if len(field.Names) > 0 {
 					name = field.Names[0].Name
 				}
-				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight)", name, pass.Pkg.Path())
+				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight) or, for a bounded tier, a fixed-capacity open-addressed index", name, pass.Pkg.Path())
 			}
 			return true
 		})

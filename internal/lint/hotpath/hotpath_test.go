@@ -9,5 +9,5 @@ import (
 
 func TestHotpath(t *testing.T) {
 	linttest.Run(t, "testdata", hotpath.Analyzer,
-		"internal/pram", "internal/memctrl", "internal/psm", "internal/coldpkg")
+		"internal/pram", "internal/memctrl", "internal/psm", "internal/pmemdimm", "internal/coldpkg")
 }

@@ -1,0 +1,46 @@
+package pmemdimm
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// BenchmarkLRUSteadyState drives a warm DRAM-tier-sized LRU with a
+// touch-then-insert stream over twice its capacity, so about half the
+// lookups miss and evict. BENCH_SEED.json pins it at 0 allocs/op.
+func BenchmarkLRUSteadyState(b *testing.B) {
+	const capacity = 4096
+	l := newLRU(capacity)
+	rng := sim.NewRNG(1)
+	for i := 0; i < 2*capacity; i++ {
+		l.insert(rng.Uint64n(2*capacity), i%2 == 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := rng.Uint64n(2 * capacity)
+		if _, ok := l.touch(key); !ok {
+			l.insert(key, i%2 == 0)
+		}
+	}
+}
+
+// cloneSink keeps the benchmarked clones live.
+var cloneSink *DIMM
+
+// BenchmarkDIMMClone copies a DIMM whose SRAM and DRAM tiers are both
+// full — the per-fork cost of a crash-sweep cut's WAL device.
+func BenchmarkDIMMClone(b *testing.B) {
+	cfg := DefaultConfig()
+	d := New(cfg)
+	now := sim.Time(0)
+	for i := 0; i < cfg.DRAMBlocks; i++ {
+		now = d.Write(now, uint64(i)*BufferBlock)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = d.Clone()
+	}
+}

@@ -2,27 +2,17 @@ package pmemdimm
 
 import "slices"
 
-// clone deep-copies an LRU tier: the index map, the node arena, and the
-// list/flush-epoch scalars. Copying map entries into a fresh map is
-// order-insensitive — the clone holds the same key set regardless of
-// iteration order — so the copy is deterministic.
+// clone deep-copies an LRU tier: the key index, the node arena, and the
+// list/flush-epoch scalars. Both arrays are flat and fixed-size, so the
+// copy is two slice copies.
 func (l *lru) clone() *lru {
 	if l == nil {
 		return nil
 	}
-	items := make(map[uint64]int32, len(l.items))
-	for k, v := range l.items {
-		items[k] = v
-	}
-	return &lru{
-		cap:   l.cap,
-		items: items,
-		nodes: slices.Clone(l.nodes),
-		head:  l.head,
-		tail:  l.tail,
-		stamp: l.stamp,
-		dirty: l.dirty,
-	}
+	c := *l
+	c.index = slices.Clone(l.index)
+	c.nodes = slices.Clone(l.nodes)
+	return &c
 }
 
 // Clone returns a deep copy of the DIMM: RNG position, both LRU tier

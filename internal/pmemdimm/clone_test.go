@@ -10,7 +10,7 @@ import (
 // mutable field fails here until the clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, lru{},
-		"cap", "items", "nodes", "head", "tail", "stamp", "dirty")
+		"nodes", "n", "index", "shift", "head", "tail", "stamp", "dirty")
 	snapshot.CheckCovered(t, DIMM{},
 		"cfg", "rng", "sram", "dram", "busyUntil", "stats", "em", "readLat")
 	snapshot.CheckCovered(t, SectorDevice{},

@@ -64,19 +64,27 @@ func DefaultConfig() Config {
 }
 
 // lru is a tiny ordered map used for both cache tiers. Nodes live in a
-// slice-backed arena linked by index, so the steady state allocates
-// nothing: evicted slots are reused in place for the incoming key.
+// fixed arena linked by index, so nothing allocates after construction:
+// the evicted node is reused in place for the incoming key.
+//
+// The key index is an open-addressed table of node indices sized once at
+// construction (a power of two at least twice the capacity, so probe
+// chains stay short), probed linearly from hash64(key). Eviction removes
+// the victim by backward-shift deletion, which leaves no tombstones: every
+// chain stays exactly as long as the keys it holds. Both the arena and the
+// table are flat slices, so a clone is two copies.
 //
 // Dirtiness is epoch-stamped rather than stored as a bool: a node is dirty
 // iff its dirtyStamp is newer than the tier's last flush epoch. Clearing
 // every dirty bit (Flush) is then a single epoch increment, and the tier
-// maintains a running dirty count so Flush never walks the map.
+// maintains a running dirty count so Flush never walks the arena.
 type lru struct {
-	cap   int
-	items map[uint64]int32
-	nodes []lruNode
-	head  int32 // most recent, -1 if empty
-	tail  int32 // least recent, -1 if empty
+	nodes []lruNode // fixed arena, one node per block of capacity
+	n     int32     // nodes in use; nodes[n:] are free
+	index []int32   // node index + 1 per slot; 0 = empty
+	shift uint      // 64 - log2(len(index))
+	head  int32     // most recent, -1 if empty
+	tail  int32     // least recent, -1 if empty
 
 	stamp uint64 // flush epoch; node dirty iff dirtyStamp > stamp
 	dirty int    // live dirty nodes
@@ -89,13 +97,55 @@ type lruNode struct {
 }
 
 func newLRU(capacity int) *lru {
+	size, shift := 2, uint(63)
+	for size < 2*capacity {
+		size *= 2
+		shift--
+	}
 	return &lru{
-		cap:   capacity,
-		items: make(map[uint64]int32, capacity),
-		nodes: make([]lruNode, 0, capacity),
+		nodes: make([]lruNode, capacity),
+		index: make([]int32, size),
+		shift: shift,
 		head:  -1,
 		tail:  -1,
 	}
+}
+
+// hash64 is linetab's multiplicative (Fibonacci) hash; the top bits pick
+// the home slot.
+//
+//lightpc:zeroalloc
+func hash64(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
+
+// slot returns the table slot holding key, or the empty slot that ends its
+// probe chain. The table is never full (it has at least twice as many
+// slots as nodes), so the probe always terminates.
+//
+//lightpc:zeroalloc
+func (l *lru) slot(key uint64) uint64 {
+	mask := uint64(len(l.index) - 1)
+	i := hash64(key) >> l.shift
+	for l.index[i] != 0 && l.nodes[l.index[i]-1].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove deletes the slot's entry by backward shift: each later entry of
+// the chain moves into the hole unless its home slot lies cyclically
+// after the hole, so lookups never cross an empty slot they should not.
+//
+//lightpc:zeroalloc
+func (l *lru) remove(hole uint64) {
+	mask := uint64(len(l.index) - 1)
+	for j := (hole + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
+		home := hash64(l.nodes[l.index[j]-1].key) >> l.shift
+		if (j-home)&mask >= (j-hole)&mask {
+			l.index[hole] = l.index[j]
+			hole = j
+		}
+	}
+	l.index[hole] = 0
 }
 
 //lightpc:zeroalloc
@@ -145,8 +195,8 @@ func (l *lru) markDirty(i int32) {
 //
 //lightpc:zeroalloc
 func (l *lru) touch(key uint64) (int32, bool) {
-	i, ok := l.items[key]
-	if !ok {
+	i := l.index[l.slot(key)] - 1
+	if i < 0 {
 		return -1, false
 	}
 	l.unlink(i)
@@ -159,7 +209,8 @@ func (l *lru) touch(key uint64) (int32, bool) {
 //
 //lightpc:zeroalloc
 func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
-	if i, ok := l.items[key]; ok {
+	s := l.slot(key)
+	if i := l.index[s] - 1; i >= 0 {
 		if dirty {
 			l.markDirty(i)
 		}
@@ -168,8 +219,8 @@ func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
 		return false, false
 	}
 	var i int32
-	if len(l.items) >= l.cap {
-		// Reuse the LRU victim's slot for the incoming key.
+	if int(l.n) == len(l.nodes) {
+		// Reuse the LRU victim's node for the incoming key.
 		i = l.tail
 		n := &l.nodes[i]
 		evicted = true
@@ -178,20 +229,18 @@ func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
 			l.dirty--
 		}
 		l.unlink(i)
-		//lint:allow zeroalloc eviction keeps the map at fixed size; no growth
-		delete(l.items, n.key)
-		n.key = key
-		n.dirtyStamp = 0
+		l.remove(l.slot(n.key))
+		// The backward shift may have moved entries of key's chain.
+		s = l.slot(key)
 	} else {
-		i = int32(len(l.nodes))
-		//lint:allow zeroalloc the node arena fills once, up to the fixed capacity
-		l.nodes = append(l.nodes, lruNode{key: key, prev: -1, next: -1})
+		i = l.n
+		l.n++
 	}
+	l.nodes[i] = lruNode{key: key, prev: -1, next: -1}
 	if dirty {
 		l.markDirty(i)
 	}
-	//lint:allow zeroalloc map size is bounded by the tier capacity; steady state reuses evicted slots
-	l.items[key] = i
+	l.index[s] = i + 1
 	l.pushFront(i)
 	return evictedDirty, evicted
 }
@@ -205,7 +254,7 @@ func (l *lru) flushAll() int {
 	return n
 }
 
-func (l *lru) len() int { return len(l.items) }
+func (l *lru) len() int { return int(l.n) }
 
 // Stats counts the DIMM's internal traffic.
 type Stats struct {
