@@ -20,11 +20,11 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
-# lightpc-lint: the repo's own go/analysis suite (nodeterminism,
-# epcutorder, maporder, simtime, obsdeterminism, hotpath, plus the
-# fact-based interprocedural passes zeroalloc, detreach, persistorder)
-# run through go vet's -vettool hook over the whole module — internal/,
-# cmd/, and examples/ alike. The wall time is printed so CI logs track
+# lightpc-lint: the repo's own go/analysis suite (epcutorder, simtime,
+# hotpath, plus the fact-based interprocedural passes determinism,
+# zeroalloc, persistorder; cmd/lightpc-lint registers them) run through
+# go vet's -vettool hook over the whole module — internal/, cmd/, and
+# examples/ alike. The wall time is printed so CI logs track
 # the cost of the suite as it grows.
 $(LINT): FORCE
 	$(GO) build -o $(LINT) ./cmd/lightpc-lint
@@ -33,7 +33,7 @@ FORCE:
 lint: $(LINT)
 	@start=$$(date +%s%N); \
 	$(GO) vet -vettool=$(CURDIR)/$(LINT) ./... && \
-	echo "lint: 9 analyzers clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
+	echo "lint: lightpc-lint clean over ./... in $$(( ($$(date +%s%N) - start) / 1000000 )) ms"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,10 +1,11 @@
-// Package acceptance proves the interprocedural analyzers guard the real
-// hot paths, not just hand-written fixtures: each test copies a live
-// package closure out of the repository into a scratch GOPATH tree, seeds
-// the exact regression the analyzer exists to catch — an allocation in the
-// core-interleave loop, a datastore write hoisted above its undo-log
-// append, an environment read feeding simulation code — and asserts the
-// analyzer fires on the seeded line (and nowhere else).
+// Package acceptance proves the analyzers guard the real hot paths, not
+// just hand-written fixtures: each test copies a live package closure out
+// of the repository into a scratch GOPATH tree, seeds the exact regression
+// the analyzer exists to catch — an allocation in the core-interleave
+// loop, a datastore write hoisted above its undo-log append, an
+// environment read feeding simulation code, a map ranged while exporting
+// metrics — and asserts the analyzer fires on the seeded line (and nowhere
+// else).
 package acceptance_test
 
 import (
@@ -13,7 +14,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/lint/detreach"
+	"repro/internal/lint/determinism"
 	"repro/internal/lint/linttest"
 	"repro/internal/lint/persistorder"
 	"repro/internal/lint/zeroalloc"
@@ -43,6 +44,15 @@ var pmdkClosure = []string{
 	"internal/cache",
 	"internal/kernel",
 	"internal/pmdk",
+}
+
+// obsClosure is the dependency closure of internal/obs, the exporter
+// layer the determinism analyzer holds to its strictest level.
+var obsClosure = []string{
+	"internal/sim",
+	"internal/snapshot",
+	"internal/trace",
+	"internal/obs",
 }
 
 // scratchTree copies the given packages from the repository root into a
@@ -126,17 +136,18 @@ func TestPersistorderCatchesReorderedUndoLog(t *testing.T) {
 	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/pmdk")
 }
 
-// TestDetreachCatchesEnvReadInSimCode adds a helper that samples the host
-// environment and a caller inside internal/cpu; the Impure fact must
-// propagate from the seed to the call edge.
-func TestDetreachCatchesEnvReadInSimCode(t *testing.T) {
+// TestDeterminismCatchesEnvReadInSimCode adds a helper that samples the
+// host environment and a caller inside internal/cpu: the read itself is
+// reported, and the Impure fact must propagate from the seed to the call
+// edge.
+func TestDeterminismCatchesEnvReadInSimCode(t *testing.T) {
 	root := scratchTree(t, cpuClosure)
 	extra := `package cpu
 
 import "os"
 
 func nodeEnv() string {
-	return os.Getenv("LIGHTPC_NODE")
+	return os.Getenv("LIGHTPC_NODE") // want ` + "`os\\.Getenv in simulation code`" + `
 }
 
 func useNodeEnv() string {
@@ -146,5 +157,23 @@ func useNodeEnv() string {
 	if err := os.WriteFile(filepath.Join(root, "src", "repro", "internal", "cpu", "zz_seeded.go"), []byte(extra), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	linttest.Run(t, root, detreach.Analyzer, "repro/internal/cpu")
+	linttest.Run(t, root, determinism.Analyzer, "repro/internal/cpu")
+}
+
+// TestDeterminismCatchesMapRangeInObsExport makes the Prometheus exporter
+// gather its metrics by ranging the registry's name index instead of
+// copying the insertion-ordered slice, and asserts the exported-layer rule
+// fires on the real import path repro/internal/obs, not only on the
+// fixture path. The sort that follows does not excuse it: in the exported
+// layers a map is for lookups only.
+func TestDeterminismCatchesMapRangeInObsExport(t *testing.T) {
+	root := scratchTree(t, obsClosure)
+	mutate(t, filepath.Join(root, "src", "repro", "internal", "obs", "export.go"),
+		"\tms := make([]*Metric, len(r.metrics))\n"+
+			"\tcopy(ms, r.metrics)\n",
+		"\tms := make([]*Metric, 0, len(r.metrics))\n"+
+			"\tfor _, i := range r.byName { // want `map iteration in internal/obs`\n"+
+			"\t\tms = append(ms, r.metrics[i])\n"+
+			"\t}\n")
+	linttest.Run(t, root, determinism.Analyzer, "repro/internal/obs")
 }

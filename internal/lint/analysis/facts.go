@@ -139,7 +139,7 @@ func (s *FactStore) Len() int { return len(s.facts) }
 // content of a .vetx file.
 func (s *FactStore) Encode() []byte {
 	recs := make([]factRecord, 0, len(s.facts))
-	//lint:allow maporder records are sorted deterministically just below
+	//lint:allow determinism records are sorted deterministically just below
 	for k, v := range s.facts {
 		recs = append(recs, factRecord{Key: k, Value: v})
 	}
@@ -198,7 +198,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 // annotationPrefix introduces the repository's function-contract markers:
 //
 //	//lightpc:zeroalloc   this function must not allocate (zeroalloc)
-//	//lightpc:pure        trusted determinism assertion (detreach)
+//	//lightpc:pure        trusted determinism assertion (determinism)
 //	//lightpc:journalappend   this function IS the journal append (persistorder)
 //	//lightpc:commitpoint     this function IS the commit point (persistorder)
 const annotationPrefix = "lightpc:"

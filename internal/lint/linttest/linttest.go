@@ -13,7 +13,8 @@
 // Each `...`-quoted fragment is a regular expression; every diagnostic on
 // a line must match one of the line's want patterns, and every pattern
 // must be matched by at least one diagnostic. A fixture file with no want
-// comments asserts silence.
+// comments asserts silence. An analyzer may report at most one diagnostic
+// per position.
 //
 // Imports among fixture packages resolve inside testdata/src; everything
 // else (the standard library) is type-checked from source via go/importer,
@@ -89,6 +90,8 @@ type loader struct {
 
 // Import lets the loader serve as the type-checker's importer: fixture
 // packages shadow the standard library, which is the fallback.
+//
+//lightpc:pure test harness: fixtures come off the host filesystem by design
 func (ld *loader) Import(path string) (*types.Package, error) {
 	if st, err := os.Stat(filepath.Join(ld.srcDir, filepath.FromSlash(path))); err == nil && st.IsDir() {
 		lp, err := ld.load(path)
@@ -206,8 +209,15 @@ func checkPackage(t *testing.T, fset *token.FileSet, lp *loadedPkg) {
 		}
 	}
 
+	// One finding per position: a second diagnostic at the same Pos would
+	// match the same want and pass unnoticed.
+	seen := make(map[token.Pos]string)
 	for _, d := range diags {
 		posn := fset.Position(d.Pos)
+		if prev, dup := seen[d.Pos]; dup {
+			t.Errorf("%s: two diagnostics at one position: %q and %q", posn, prev, d.Message)
+		}
+		seen[d.Pos] = d.Message
 		k := key{posn.Filename, posn.Line}
 		matched := false
 		for _, w := range wants[k] {

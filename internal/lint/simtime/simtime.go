@@ -62,10 +62,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				dst := tv.Type
 				src := pass.TypesInfo.TypeOf(n.Args[0])
 				switch {
-				case simTemporal(dst) && stdTemporal(src):
+				case analysis.SimTemporal(dst) && stdTemporal(src):
 					reported[n.Fun] = true
 					pass.Reportf(n.Pos(), "converting %s to %s mixes wall-clock time with simulated time: sim durations are picoseconds, not nanoseconds; model the latency in sim units directly", typeName(src), typeName(dst))
-				case stdTemporal(dst) && simTemporal(src):
+				case stdTemporal(dst) && analysis.SimTemporal(src):
 					reported[n.Fun] = true
 					pass.Reportf(n.Pos(), "converting %s to %s mixes wall-clock time with simulated time: render sim durations with their own methods (String, Milliseconds, ...) instead", typeName(src), typeName(dst))
 				}
@@ -96,20 +96,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
-}
-
-// simTemporal reports whether t is sim.Duration or sim.Time.
-func simTemporal(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	name := obj.Name()
-	return (name == "Duration" || name == "Time") && analysis.SimPackage(obj.Pkg().Path())
 }
 
 // stdTemporal reports whether t is stdlib time.Duration or time.Time.

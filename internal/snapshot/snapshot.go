@@ -14,7 +14,7 @@
 // Everything here is deterministic by construction: counters are plain
 // atomics whose totals are order-insensitive, and the completeness walk
 // uses reflect's declaration-ordered field enumeration — no wall clock, no
-// map iteration (the obsdeterminism analyzer enforces both).
+// map iteration (the determinism analyzer's strictest level enforces both).
 package snapshot
 
 import "sync/atomic"
