@@ -38,8 +38,9 @@ lint: $(LINT)
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json: snapshot every figure benchmark (one iteration each) plus the
-# parallel runner's measured speedup into BENCH_SEED.json.
+# bench-json: snapshot every benchmark (one iteration each, with allocs/op),
+# the parallel runner's measured speedup and the forked-vs-rebuilt crash-sweep
+# cell into BENCH_SEED.json.
 bench-json:
 	$(GO) run ./cmd/lightpc-benchseed -out BENCH_SEED.json
 
@@ -60,15 +61,14 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-benchseed -out $(BIN)/bench-new.json
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
-# fuzz-smoke: a short native-fuzzing pass over each codec/parser target and
-# the event-scheduler differential model (the checked-in corpora also replay
-# as plain seeds in `make test`).
+# fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
+# line-table and LRU-index differential models, and the crash-cut fuzzers
+# (the checked-in corpora also replay as plain seeds in `make test`).
 fuzz-smoke:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEngineScheduleCancel -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
 	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s

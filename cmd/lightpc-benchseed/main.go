@@ -200,10 +200,10 @@ func main() {
 	}
 
 	// Root package: one iteration per figure benchmark (they run whole
-	// experiment suites). internal/sim: the scheduler microbenchmarks, where
-	// allocs/op is the number under regression watch (it must stay 0).
-	// internal/obs: the disabled-instrument overhead benches, under the same
-	// 0 allocs/op watch — a platform built without a tracer must pay nothing.
+	// experiment suites). internal/sim: the per-cell RNG split.
+	// internal/obs: the disabled-instrument overhead benches, where allocs/op
+	// is the number under regression watch (it must stay 0) — a platform
+	// built without a tracer must pay nothing.
 	// internal/linetab: the paged device-metadata tables, whose steady-state
 	// Get/Set/Flight paths are also pinned at 0 allocs/op.
 	// internal/energy: the meter charge paths — the disabled (nil) meter

@@ -12,43 +12,70 @@
 //	lightpc-crash -mode enum -target all           # word-granular enumeration
 //
 // All output is deterministic: same flags, same bytes (sweep included, at
-// any -j). The exit status is 1 when any invariant is violated.
+// any -j). The exit status is 1 when any invariant is violated and 2 for a
+// bad flag value.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/crashpoint"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lightpc-crash: "+format+"\n", args...)
-	os.Exit(1)
+// enumTargets are the -target names in the order enum mode runs them: each
+// enumerates every word-granular write prefix of one persistence mechanism.
+var enumTargets = []struct {
+	name  string
+	check func(seed uint64) []crashpoint.Violation
+}{
+	{"pool", func(seed uint64) []crashpoint.Violation { return crashpoint.CheckPool(seed, 6, 5) }},
+	{"ckpt", func(seed uint64) []crashpoint.Violation { return crashpoint.CheckManager(seed, 40) }},
+	{"hibernate", func(seed uint64) []crashpoint.Violation { return crashpoint.CheckHibernate(seed, 5) }},
+	{"journal", func(seed uint64) []crashpoint.Violation { return crashpoint.CheckJournal(seed, 30) }},
 }
 
-func parseSeeds(s string) []uint64 {
-	var out []uint64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+// parseTargets splits a -target list and rejects any name enum mode does
+// not know; "all" selects every target.
+func parseTargets(s string) ([]string, error) {
+	known := []string{"all"}
+	for _, t := range enumTargets {
+		known = append(known, t.name)
+	}
+	names := parseList(s)
+	for _, name := range names {
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("unknown target %q (want %s)", name, strings.Join(known, ", "))
 		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no targets in %q", s)
+	}
+	return names, nil
+}
+
+func parseSeeds(s string) ([]uint64, error) {
+	var out []uint64
+	for _, f := range parseList(s) {
 		v, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
-			fatalf("bad seed %q: %v", f, err)
+			return nil, fmt.Errorf("bad seed %q: %v", f, err)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fatalf("no seeds in %q", s)
+		return nil, fmt.Errorf("no seeds in %q", s)
 	}
-	return out
+	return out, nil
 }
 
 func parseList(s string) []string {
@@ -62,35 +89,63 @@ func parseList(s string) []string {
 }
 
 // emit prints v as indented JSON (the machine-readable report).
-func emit(v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Println(string(b))
+func emit(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the reports and the
+// verdict to stdout, and returns the exit code (2 for bad flags, 1 when an
+// invariant is violated or the run fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lightpc-crash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode    = flag.String("mode", "cut", "cut | bisect | sweep | enum")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		seeds   = flag.String("seeds", "1", "comma-separated seeds (sweep mode)")
-		wl      = flag.String("workload", "Redis", "Table II workload driving the application phase")
-		wls     = flag.String("workloads", "Redis,SQLite", "comma-separated workloads (sweep mode)")
-		cores   = flag.Int("cores", 4, "core count")
-		user    = flag.Int("user", 24, "user processes")
-		kprocs  = flag.Int("kernelprocs", 16, "kernel threads")
-		devices = flag.Int("devices", 64, "dpm_list length")
-		ticks   = flag.Int("ticks", 6, "scheduler ticks before the power event")
-		appOps  = flag.Int("appops", 96, "application persistence operations staged before the cut")
-		holdup  = flag.Duration("holdup", 0, "hold-up window (0 = ATX spec 16ms)")
-		offset  = flag.Duration("offset", 0, "cut offset into the Stop sequence (cut mode)")
-		cuts    = flag.Int("cuts", 8, "fuzzed cut offsets per cell on top of the stratified grid (sweep mode)")
-		jobs    = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
-		target  = flag.String("target", "all", "enum targets: pool,ckpt,hibernate,journal or all")
-		quiet   = flag.Bool("q", false, "suppress the JSON report; only the verdict line")
+		mode    = fs.String("mode", "cut", "cut | bisect | sweep | enum")
+		seed    = fs.Uint64("seed", 1, "simulation seed")
+		seeds   = fs.String("seeds", "1", "comma-separated seeds (sweep mode)")
+		wl      = fs.String("workload", "Redis", "Table II workload driving the application phase")
+		wls     = fs.String("workloads", "Redis,SQLite", "comma-separated workloads (sweep mode)")
+		cores   = fs.Int("cores", 4, "core count")
+		user    = fs.Int("user", 24, "user processes")
+		kprocs  = fs.Int("kernelprocs", 16, "kernel threads")
+		devices = fs.Int("devices", 64, "dpm_list length")
+		ticks   = fs.Int("ticks", 6, "scheduler ticks before the power event")
+		appOps  = fs.Int("appops", 96, "application persistence operations staged before the cut")
+		holdup  = fs.Duration("holdup", 0, "hold-up window (0 = ATX spec 16ms)")
+		offset  = fs.Duration("offset", 0, "cut offset into the Stop sequence (cut mode)")
+		cuts    = fs.Int("cuts", 8, "fuzzed cut offsets per cell on top of the stratified grid (sweep mode)")
+		jobs    = fs.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
+		target  = fs.String("target", "all", "enum targets: pool,ckpt,hibernate,journal or all")
+		quiet   = fs.Bool("q", false, "suppress the JSON report; only the verdict line")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "lightpc-crash: %v\n", err)
+		return code
+	}
+	targets, err := parseTargets(*target)
+	if err != nil {
+		return fail(2, fmt.Errorf("-target: %v", err))
+	}
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		return fail(2, fmt.Errorf("-seeds: %v", err))
+	}
+	workloads := parseList(*wls)
+	for _, name := range append([]string{*wl}, workloads...) {
+		if err := workload.CheckName(name); err != nil {
+			return fail(2, err)
+		}
+	}
 
 	sc := crashpoint.Scenario{
 		Seed:        *seed,
@@ -109,7 +164,7 @@ func main() {
 	case "cut":
 		s, err := crashpoint.Build(sc)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(1, err)
 		}
 		off := sim.Duration(offset.Nanoseconds()) * sim.Nanosecond
 		if off <= 0 {
@@ -118,67 +173,63 @@ func main() {
 		out := s.CutAt(off)
 		violations = len(out.Violations)
 		if !*quiet {
-			emit(out)
+			if err := emit(stdout, out); err != nil {
+				return fail(1, err)
+			}
 		}
 	case "bisect":
 		rep, err := crashpoint.Bisect(sc)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(1, err)
 		}
 		violations = len(rep.Violations)
 		if !*quiet {
-			os.Stdout.Write(rep.JSON())
+			stdout.Write(rep.JSON())
 		}
-		fmt.Printf("commit instant %s into a %s window (%d probes, vulnerable [%d, %d] ps)\n",
+		fmt.Fprintf(stdout, "commit instant %s into a %s window (%d probes, vulnerable [%d, %d] ps)\n",
 			sim.Duration(rep.CommitInstantPs), sim.Duration(rep.WindowPs),
 			len(rep.Probes), rep.FirstVulnerablePs, rep.LastVulnerablePs)
 	case "sweep":
 		rep, err := crashpoint.Sweep(crashpoint.SweepConfig{
 			Base:        sc,
-			Workloads:   parseList(*wls),
-			Seeds:       parseSeeds(*seeds),
+			Workloads:   workloads,
+			Seeds:       seedList,
 			CutsPerCell: *cuts,
 			Jobs:        *jobs,
 		})
 		if err != nil {
-			fatalf("%v", err)
+			return fail(1, err)
 		}
 		violations = rep.TotalViolations
 		if !*quiet {
-			os.Stdout.Write(rep.JSON())
+			stdout.Write(rep.JSON())
 		}
-		fmt.Printf("%d cells, %d cuts, %d violations\n",
+		fmt.Fprintf(stdout, "%d cells, %d cuts, %d violations\n",
 			len(rep.Cells), rep.TotalCuts, rep.TotalViolations)
 	case "enum":
-		targets := map[string]bool{}
-		for _, tg := range parseList(*target) {
-			targets[tg] = true
-		}
-		all := targets["all"]
 		var found []crashpoint.Violation
-		run := func(name string, fn func() []crashpoint.Violation) {
-			if !all && !targets[name] {
-				return
+		for _, t := range enumTargets {
+			if !slices.Contains(targets, "all") && !slices.Contains(targets, t.name) {
+				continue
 			}
-			v := fn()
+			v := t.check(*seed)
 			found = append(found, v...)
-			fmt.Printf("enum %s: %d violations\n", name, len(v))
+			fmt.Fprintf(stdout, "enum %s: %d violations\n", t.name, len(v))
 		}
-		run("pool", func() []crashpoint.Violation { return crashpoint.CheckPool(*seed, 6, 5) })
-		run("ckpt", func() []crashpoint.Violation { return crashpoint.CheckManager(*seed, 40) })
-		run("hibernate", func() []crashpoint.Violation { return crashpoint.CheckHibernate(*seed, 5) })
-		run("journal", func() []crashpoint.Violation { return crashpoint.CheckJournal(*seed, 30) })
 		violations = len(found)
 		if !*quiet && len(found) > 0 {
-			emit(found)
+			if err := emit(stdout, found); err != nil {
+				return fail(1, err)
+			}
 		}
 	default:
-		fatalf("unknown mode %q", *mode)
+		return fail(2, fmt.Errorf("unknown mode %q (want cut, bisect, sweep, or enum)", *mode))
 	}
 
 	if violations > 0 {
-		fmt.Printf("FAIL: %d invariant violations\n", violations)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "FAIL: %d invariant violations\n", violations)
+		return 1
 	}
-	fmt.Println("OK: all recovery invariants hold")
+	fmt.Fprintln(stdout, "OK: all recovery invariants hold")
+	return 0
 }

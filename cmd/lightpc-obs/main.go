@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,25 +26,25 @@ import (
 	lightpc "repro"
 	"repro/internal/obs"
 	"repro/internal/obs/drive"
+	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lightpc-obs: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func writeFile(path string, data []byte) {
+// writeFile writes data to path (skipped when path is empty) and names the
+// artifact on stdout.
+func writeFile(stdout io.Writer, path string, data []byte) error {
 	if path == "" {
-		return
+		return nil
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+	fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", path, len(data))
+	return nil
 }
 
-func parseSeeds(s string) []uint64 {
+func parseSeeds(s string) ([]uint64, error) {
 	var out []uint64
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -51,46 +53,64 @@ func parseSeeds(s string) []uint64 {
 		}
 		v, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
-			fatalf("bad seed %q: %v", f, err)
+			return nil, fmt.Errorf("bad seed %q: %v", f, err)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fatalf("no seeds in %q", s)
+		return nil, fmt.Errorf("no seeds in %q", s)
 	}
-	return out
+	return out, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables and artifact
+// names to stdout, and returns the exit code (2 for bad flags, 1 when the
+// run or an artifact check fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lightpc-obs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode     = flag.String("mode", "sng", "sng (one scenario) | sweep (one cell per seed) | energy (joule breakdown)")
-		platform = flag.String("platform", "full", "platform: legacy | b | full")
-		seed     = flag.Uint64("seed", 1, "simulation seed (sng mode)")
-		seeds    = flag.String("seeds", "1,2,3,4", "comma-separated seeds (sweep mode)")
-		jobs     = flag.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
-		cores    = flag.Int("cores", 8, "core count")
-		user     = flag.Int("user", 72, "user processes")
-		kprocs   = flag.Int("kernelprocs", 48, "kernel threads")
-		devices  = flag.Int("devices", 250, "dpm_list length")
-		ticks    = flag.Int("ticks", 20, "scheduler ticks before the power event")
-		wl       = flag.String("workload", "", "Table II workload to run first (empty = none)")
-		psu      = flag.String("psu", "atx", "psu: atx | server")
-		holdup   = flag.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
-		energyOn = flag.Bool("energy", false, "attach per-device joule meters (implied by -mode energy)")
+		mode     = fs.String("mode", "sng", "sng (one scenario) | sweep (one cell per seed) | energy (joule breakdown)")
+		platform = fs.String("platform", "full", "platform: legacy | b | full")
+		seed     = fs.Uint64("seed", 1, "simulation seed (sng mode)")
+		seeds    = fs.String("seeds", "1,2,3,4", "comma-separated seeds (sweep mode)")
+		jobs     = fs.Int("j", 1, "sweep workers (0 = GOMAXPROCS); output is identical at any level")
+		cores    = fs.Int("cores", 8, "core count")
+		user     = fs.Int("user", 72, "user processes")
+		kprocs   = fs.Int("kernelprocs", 48, "kernel threads")
+		devices  = fs.Int("devices", 250, "dpm_list length")
+		ticks    = fs.Int("ticks", 20, "scheduler ticks before the power event")
+		wl       = fs.String("workload", "", "Table II workload to run first (empty = none)")
+		psu      = fs.String("psu", "atx", "psu: atx | server")
+		holdup   = fs.Duration("holdup", 0, "override hold-up window (0 = PSU spec)")
+		energyOn = fs.Bool("energy", false, "attach per-device joule meters (implied by -mode energy)")
 
-		traceOut = flag.String("trace", "", "write Chrome trace-event JSON here")
-		promOut  = flag.String("metrics", "", "write Prometheus text snapshot here")
-		jsonOut  = flag.String("metrics-json", "", "write JSON metrics snapshot here")
-		quiet    = flag.Bool("q", false, "suppress the phase table")
+		traceOut = fs.String("trace", "", "write Chrome trace-event JSON here")
+		promOut  = fs.String("metrics", "", "write Prometheus text snapshot here")
+		jsonOut  = fs.String("metrics-json", "", "write JSON metrics snapshot here")
+		quiet    = fs.Bool("q", false, "suppress the phase table")
 
-		checkTrace = flag.String("check-trace", "", "validate a Chrome trace JSON file and exit")
-		checkProm  = flag.String("check-prom", "", "validate a Prometheus text file and exit")
+		checkTrace = fs.String("check-trace", "", "validate a Chrome trace JSON file and exit")
+		checkProm  = fs.String("check-prom", "", "validate a Prometheus text file and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "lightpc-obs: %v\n", err)
+		return code
+	}
 
 	if *checkTrace != "" || *checkProm != "" {
-		check(*checkTrace, *checkProm)
-		return
+		if err := check(stdout, *checkTrace, *checkProm); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 
 	var kind lightpc.Kind
@@ -102,7 +122,19 @@ func main() {
 	case "full":
 		kind = lightpc.LightPCFull
 	default:
-		fatalf("unknown platform %q (want legacy, b, or full)", *platform)
+		return fail(2, fmt.Errorf("unknown platform %q (want legacy, b, or full)", *platform))
+	}
+	if _, err := power.PSUByName(*psu); err != nil {
+		return fail(2, fmt.Errorf("-psu: %v", err))
+	}
+	if *wl != "" {
+		if err := workload.CheckName(*wl); err != nil {
+			return fail(2, err)
+		}
+	}
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		return fail(2, fmt.Errorf("-seeds: %v", err))
 	}
 
 	sc := drive.Scenario{
@@ -119,68 +151,75 @@ func main() {
 		Energy:      *energyOn || *mode == "energy",
 	}
 
-	switch *mode {
-	case "sng":
-		res, err := drive.SnG(sc)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if !*quiet {
-			fmt.Print(res.PhaseTable())
-			if sc.Energy {
-				fmt.Print(res.EnergyTable())
-			}
-		}
-		writeFile(*traceOut, res.ChromeTrace())
-		writeFile(*promOut, res.Registry.PrometheusBytes())
-		writeFile(*jsonOut, res.Registry.JSONBytes())
-	case "energy":
-		res, err := drive.SnG(sc)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(res.EnergyTable())
-		writeFile(*traceOut, res.ChromeTrace())
-		writeFile(*promOut, res.Registry.PrometheusBytes())
-		writeFile(*jsonOut, res.Registry.JSONBytes())
-	case "sweep":
-		sw, err := drive.Sweep(sc, parseSeeds(*seeds), *jobs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if !*quiet {
-			fmt.Print(sw.PhaseTables())
-			if sc.Energy {
-				fmt.Print(sw.EnergyTables())
-			}
-		}
-		writeFile(*traceOut, sw.ChromeTrace())
-		writeFile(*promOut, sw.Prometheus())
-	default:
-		fatalf("unknown mode %q (want sng, sweep, or energy)", *mode)
+	type artifact struct {
+		path string
+		data []byte
 	}
+	var artifacts []artifact
+	switch *mode {
+	case "sng", "energy":
+		res, err := drive.SnG(sc)
+		if err != nil {
+			return fail(1, err)
+		}
+		switch {
+		case *mode == "energy":
+			fmt.Fprint(stdout, res.EnergyTable())
+		case !*quiet:
+			fmt.Fprint(stdout, res.PhaseTable())
+			if sc.Energy {
+				fmt.Fprint(stdout, res.EnergyTable())
+			}
+		}
+		artifacts = []artifact{
+			{*traceOut, res.ChromeTrace()},
+			{*promOut, res.Registry.PrometheusBytes()},
+			{*jsonOut, res.Registry.JSONBytes()},
+		}
+	case "sweep":
+		sw, err := drive.Sweep(sc, seedList, *jobs)
+		if err != nil {
+			return fail(1, err)
+		}
+		if !*quiet {
+			fmt.Fprint(stdout, sw.PhaseTables())
+			if sc.Energy {
+				fmt.Fprint(stdout, sw.EnergyTables())
+			}
+		}
+		artifacts = []artifact{{*traceOut, sw.ChromeTrace()}, {*promOut, sw.Prometheus()}}
+	default:
+		return fail(2, fmt.Errorf("unknown mode %q (want sng, sweep, or energy)", *mode))
+	}
+	for _, a := range artifacts {
+		if err := writeFile(stdout, a.path, a.data); err != nil {
+			return fail(1, err)
+		}
+	}
+	return 0
 }
 
 // check validates previously written artifacts (the obs-smoke CI step).
-func check(tracePath, promPath string) {
+func check(stdout io.Writer, tracePath, promPath string) error {
 	if tracePath != "" {
 		data, err := os.ReadFile(tracePath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if err := obs.ValidateChromeTrace(data); err != nil {
-			fatalf("%s: %v", tracePath, err)
+			return fmt.Errorf("%s: %v", tracePath, err)
 		}
-		fmt.Printf("%s: valid Chrome trace-event JSON\n", tracePath)
+		fmt.Fprintf(stdout, "%s: valid Chrome trace-event JSON\n", tracePath)
 	}
 	if promPath != "" {
 		data, err := os.ReadFile(promPath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if err := obs.ValidatePrometheus(data); err != nil {
-			fatalf("%s: %v", promPath, err)
+			return fmt.Errorf("%s: %v", promPath, err)
 		}
-		fmt.Printf("%s: valid Prometheus text exposition\n", promPath)
+		fmt.Fprintf(stdout, "%s: valid Prometheus text exposition\n", promPath)
 	}
+	return nil
 }

@@ -10,9 +10,11 @@
 //
 // Allocation counts, unlike times, are deterministic, so -strict-zero-alloc
 // promotes one class of regression to a hard failure even without -strict:
-// any benchmark the baseline pins at 0 allocs/op that now allocates. (The
-// percentage machinery cannot express 0 -> N, so without this flag such a
-// regression passes silently.) CI runs with -strict-zero-alloc.
+// any benchmark the baseline pins at 0 allocs/op that now allocates, or that
+// is missing from the new snapshot (deleting or renaming a pinned bench
+// would otherwise drop its gate). The percentage machinery cannot express
+// 0 -> N, so without this flag such a regression passes silently. CI runs
+// with -strict-zero-alloc.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -86,7 +89,7 @@ func main() {
 		newPath    = flag.String("new", "", "candidate snapshot (required)")
 		threshold  = flag.Float64("threshold", 10, "regression threshold in percent")
 		strict     = flag.Bool("strict", false, "exit non-zero when a regression exceeds the threshold")
-		strictZero = flag.Bool("strict-zero-alloc", false, "exit non-zero when a benchmark pinned at 0 allocs/op now allocates")
+		strictZero = flag.Bool("strict-zero-alloc", false, "exit non-zero when a benchmark pinned at 0 allocs/op now allocates or is gone")
 	)
 	flag.Parse()
 	if *newPath == "" {
@@ -105,45 +108,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	oldBy := make(map[string]benchLine, len(oldSeed.Benches))
-	for _, b := range oldSeed.Benches {
-		oldBy[b.Name] = b
-	}
-
-	fmt.Printf("%-34s %14s %14s %8s %10s %10s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "time", "old allocs", "new allocs", "allocs")
-	var regressions, zeroAllocBroken []string
-	matched := make(map[string]bool, len(newSeed.Benches))
-	for _, nb := range newSeed.Benches {
-		ob, ok := oldBy[nb.Name]
-		if !ok {
-			fmt.Printf("%-34s %14s %14.0f %8s\n", nb.Name, "-", nb.NsPerOp, "new")
-			continue
-		}
-		matched[nb.Name] = true
-		allocDelta := "~"
-		if ob.AllocsPerOp != 0 || nb.AllocsPerOp != 0 {
-			allocDelta = fmtDelta(ob.AllocsPerOp, nb.AllocsPerOp)
-		}
-		fmt.Printf("%-34s %14.0f %14.0f %8s %10.0f %10.0f %8s\n",
-			nb.Name, ob.NsPerOp, nb.NsPerOp, fmtDelta(ob.NsPerOp, nb.NsPerOp),
-			ob.AllocsPerOp, nb.AllocsPerOp, allocDelta)
-		if d, ok := deltaPct(ob.NsPerOp, nb.NsPerOp); ok && d > *threshold {
-			regressions = append(regressions, fmt.Sprintf("%s: ns/op %+.1f%%", nb.Name, d))
-		}
-		if d, ok := deltaPct(ob.AllocsPerOp, nb.AllocsPerOp); ok && d > *threshold {
-			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %+.1f%%", nb.Name, d))
-		}
-		if ob.AllocsPerOp == 0 && nb.AllocsPerOp > 0 {
-			zeroAllocBroken = append(zeroAllocBroken,
-				fmt.Sprintf("%s: allocs/op 0 -> %.0f", nb.Name, nb.AllocsPerOp))
-		}
-	}
-	for _, ob := range oldSeed.Benches {
-		if !matched[ob.Name] {
-			fmt.Printf("%-34s %14.0f %14s %8s\n", ob.Name, ob.NsPerOp, "-", "gone")
-		}
-	}
+	regressions, zeroAllocBroken := compare(os.Stdout, oldSeed, newSeed, *threshold)
 
 	if oldSeed.SerialMs > 0 && newSeed.SerialMs > 0 {
 		fmt.Printf("\nsuite serial: %.0fms -> %.0fms (%s)   parallel (-j): %.0fms -> %.0fms (%s)\n",
@@ -158,7 +123,7 @@ func main() {
 	fail := false
 	sort.Strings(zeroAllocBroken)
 	if len(zeroAllocBroken) > 0 {
-		fmt.Printf("\n%d pinned 0-alloc benchmark(s) now allocate:\n", len(zeroAllocBroken))
+		fmt.Printf("\n%d pinned 0-alloc benchmark(s) now allocate or are gone:\n", len(zeroAllocBroken))
 		for _, r := range zeroAllocBroken {
 			fmt.Printf("  ZERO-ALLOC REGRESSION %s\n", r)
 		}
@@ -186,4 +151,53 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// compare writes one row per benchmark to w and returns the time/alloc
+// regressions beyond threshold percent and the broken 0-alloc pins: a
+// baseline 0 allocs/op bench that now allocates or is missing.
+func compare(w io.Writer, oldSeed, newSeed seed, threshold float64) (regressions, zeroAllocBroken []string) {
+	oldBy := make(map[string]benchLine, len(oldSeed.Benches))
+	for _, b := range oldSeed.Benches {
+		oldBy[b.Name] = b
+	}
+
+	fmt.Fprintf(w, "%-34s %14s %14s %8s %10s %10s %8s\n",
+		"benchmark", "old ns/op", "new ns/op", "time", "old allocs", "new allocs", "allocs")
+	matched := make(map[string]bool, len(newSeed.Benches))
+	for _, nb := range newSeed.Benches {
+		ob, ok := oldBy[nb.Name]
+		if !ok {
+			fmt.Fprintf(w, "%-34s %14s %14.0f %8s\n", nb.Name, "-", nb.NsPerOp, "new")
+			continue
+		}
+		matched[nb.Name] = true
+		allocDelta := "~"
+		if ob.AllocsPerOp != 0 || nb.AllocsPerOp != 0 {
+			allocDelta = fmtDelta(ob.AllocsPerOp, nb.AllocsPerOp)
+		}
+		fmt.Fprintf(w, "%-34s %14.0f %14.0f %8s %10.0f %10.0f %8s\n",
+			nb.Name, ob.NsPerOp, nb.NsPerOp, fmtDelta(ob.NsPerOp, nb.NsPerOp),
+			ob.AllocsPerOp, nb.AllocsPerOp, allocDelta)
+		if d, ok := deltaPct(ob.NsPerOp, nb.NsPerOp); ok && d > threshold {
+			regressions = append(regressions, fmt.Sprintf("%s: ns/op %+.1f%%", nb.Name, d))
+		}
+		if d, ok := deltaPct(ob.AllocsPerOp, nb.AllocsPerOp); ok && d > threshold {
+			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %+.1f%%", nb.Name, d))
+		}
+		if ob.AllocsPerOp == 0 && nb.AllocsPerOp > 0 {
+			zeroAllocBroken = append(zeroAllocBroken,
+				fmt.Sprintf("%s: allocs/op 0 -> %.0f", nb.Name, nb.AllocsPerOp))
+		}
+	}
+	for _, ob := range oldSeed.Benches {
+		if !matched[ob.Name] {
+			fmt.Fprintf(w, "%-34s %14.0f %14s %8s\n", ob.Name, ob.NsPerOp, "-", "gone")
+			if ob.AllocsPerOp == 0 {
+				zeroAllocBroken = append(zeroAllocBroken,
+					fmt.Sprintf("%s: allocs/op 0 -> gone from the new snapshot", ob.Name))
+			}
+		}
+	}
+	return regressions, zeroAllocBroken
 }

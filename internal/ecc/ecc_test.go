@@ -217,58 +217,3 @@ func TestXCCSizeChecked(t *testing.T) {
 	}()
 	XCCParity(make([]byte, 16), make([]byte, 32))
 }
-
-func TestHybridRecoversSingleDeadHalf(t *testing.T) {
-	h := NewHybrid(8)
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(i)
-	}
-	parity, word := h.EncodeLine(line)
-
-	// Low half dead: only the high half arrives.
-	damaged := make([]byte, 64)
-	copy(damaged[32:], line[32:])
-	got, err := h.RecoverLine(damaged, parity, word, true, false)
-	if err != nil || !bytes.Equal(got, line) {
-		t.Fatalf("lo recovery: %v", err)
-	}
-	// High half dead.
-	damaged = make([]byte, 64)
-	copy(damaged, line[:32])
-	got, err = h.RecoverLine(damaged, parity, word, false, true)
-	if err != nil || !bytes.Equal(got, line) {
-		t.Fatalf("hi recovery: %v", err)
-	}
-}
-
-func TestHybridFallsBackToSymbolCode(t *testing.T) {
-	// Both halves damaged (two DIMMs dead): XCC has no clean sibling, the
-	// RS word carries the day — up to 8 symbol errors.
-	h := NewHybrid(8)
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(200 - i)
-	}
-	parity, word := h.EncodeLine(line)
-	rng := sim.NewRNG(4)
-	for i := 0; i < 8; i++ {
-		word[rng.Intn(len(word))] ^= byte(rng.Intn(255) + 1)
-	}
-	got, err := h.RecoverLine(line, parity, word, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, line) {
-		t.Fatal("symbol-code fallback failed")
-	}
-}
-
-func TestHybridPanicsOnBadLine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHybrid(2).EncodeLine(make([]byte, 32))
-}

@@ -47,52 +47,3 @@ func mustHalf(op string, bufs ...[]byte) {
 		}
 	}
 }
-
-// Hybrid is the Section VIII proposal: XCC serves the common case (it is
-// free and metadata-less), and the symbol-based code is consulted only
-// when XCC cannot help — e.g. when granules on two or more Bare-NVDIMMs
-// are simultaneously dead, so no clean sibling exists.
-type Hybrid struct {
-	RS *RS
-}
-
-// NewHybrid builds the layered code; t follows [93]'s guidance that
-// 10^-19 UBER PRAM needs ≥8-bit (symbol) correction per cacheline.
-func NewHybrid(t int) *Hybrid { return &Hybrid{RS: NewRS(t)} }
-
-// EncodeLine produces the stored form of a 64 B cacheline: the XCC parity
-// granule plus the RS codeword over the full line.
-func (h *Hybrid) EncodeLine(line []byte) (xccParity []byte, rsWord []byte) {
-	if len(line) != 2*HalfSize {
-		panic("ecc: EncodeLine needs a 64 B line")
-	}
-	xccParity = XCCParity(line[:HalfSize], line[HalfSize:])
-	rsWord = h.RS.Encode(line)
-	return xccParity, rsWord
-}
-
-// RecoverLine repairs a damaged line. It first tries XCC (when exactly one
-// half is marked dead and the parity is intact), then falls back to the
-// symbol code over the RS word. damagedLo/damagedHi mark dead granules.
-func (h *Hybrid) RecoverLine(line, xccParity, rsWord []byte, damagedLo, damagedHi bool) ([]byte, error) {
-	if len(line) != 2*HalfSize {
-		panic("ecc: RecoverLine needs a 64 B line")
-	}
-	switch {
-	case damagedLo && !damagedHi:
-		lo := XCCReconstruct(line[HalfSize:], xccParity)
-		out := append(lo, line[HalfSize:]...)
-		return out, nil
-	case damagedHi && !damagedLo:
-		hi := XCCReconstruct(line[:HalfSize], xccParity)
-		out := append(append([]byte{}, line[:HalfSize]...), hi...)
-		return out, nil
-	default:
-		// Both halves damaged (two DIMMs dead) — XCC has no clean
-		// sibling; decode the symbol code (slower, but this is the rare
-		// path).
-		word := make([]byte, len(rsWord))
-		copy(word, rsWord)
-		return h.RS.Decode(word)
-	}
-}

@@ -122,7 +122,7 @@ type source struct {
 var (
 	randSource = source{what: "ambient randomness", fix: "draw from an explicitly seeded sim.RNG instead"}
 	sources    = map[string]source{
-		"time": {what: "the host clock", fix: "charge simulated time (sim.Time) through the engine instead",
+		"time": {what: "the host clock", fix: "thread simulated time (sim.Time) through the call instead",
 			members: set("Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTicker", "NewTimer")},
 		"math/rand":    randSource,
 		"math/rand/v2": randSource,
@@ -195,7 +195,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 			for _, e := range in.edges {
 				if reason := c.impurity(e.callee); reason != "" {
-					in.impure = "calls " + label(e.callee) + ": " + reason
+					in.impure = "calls " + analysis.FuncLabel(e.callee) + ": " + reason
 					changed = true
 					break
 				}
@@ -212,7 +212,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		for _, e := range in.edges {
 			if reason := c.impurity(e.callee); reason != "" {
-				pass.Reportf(e.pos, "call to %s, which is transitively nondeterministic (%s); thread sim.Time and explicit RNGs, or annotate the callee //lightpc:pure with justification", label(e.callee), reason)
+				pass.Reportf(e.pos, "call to %s, which is transitively nondeterministic (%s); thread sim.Time and explicit RNGs, or annotate the callee //lightpc:pure with justification", analysis.FuncLabel(e.callee), reason)
 			}
 		}
 	}
@@ -277,15 +277,8 @@ func (c *checker) source(in *fn, sel *ast.SelectorExpr) {
 // method; calls through interfaces and func values are out of reach of
 // facts.
 func (c *checker) call(in *fn, call *ast.CallExpr) {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	}
-	callee, ok := c.pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || callee.Pkg() == nil {
+	callee := analysis.StaticCallee(c.pass.TypesInfo, call)
+	if callee == nil || callee.Pkg() == nil {
 		return
 	}
 	if recv := callee.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
@@ -442,19 +435,4 @@ func objectOf(pass *analysis.Pass, e ast.Expr) types.Object {
 		return pass.TypesInfo.ObjectOf(id)
 	}
 	return nil
-}
-
-// label renders a callee as pkg.Name or pkg.Recv.Name for diagnostics.
-func label(fn *types.Func) string {
-	name := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	return fn.Pkg().Name() + "." + name
 }

@@ -230,19 +230,12 @@ func typeUnder(pass *analysis.Pass, e ast.Expr) types.Type {
 }
 
 func classifyCall(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo, call *ast.CallExpr) {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = pass.TypesInfo.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := analysis.StaticCallee(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
 		return
 	}
 
-	label := calleeLabel(fn)
+	label := analysis.FuncLabel(fn)
 
 	// The append/commit primitives, local or imported.
 	if li, local := byObj[fn]; local {
@@ -300,23 +293,6 @@ func sinkFor(fn *types.Func) (string, bool) {
 	key := sinkKey{path[strings.LastIndex(path, "/")+1:], named.Obj().Name(), fn.Name()}
 	desc, ok := sinks[key]
 	return desc, ok
-}
-
-func calleeLabel(fn *types.Func) string {
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Name() + "." + name
-	}
-	return name
 }
 
 // check applies the two ordering rules to one function's event stream.

@@ -25,15 +25,15 @@
 // across packages — or a member of a small allocation-free stdlib
 // allowlist (math, math/bits). Dynamic calls (func values, interface
 // methods) cannot be verified and are reported; a deliberate dynamic hop
-// (the engine dispatching an event callback) takes a reasoned allow.
+// (the CPU calling its cache backend interface) takes a reasoned allow.
 //
 // Guard blocks that end in panic are cold by construction (a panic tears
 // the simulation down) and are skipped, so fmt.Sprintf in a bounds-check
 // panic does not need an allow.
 //
 // The analyzer also owns the pinned hot set: the functions BENCH_SEED.json
-// holds at 0 allocs/op (engine scheduling, line-table ops, disabled
-// instruments, device write paths) are registered here and must carry the
+// holds at 0 allocs/op (line-table ops, disabled instruments, energy meters,
+// device write paths) are registered here and must carry the
 // annotation, so the bench pin and the static contract cannot drift apart.
 package zeroalloc
 
@@ -74,10 +74,7 @@ var stdlibAllowed = map[string]bool{
 // annotation is reported, so deleting an annotation (or renaming a hot
 // function) cannot silently drop the static contract.
 var required = map[string][]string{
-	"sim": {
-		"Engine.Schedule", "Engine.ScheduleAt", "Engine.Step", "Engine.Cancel",
-		"Counter.Inc", "Histogram.Add",
-	},
+	"sim": {"Counter.Inc", "Histogram.Add"},
 	"cpu": {"interleaver.run"},
 	"linetab": {
 		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",
@@ -353,7 +350,7 @@ func (c *checker) call(call *ast.CallExpr) {
 			return
 		}
 	}
-	fn := c.staticCallee(call)
+	fn := analysis.StaticCallee(c.pass.TypesInfo, call)
 	if fn == nil {
 		c.reportf(call.Pos(), "dynamic call through a func value: allocation behavior unverifiable on a zeroalloc path")
 		return
@@ -388,7 +385,7 @@ func (c *checker) callee(call *ast.CallExpr, fn *types.Func) {
 	if c.pass.ImportObjectFact(fn, &ZeroAlloc{}) {
 		return
 	}
-	c.reportf(call.Pos(), "calls %s.%s, which does not carry the zeroalloc fact", pkg.Name(), qualify(fn))
+	c.reportf(call.Pos(), "calls %s, which does not carry the zeroalloc fact", analysis.FuncLabel(fn))
 }
 
 // callArgs flags interface boxing at argument positions.
@@ -459,39 +456,10 @@ func (c *checker) conversion(call *ast.CallExpr, target types.Type) {
 	c.boxing(call.Args[0], target, "conversion")
 }
 
-// staticCallee resolves a call to the *types.Func it statically invokes,
-// or nil for func values.
-func (c *checker) staticCallee(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 func calleeIdent(fun ast.Expr) *ast.Ident {
 	id, ok := ast.Unparen(fun).(*ast.Ident)
 	if !ok {
 		return nil
 	}
 	return id
-}
-
-// qualify renders Recv.Name or Name for diagnostics.
-func qualify(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Name()
 }

@@ -13,13 +13,3 @@ func (c *DRAMController) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"rowbuffer_hits_total", "accesses that hit an open row", func() uint64 { _, _, h, _ := c.Stats(); return h })
 	r.CounterFunc(prefix+"refreshes_total", "refresh cycles issued", func() uint64 { _, _, _, f := c.Stats(); return f })
 }
-
-// RegisterMetrics exposes the near-memory cache counters under prefix.
-func (n *NMEM) RegisterMetrics(r *obs.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc(prefix+"hits_total", "near-cache hits", func() uint64 { h, _, _ := n.Stats(); return h })
-	r.CounterFunc(prefix+"misses_total", "near-cache misses", func() uint64 { _, m, _ := n.Stats(); return m })
-	r.CounterFunc(prefix+"writebacks_total", "near-cache writebacks", func() uint64 { _, _, w := n.Stats(); return w })
-}

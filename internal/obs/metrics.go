@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -331,29 +330,4 @@ func RegisterTraceStats(r *Registry, prefix string, s *trace.Stats) {
 	r.CounterFunc(prefix+"dcache_reads_total", "D$ read lookups", func() uint64 { return s.DReadTotal })
 	r.CounterFunc(prefix+"dcache_write_hits_total", "D$ write hits", func() uint64 { return s.DWriteHits })
 	r.CounterFunc(prefix+"dcache_writes_total", "D$ write lookups", func() uint64 { return s.DWriteTotal })
-}
-
-// RegisterEngine exposes a sim.Engine's scheduler counters: events
-// dispatched, live queue depth, immediate-ring fast-path hits, and the
-// high-water marks of the heap and arena.
-func RegisterEngine(r *Registry, prefix string, e *sim.Engine) {
-	if r == nil || e == nil {
-		return
-	}
-	r.CounterFunc(prefix+"engine_dispatched_total", "events dispatched by the engine", func() uint64 { return e.Stats().Dispatched })
-	r.CounterFunc(prefix+"engine_immediate_total", "events that took the zero-delay ring fast path", func() uint64 { return e.Stats().ImmediateHits })
-	r.GaugeFunc(prefix+"engine_pending", "live events queued (canceled excluded)", func() float64 { return float64(e.Stats().Pending) })
-	r.GaugeFunc(prefix+"engine_heap_depth_max", "high-water mark of the timer heap", func() float64 { return float64(e.Stats().MaxHeapDepth) })
-	r.GaugeFunc(prefix+"engine_arena_slots", "event arena capacity (slots ever allocated)", func() float64 { return float64(e.Stats().ArenaSlots) })
-}
-
-// RegisterSnapshotStats exposes a snapshot.Stats fork accountant: how many
-// platform forks ran and how many bytes of mutable state they duplicated.
-// The totals are atomic sums, so they are identical at any -j worker count.
-func RegisterSnapshotStats(r *Registry, prefix string, s *snapshot.Stats) {
-	if r == nil || s == nil {
-		return
-	}
-	r.CounterFunc(prefix+"snapshot_forks_total", "platform forks taken from snapshots", s.Forks)
-	r.CounterFunc(prefix+"snapshot_bytes_total", "approximate bytes of mutable state duplicated by forks", s.Bytes)
 }

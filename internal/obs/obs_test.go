@@ -45,7 +45,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	r.CounterFunc("cf", "", func() uint64 { return 1 })
 	r.GaugeFunc("gf", "", func() float64 { return 1 })
 	RegisterTraceStats(r, "x_", &trace.Stats{})
-	RegisterEngine(r, "x_", sim.NewEngine())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || r.Len() != 0 || r.Lookup("c") != nil {
 		t.Fatal("nil registry leaked state")
 	}
@@ -251,23 +250,5 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	}
 	if h.Count() != 6 || h.Sum() != 5+10+15+25+35+40 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
-	}
-}
-
-func TestRegisterEngineSamplesLive(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRegistry()
-	RegisterEngine(r, "sim_", e)
-	e.Schedule(0, "imm", func(sim.Time) {})
-	e.Schedule(sim.Microsecond, "later", func(sim.Time) {})
-	e.Run()
-	if got := r.Lookup("sim_engine_dispatched_total").Value(); got != 2 {
-		t.Fatalf("dispatched metric = %v, want 2", got)
-	}
-	if got := r.Lookup("sim_engine_immediate_total").Value(); got != 1 {
-		t.Fatalf("immediate metric = %v, want 1", got)
-	}
-	if got := r.Lookup("sim_engine_heap_depth_max").Value(); got != 1 {
-		t.Fatalf("heap depth max = %v, want 1", got)
 	}
 }

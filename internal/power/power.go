@@ -86,60 +86,6 @@ func EnergyJ(watts float64, d sim.Duration) float64 {
 	return watts * d.Seconds()
 }
 
-// Sample is one (interval, draw) pair on a power timeline.
-type Sample struct {
-	Start sim.Time
-	Dur   sim.Duration
-	Watts float64
-	Label string
-}
-
-// Meter integrates a piecewise-constant power timeline (Figure 21b).
-type Meter struct {
-	params  Params
-	samples []Sample
-}
-
-// NewMeter builds a meter with the budget.
-func NewMeter(p Params) *Meter { return &Meter{params: p} }
-
-// Params reports the budget.
-func (m *Meter) Params() Params { return m.params }
-
-// Record adds an interval in the given state.
-func (m *Meter) Record(start sim.Time, d sim.Duration, s State, label string) {
-	m.samples = append(m.samples, Sample{Start: start, Dur: d, Watts: m.params.Watts(s), Label: label})
-}
-
-// RecordWatts adds an interval with an explicit draw.
-func (m *Meter) RecordWatts(start sim.Time, d sim.Duration, watts float64, label string) {
-	m.samples = append(m.samples, Sample{Start: start, Dur: d, Watts: watts, Label: label})
-}
-
-// EnergyJ reports the total integrated energy.
-func (m *Meter) EnergyJ() float64 {
-	var j float64
-	for _, s := range m.samples {
-		j += EnergyJ(s.Watts, s.Dur)
-	}
-	return j
-}
-
-// AvgWatts reports energy over total time.
-func (m *Meter) AvgWatts() float64 {
-	var d sim.Duration
-	for _, s := range m.samples {
-		d += s.Dur
-	}
-	if d == 0 {
-		return 0
-	}
-	return m.EnergyJ() / d.Seconds()
-}
-
-// Samples exposes the timeline.
-func (m *Meter) Samples() []Sample { return m.samples }
-
 // PSU models a power supply's residual stored energy after AC loss. The
 // hold-up time is the stored energy divided by the load — so a busy system
 // drains it faster than an idle one (Figure 8a).

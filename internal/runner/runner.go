@@ -2,7 +2,7 @@
 // experiment grids. The paper's evaluation is embarrassingly parallel —
 // every figure is a grid of independent simulations — so each harness
 // decomposes its grid into cells: one (experiment, workload,
-// platform/config-point) tuple per cell, each owning its own sim engine
+// platform/config-point) tuple per cell, each owning its own platform
 // and a sub-seed derived from the cell's canonical label via
 // sim.SubSeed/sim.RNG.Split. Cells are executed across a worker pool and
 // the results are merged in canonical cell order, so experiment output is

@@ -5,8 +5,8 @@
 // shared table clones); this package holds what the copies have in common:
 //
 //   - Stats, the fork counter every fork reports into (how many forks, how
-//     many bytes of state they duplicated) — exported through internal/obs
-//     as snapshot_forks_total / snapshot_bytes_total;
+//     many bytes of state they duplicated) — cmd/lightpc-benchmark reads it
+//     for the bytes each forked cut copies;
 //   - the reflection completeness check (CheckCovered) that every clone
 //     test runs so a newly added mutable device field cannot silently skip
 //     snapshotting.

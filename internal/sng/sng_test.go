@@ -211,6 +211,30 @@ func TestDeadlineAbortsWithoutCommit(t *testing.T) {
 	}
 }
 
+// A power event whose hold-up window is too short tears Stop; the rails drop
+// at the window's end and the power-restore finds no commit, leaving nothing
+// runnable until a cold boot.
+func TestSchedulerTornStopFailsRecovery(t *testing.T) {
+	k := busySystem(32)
+	s := New(k)
+	tiny := power.PSU{Name: "tiny", StoredJ: 0.0001, SpecHoldUp: 200 * sim.Microsecond}
+
+	failAt := sim.Time(sim.Millisecond)
+	rep := s.Stop(failAt, failAt.Add(tiny.SpecHoldUp))
+	k.PowerLoss()
+	if rep.Completed {
+		t.Fatal("stop fit a 200 µs window?")
+	}
+	if _, err := s.Go(sim.Time(sim.Second)); err != ErrNoCommit {
+		t.Fatalf("torn stop must cold boot, got %v", err)
+	}
+	for _, p := range k.Procs {
+		if p.State == kernel.TaskRunning {
+			t.Fatal("running process after unrecovered power loss")
+		}
+	}
+}
+
 // The crash-consistency property: a power failure at ANY instant during
 // Stop yields either a committed, fully recoverable cut, or no commit (cold
 // boot) — never a state where Go "recovers" something inconsistent.

@@ -11,6 +11,11 @@
 // substitution preserves the behaviours the experiments measure.
 package workload
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Category groups the benchmarks as in Table II.
 type Category string
 
@@ -151,6 +156,19 @@ func ByName(name string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
+}
+
+// CheckName returns nil when name is a Table II workload, and otherwise an
+// error that lists the valid names, so a CLI can reject a typo up front.
+func CheckName(name string) error {
+	if _, ok := ByName(name); ok {
+		return nil
+	}
+	names := make([]string, len(table2))
+	for i := range table2 {
+		names[i] = table2[i].Name
+	}
+	return fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // MemoryIntensive returns the two workloads Section VI uses for the
