@@ -200,7 +200,8 @@ func main() {
 	}
 
 	// Root package: one iteration per figure benchmark (they run whole
-	// experiment suites). internal/sim: the per-cell RNG split.
+	// experiment suites). internal/sim: the per-cell RNG split and the
+	// latency histogram's Add (pinned at 0 allocs/op).
 	// internal/obs: the disabled-instrument overhead benches, where allocs/op
 	// is the number under regression watch (it must stay 0) — a platform
 	// built without a tracer must pay nothing.
@@ -210,9 +211,11 @@ func main() {
 	// benches are pinned at 0 allocs/op like the disabled obs instruments.
 	// internal/linetab also carries the per-table Clone microbenches, and
 	// internal/crashpoint the fork-vs-rebuild sweep-cell comparison.
-	// internal/pmemdimm: the LRU tier's steady state (pinned at 0 allocs/op)
-	// and the per-fork copy of a full DIMM.
-	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint", "./internal/pmemdimm")
+	// internal/pmemdimm: the LRU tier's and the whole DIMM's steady state
+	// (pinned at 0 allocs/op) and the per-fork copy of a full DIMM.
+	// internal/psm: a warmed PSM's read/write mix, pinned at 0 allocs/op
+	// with its latency histograms live.
+	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint", "./internal/pmemdimm", "./internal/psm")
 	// The bench subprocess must also see the real core count, both so the
 	// parallel benches (which skip below 2) get their chance and so the
 	// "-N" name suffix matches what parseBench strips.

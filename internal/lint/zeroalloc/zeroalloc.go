@@ -74,7 +74,7 @@ var stdlibAllowed = map[string]bool{
 // annotation is reported, so deleting an annotation (or renaming a hot
 // function) cannot silently drop the static contract.
 var required = map[string][]string{
-	"sim": {"Counter.Inc", "Histogram.Add"},
+	"sim": {"Counter.Inc", "LatencyHistogram.Add"},
 	"cpu": {"interleaver.run"},
 	"linetab": {
 		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",
@@ -83,7 +83,7 @@ var required = map[string][]string{
 		"Flight.Quiet", "Flight.End", "Flight.Busy", "Flight.Set", "Flight.Drain",
 	},
 	"obs": {
-		"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add", "Histogram.Observe",
+		"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add",
 		"Tracer.Span", "Tracer.Begin", "Tracer.End", "Tracer.Instant", "Tracer.Counter",
 	},
 	"energy":   {"Meter.Op", "Meter.OpN", "Meter.Sync", "Meter.SetState", "Meter.Rebase", "Set.Sync"},

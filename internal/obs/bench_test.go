@@ -23,13 +23,11 @@ func BenchmarkTracerDisabledSpan(b *testing.B) {
 func BenchmarkRegistryDisabledInstruments(b *testing.B) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 		c.Add(2)
 		g.Set(float64(i))
-		h.Observe(sim.Duration(i))
 	}
 }
 
@@ -43,15 +41,5 @@ func BenchmarkTracerEnabledSpan(b *testing.B) {
 		if tr.Len() >= 1<<16 {
 			tr.Reset()
 		}
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("bench_latency", "", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(sim.Duration(i%int(16*sim.Millisecond)) + 1)
 	}
 }

@@ -193,16 +193,31 @@ func TestEnergyDisabledByDefault(t *testing.T) {
 	}
 }
 
-// A workload-bearing scenario exports the CPU reference-stream counters.
+// A workload-bearing scenario exports the CPU reference-stream counters
+// and the PSM latency histograms, which count every PSM access.
 func TestWorkloadMetricsExported(t *testing.T) {
 	res := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1, Workload: "Redis"})
 	if res.Run == nil {
 		t.Fatal("workload did not run")
 	}
 	prom := string(res.Registry.PrometheusBytes())
-	for _, want := range []string{"cpu_reads_total", "psm_reads_total", "kernel_procs"} {
+	for _, want := range []string{"cpu_reads_total", "psm_reads_total", "kernel_procs",
+		"# TYPE psm_read_latency_seconds histogram", "# TYPE psm_write_ack_latency_seconds histogram"} {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("metrics missing %s:\n%s", want, prom)
+		}
+	}
+	if err := obs.ValidatePrometheus([]byte(prom)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{
+		{"psm_read_latency_seconds", "psm_reads_total"},
+		{"psm_write_ack_latency_seconds", "psm_writes_total"},
+	} {
+		hist, counter := pair[0], pair[1]
+		n := res.Registry.Lookup(hist).Hist().Count()
+		if want := res.Registry.Lookup(counter).Value(); n == 0 || float64(n) != want {
+			t.Fatalf("%s counts %d samples, %s is %v", hist, n, counter, want)
 		}
 	}
 }

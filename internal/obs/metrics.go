@@ -98,88 +98,9 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// DefaultLatencyBuckets spans device hits (tens of ns) through the 16 ms
-// ATX hold-up window — the upper bounds of a sim-time histogram.
-func DefaultLatencyBuckets() []sim.Duration {
-	return []sim.Duration{
-		100 * sim.Nanosecond,
-		1 * sim.Microsecond,
-		10 * sim.Microsecond,
-		100 * sim.Microsecond,
-		1 * sim.Millisecond,
-		4 * sim.Millisecond,
-		16 * sim.Millisecond,
-		100 * sim.Millisecond,
-	}
-}
-
-// Histogram is a fixed-bucket sim-time histogram: cumulative bucket counts
-// under static upper bounds, plus an exact sum. Unlike sim.Histogram it
-// keeps no samples, so Observe is allocation-free. The nil histogram
-// no-ops.
-type Histogram struct {
-	bounds []sim.Duration // ascending upper bounds; +Inf is implicit
-	counts []uint64       // per-bound counts (not cumulative)
-	inf    uint64         // samples above the last bound
-	sum    sim.Duration
-	n      uint64
-}
-
-// Observe records one sample.
-//
-//lightpc:zeroalloc
-func (h *Histogram) Observe(d sim.Duration) {
-	if h == nil {
-		return
-	}
-	h.sum += d
-	h.n++
-	for i, b := range h.bounds {
-		if d <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.inf++
-}
-
-// Count reports the total number of samples.
-//
-//lightpc:zeroalloc
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum reports the total of all samples.
-//
-//lightpc:zeroalloc
-func (h *Histogram) Sum() sim.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Buckets reports (upper bound, cumulative count) pairs in bound order,
-// excluding the implicit +Inf bucket (whose cumulative count is Count).
-func (h *Histogram) Buckets() ([]sim.Duration, []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	cum := make([]uint64, len(h.counts))
-	var acc uint64
-	for i, c := range h.counts {
-		acc += c
-		cum[i] = acc
-	}
-	return h.bounds, cum
-}
-
 // Metric is one registry entry: a name, help text, and exactly one backing
-// instrument (direct counter/gauge/histogram, or a sampling func).
+// instrument (direct counter/gauge, a sampling func, or a view on a
+// histogram its owner records into).
 type Metric struct {
 	Name string
 	Help string
@@ -187,7 +108,7 @@ type Metric struct {
 
 	c  *Counter
 	g  *Gauge
-	h  *Histogram
+	h  *sim.LatencyHistogram
 	cf func() uint64
 	gf func() float64
 }
@@ -209,7 +130,7 @@ func (m *Metric) Value() float64 {
 }
 
 // Hist exposes the backing histogram (nil for scalar metrics).
-func (m *Metric) Hist() *Histogram { return m.h }
+func (m *Metric) Hist() *sim.LatencyHistogram { return m.h }
 
 // Registry holds named metrics. The nil registry is the disabled registry:
 // constructors return nil instruments (which themselves no-op) and
@@ -258,24 +179,14 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram registers and returns a sim-time histogram over the given
-// ascending bucket bounds (nil means DefaultLatencyBuckets). Returns nil
-// on a nil registry.
-func (r *Registry) Histogram(name, help string, bounds []sim.Duration) *Histogram {
+// Histogram registers a view on h, a sim-time histogram its owner keeps
+// recording into (a device's latency histogram). The exporters read h at
+// export time, so registration adds nothing to the owner's Add path.
+func (r *Registry) Histogram(name, help string, h *sim.LatencyHistogram) {
 	if r == nil {
-		return nil
+		return
 	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
-		}
-	}
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
 	r.add(&Metric{Name: name, Help: help, Kind: KindHistogram, h: h})
-	return h
 }
 
 // CounterFunc registers a counter sampled from fn at export time — the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,12 +41,12 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	g := r.Gauge("g", "")
 	g.Set(1)
 	g.Add(2)
-	h := r.Histogram("h", "", nil)
-	h.Observe(sim.Microsecond)
+	h := new(sim.LatencyHistogram)
+	r.Histogram("h", "", h)
 	r.CounterFunc("cf", "", func() uint64 { return 1 })
 	r.GaugeFunc("gf", "", func() float64 { return 1 })
 	RegisterTraceStats(r, "x_", &trace.Stats{})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || r.Len() != 0 || r.Lookup("c") != nil {
+	if c.Value() != 0 || g.Value() != 0 || r.Len() != 0 || r.Lookup("c") != nil || r.Lookup("h") != nil {
 		t.Fatal("nil registry leaked state")
 	}
 }
@@ -54,7 +55,6 @@ func TestDisabledInstrumentsAllocFree(t *testing.T) {
 	var tr *Tracer
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	allocs := testing.AllocsPerRun(1000, func() {
 		id := tr.Begin(0, 0, "cat", "span")
 		tr.End(1, id)
@@ -63,7 +63,6 @@ func TestDisabledInstrumentsAllocFree(t *testing.T) {
 		tr.InstantArg(0, 0, "cat", "mark", "n", 1)
 		c.Inc()
 		g.Set(2)
-		h.Observe(sim.Nanosecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instruments allocated %.2f allocs/op, want 0", allocs)
@@ -167,10 +166,11 @@ func TestRegistryExportsSortedAndValid(t *testing.T) {
 	r.Counter("z_last", "the last metric").Add(7)
 	g := r.Gauge("a_first", "the first metric")
 	g.Set(2.5)
-	h := r.Histogram("m_hist", "a histogram", []sim.Duration{sim.Microsecond, sim.Millisecond})
-	h.Observe(500 * sim.Nanosecond)
-	h.Observe(2 * sim.Microsecond)
-	h.Observe(20 * sim.Millisecond)
+	h := new(sim.LatencyHistogram)
+	r.Histogram("m_hist", "a histogram", h)
+	h.Add(500 * sim.Nanosecond)
+	h.Add(2 * sim.Microsecond)
+	h.Add(20 * sim.Millisecond) // above sim.LatencyTop: only in +Inf
 	r.CounterFunc("f_func", "sampled", func() uint64 { return 42 })
 
 	prom := r.PrometheusBytes()
@@ -183,8 +183,10 @@ func TestRegistryExportsSortedAndValid(t *testing.T) {
 		"# TYPE f_func counter", "f_func 42",
 		"# TYPE z_last counter", "z_last 7",
 		"# TYPE m_hist histogram",
-		`m_hist_bucket{le="1e-06"} 1`,
-		`m_hist_bucket{le="0.001"} 2`,
+		// The buckets holding 500 ns and 2 µs end at 524287 and
+		// 2097151 ps.
+		`m_hist_bucket{le="5.24287e-07"} 1`,
+		`m_hist_bucket{le="2.097151e-06"} 2`,
 		`m_hist_bucket{le="+Inf"} 3`,
 		"m_hist_count 3",
 	} {
@@ -206,7 +208,7 @@ func TestRegistryExportsSortedAndValid(t *testing.T) {
 	if !bytes.Equal(j, r.JSONBytes()) {
 		t.Fatal("JSON export not deterministic")
 	}
-	for _, want := range []string{`"name":"m_hist"`, `"sum_ps":`, `"le_ps":1000000`, `"value":42`} {
+	for _, want := range []string{`"name":"m_hist"`, `"sum_ps":20002500000`, `"le_ps":2097151,"count":2`, `"value":42`} {
 		if !strings.Contains(string(j), want) {
 			t.Fatalf("JSON snapshot missing %s:\n%s", want, j)
 		}
@@ -240,15 +242,29 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "", []sim.Duration{10, 20, 30})
-	for _, d := range []sim.Duration{5, 10, 15, 25, 35, 40} {
-		h.Observe(d)
+	h := new(sim.LatencyHistogram)
+	r.Histogram("h", "", h)
+	samples := []sim.Duration{-3, 0, 5, 10, 16, 17, 40, 42, sim.LatencyTop}
+	var sum sim.Duration
+	for _, d := range samples {
+		h.Add(d)
+		sum += d
 	}
-	bounds, cum := h.Buckets()
-	if len(bounds) != 3 || cum[0] != 2 || cum[1] != 3 || cum[2] != 4 {
-		t.Fatalf("cumulative buckets = %v, want [2 3 4]", cum)
+	// Bucket 0 holds every sample ≤ 0; 16 and 17 share [16, 17], 40 and 42
+	// share [40, 43]; LatencyTop is counted only by the +Inf line.
+	bounds, cum := r.Lookup("h").Hist().Buckets()
+	wantLe := []sim.Duration{0, 5, 10, 17, 43}
+	wantCum := []uint64{2, 3, 4, 6, 8}
+	if !slices.Equal(bounds, wantLe) || !slices.Equal(cum, wantCum) {
+		t.Fatalf("cumulative buckets = %v at %v, want %v at %v", cum, bounds, wantCum, wantLe)
 	}
-	if h.Count() != 6 || h.Sum() != 5+10+15+25+35+40 {
+	if h.Count() != len(samples) || h.Sum() != sum {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+	}
+	prom := string(r.PrometheusBytes())
+	for _, want := range []string{`h_bucket{le="0"} 2`, `h_bucket{le="4.3e-11"} 8`, `h_bucket{le="+Inf"} 9`, "h_count 9"} {
+		if !strings.Contains(prom, want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, prom)
+		}
 	}
 }

@@ -26,6 +26,32 @@ func BenchmarkLRUSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkDIMMReadWrite drives a warm DIMM with a 3:1 read/write mix of
+// random 64 B accesses over a span larger than both tiers, so lookups hit,
+// miss and evict while the latency histogram records every read.
+// BENCH_SEED.json pins it at 0 allocs/op.
+func BenchmarkDIMMReadWrite(b *testing.B) {
+	d := New(DefaultConfig())
+	rng := sim.NewRNG(1)
+	now := sim.Time(0)
+	step := func(i int) {
+		addr := rng.Uint64n(1<<26) &^ 63
+		if i%4 == 0 {
+			now = d.Write(now, addr)
+		} else {
+			now = d.Read(now, addr)
+		}
+	}
+	for i := 0; i < 4*DefaultConfig().DRAMBlocks; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
 // cloneSink keeps the benchmarked clones live.
 var cloneSink *DIMM
 

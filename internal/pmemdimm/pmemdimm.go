@@ -275,7 +275,7 @@ type DIMM struct {
 	stats     Stats
 	em        *energy.Meter // nil = energy accounting disabled
 
-	readLat *sim.Histogram
+	readLat *sim.LatencyHistogram
 }
 
 // New builds the DIMM.
@@ -291,7 +291,7 @@ func New(cfg Config) *DIMM {
 		rng:     sim.NewRNG(cfg.Seed),
 		sram:    newLRU(cfg.SRAMBlocks),
 		dram:    newLRU(cfg.DRAMBlocks),
-		readLat: sim.NewHistogram(),
+		readLat: new(sim.LatencyHistogram),
 	}
 }
 
@@ -435,5 +435,5 @@ func (d *DIMM) Access(now sim.Time, a trace.Access) sim.Time {
 // Stats returns a copy of the counters.
 func (d *DIMM) Stats() Stats { return d.stats }
 
-// ReadLatency exposes the read-latency distribution (Fig 2b data).
-func (d *DIMM) ReadLatency() *sim.Histogram { return d.readLat }
+// ReadLatency exposes the read-latency histogram.
+func (d *DIMM) ReadLatency() *sim.LatencyHistogram { return d.readLat }

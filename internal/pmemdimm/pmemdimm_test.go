@@ -81,17 +81,24 @@ func TestDIMMWritesFasterThanBarePRAM(t *testing.T) {
 func TestDIMMReadsSlowerAndNoisierThanBarePRAM(t *testing.T) {
 	// Figure 2b: DIMM-level reads take ~2.9× longer than bare PRAM and
 	// vary; bare PRAM reads are deterministic.
+	// CoV needs every sample, so a probe-local Histogram records the
+	// reads beside the device's fixed-memory one.
 	d := New(DefaultConfig())
 	rng := sim.NewRNG(5)
 	now := sim.Time(0)
+	h := sim.NewHistogram()
 	for i := 0; i < 4000; i++ {
 		// Random accesses over a span larger than the caches with a
 		// locality mix.
 		addr := uint64(rng.Intn(1 << 24))
 		done := d.Read(now, addr)
+		h.Add(done.Sub(now))
 		now = done
 	}
-	h := d.ReadLatency()
+	if got := d.ReadLatency(); got.Count() != h.Count() || got.Mean() != h.Mean() {
+		t.Fatalf("device histogram n=%d mean=%v, probe n=%d mean=%v",
+			got.Count(), got.Mean(), h.Count(), h.Mean())
+	}
 	bare := pram.DefaultConfig().ReadLatency
 	ratio := float64(h.Mean()) / float64(bare)
 	if ratio < 1.8 {
@@ -251,10 +258,9 @@ func TestDIMMInvariantsProperty(t *testing.T) {
 }
 
 // TestDIMMSteadyStateAllocFree pins the access hot path: once the tier
-// caches are warm and the latency histogram is pre-sized
-// (sim.Histogram.Reserve), Read/Write/Access must not allocate. The obs
-// layer samples these counters via CounterFunc, so the instrumented DIMM
-// must stay as allocation-free as the bare one.
+// caches are warm, Read/Write/Access must not allocate, latency histogram
+// included. The obs layer samples these counters via CounterFunc, so the
+// instrumented DIMM must stay as allocation-free as the bare one.
 func TestDIMMSteadyStateAllocFree(t *testing.T) {
 	d := New(Config{Seed: 1})
 	rng := sim.NewRNG(2)
@@ -265,10 +271,7 @@ func TestDIMMSteadyStateAllocFree(t *testing.T) {
 		now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
 	}
 
-	const rounds = 1000
-	// +1: AllocsPerRun runs one unmeasured warm-up invocation.
-	d.ReadLatency().Reserve(2 * (rounds + 1))
-	allocs := testing.AllocsPerRun(rounds, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
 		now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
 		now = d.Read(now, rng.Uint64())

@@ -10,9 +10,9 @@ func (p *PSM) SetTracer(tr *obs.Tracer) {
 	p.trLane = tr.Lane("psm")
 }
 
-// RegisterMetrics exposes the PSM counters under prefix. The Stats struct
-// stays the raw view the hot paths increment; the registry samples it at
-// export time.
+// RegisterMetrics exposes the PSM counters and latency histograms under
+// prefix. The Stats struct and the histograms stay the raw views the hot
+// paths update; the registry samples them at export time.
 func (p *PSM) RegisterMetrics(r *obs.Registry, prefix string) {
 	if r == nil {
 		return
@@ -30,4 +30,6 @@ func (p *PSM) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.CounterFunc(prefix+"wearlevel_moves_total", "Start-Gap rotations", func() uint64 { return p.stats.WearLevelMoves })
 	r.CounterFunc(prefix+"flushes_total", "flush-port invocations", func() uint64 { return p.stats.Flushes })
 	r.CounterFunc(prefix+"drained_lines_total", "dirty lines written back by flush", func() uint64 { return p.stats.DrainedOnFlushes })
+	r.Histogram(prefix+"read_latency_seconds", "cacheline read latency, port to data", p.readLat)
+	r.Histogram(prefix+"write_ack_latency_seconds", "cacheline write latency, port to acknowledgement", p.writeAckLat)
 }

@@ -131,8 +131,8 @@ type PSM struct {
 	buffers     []rowBuffer
 	wl          *StartGap
 	stats       Stats
-	readLat     *sim.Histogram
-	writeAckLat *sim.Histogram
+	readLat     *sim.LatencyHistogram
+	writeAckLat *sim.LatencyHistogram
 
 	// hold[0] serializes the conventional controller's single in-order
 	// command queue at the memory port (only used when EarlyReturn is
@@ -170,8 +170,8 @@ func New(cfg Config) *PSM {
 	p := &PSM{
 		cfg:          cfg,
 		buffers:      make([]rowBuffer, cfg.Buffers),
-		readLat:      sim.NewHistogram(),
-		writeAckLat:  sim.NewHistogram(),
+		readLat:      new(sim.LatencyHistogram),
+		writeAckLat:  new(sim.LatencyHistogram),
 		drainScratch: make([]uint64, 0, 64),
 	}
 	for i := 0; i < cfg.DIMMs; i++ {
@@ -444,7 +444,7 @@ func (p *PSM) RemixWearSeed(now sim.Time, seed uint64) sim.Time {
 func (p *PSM) Stats() Stats { return p.stats }
 
 // ReadLatency exposes the read-latency histogram (Fig 16 data).
-func (p *PSM) ReadLatency() *sim.Histogram { return p.readLat }
+func (p *PSM) ReadLatency() *sim.LatencyHistogram { return p.readLat }
 
 // WriteAckLatency exposes the write-acknowledgement histogram.
-func (p *PSM) WriteAckLatency() *sim.Histogram { return p.writeAckLat }
+func (p *PSM) WriteAckLatency() *sim.LatencyHistogram { return p.writeAckLat }

@@ -14,3 +14,15 @@ func BenchmarkRNGSplit(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkLatencyHistogramAdd records device-scale latencies (1 ps to
+// ~16 ms, overflow included) into one histogram. BENCH_SEED.json pins it at
+// 0 allocs/op.
+func BenchmarkLatencyHistogramAdd(b *testing.B) {
+	var h LatencyHistogram
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(Duration(i%int(16*Millisecond)) + 1)
+	}
+}

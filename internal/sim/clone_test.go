@@ -10,7 +10,7 @@ import (
 // mutable field fails here until the Clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, RNG{}, "s")
-	snapshot.CheckCovered(t, Histogram{}, "samples", "sorted", "sum")
+	snapshot.CheckCovered(t, LatencyHistogram{}, "n", "sum", "min", "max", "counts")
 }
 
 // TestRNGCloneIndependence checks a cloned generator continues the same
@@ -29,9 +29,10 @@ func TestRNGCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestHistogramCloneIndependence checks sample storage is not shared.
+// TestHistogramCloneIndependence checks a latency histogram's clone shares
+// no bucket storage with its source.
 func TestHistogramCloneIndependence(t *testing.T) {
-	h := NewHistogram()
+	h := new(LatencyHistogram)
 	h.Add(10)
 	h.Add(20)
 	c := h.Clone()
@@ -41,5 +42,8 @@ func TestHistogramCloneIndependence(t *testing.T) {
 	}
 	if h.Sum() != 30 || c.Sum() != 60 {
 		t.Fatalf("sums: source %v, clone %v", h.Sum(), c.Sum())
+	}
+	if le, cum := h.Buckets(); h.Percentile(100) != 20 || len(le) != 2 || cum[1] != 2 {
+		t.Fatalf("source saw the clone's sample: max %v, buckets %v %v", h.Percentile(100), le, cum)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"sort"
 )
 
-// Histogram accumulates duration samples and answers summary queries. It
-// keeps every sample; experiment sample counts are small enough (≤ a few
-// million) that exact percentiles are affordable and reproducible.
+// Histogram keeps every duration sample and answers exact summary queries,
+// standard deviation included. Its memory grows with each Add, so it is for
+// experiment-local probes with a bounded sample count, such as Fig 2b's
+// six. Latencies recorded on device hot paths go to a LatencyHistogram,
+// which has fixed memory.
 type Histogram struct {
 	samples []Duration
 	sorted  bool
@@ -17,22 +19,8 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Reserve grows the sample buffer to hold at least n samples, so the next
-// n Adds are allocation-free (steady-state alloc tests pre-size with this).
-func (h *Histogram) Reserve(n int) {
-	if cap(h.samples)-len(h.samples) >= n {
-		return
-	}
-	s := make([]Duration, len(h.samples), len(h.samples)+n)
-	copy(s, h.samples)
-	h.samples = s
-}
-
 // Add records one sample.
-//
-//lightpc:zeroalloc
 func (h *Histogram) Add(d Duration) {
-	//lint:allow zeroalloc Reserve pre-sizes the buffer; steady-state Adds reuse it
 	h.samples = append(h.samples, d)
 	h.sum += d
 	h.sorted = false
