@@ -62,8 +62,8 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
 # fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
-# line-table, LRU-index and latency-histogram differential models, and the
-# crash-cut fuzzers
+# line-table, LRU-index, word-table and latency-histogram differential
+# models, and the crash-cut fuzzers
 # (the checked-in corpora also replay as plain seeds in `make test`).
 fuzz-smoke:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
 	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
+	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=2s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s

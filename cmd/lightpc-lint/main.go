@@ -26,9 +26,10 @@
 //	              carry the zeroalloc fact, transitively across packages
 //	simtime       stdlib time.Duration (nanoseconds) never mixes with
 //	              sim.Duration/sim.Time (picoseconds)
-//	hotpath       the device hot packages (pram, memctrl, psm, pmemdimm)
-//	              may not hold map[uint64]-keyed fields; per-line metadata
-//	              lives on internal/linetab's paged tables
+//	hotpath       the hot packages (pram, memctrl, psm, pmemdimm, kernel,
+//	              journal) may not hold map[uint64]-keyed fields; per-line
+//	              metadata lives on internal/linetab's paged tables,
+//	              persistent words on internal/wordtab's Table
 //
 // Findings can be suppressed in place with a reasoned directive:
 //

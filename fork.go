@@ -7,16 +7,22 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Fork returns a deep copy of the platform: kernel (processes, cores,
-// devices, wait queues, both memory banks), the full memory subsystem
-// (PSM row buffers, wear leveler, PRAM cooling windows and RNG streams, or
-// the DRAM controller's bank state), the lazily created data store, and —
-// when metering is on — the energy meter set, rewired so the fork's
-// devices charge the fork's meters. The copy and the source then evolve
-// independently: running, power-failing, or recovering one is invisible to
-// the other, and a forked run is byte-identical to rebuilding the platform
-// and replaying the same inputs (forks copy state, they do not re-derive
-// it).
+// Fork returns an independent copy of the platform: kernel (processes,
+// cores, devices, wait queues, both memory banks), the full memory
+// subsystem (PSM row buffers, wear leveler, PRAM cooling windows and RNG
+// streams, or the DRAM controller's bank state), the lazily created data
+// store, and — when metering is on — the energy meter set, rewired so the
+// fork's devices charge the fork's meters. The memory banks are copied on
+// write: the fork copies their page directories and shares their word
+// pages, and either side copies a page on its first write to it. The copy
+// and the source then evolve independently: running, power-failing, or
+// recovering one is invisible to the other, and a forked run is
+// byte-identical to rebuilding the platform and replaying the same inputs
+// (forks copy state, they do not re-derive it).
+//
+// Fork only reads p, apart from the atomic stores that mark the banks'
+// pages shared, so several goroutines may fork one platform at once as long
+// as none of them runs it; each fork then belongs to its goroutine.
 //
 // Observer attachments are not forked: an obs tracer on the SnG and any
 // bank write observers stay with (or are dropped from) the source, because
@@ -60,15 +66,16 @@ func (p *Platform) Fork() *Platform {
 	return out
 }
 
-// forkBytes approximates the mutable state one fork duplicates — the
-// dominant arenas, counted without walking them: bank words (key+value
-// pairs), PCBs, and the data store's line content. An observability
-// estimate, not an exact allocator tally.
+// forkBytes approximates the mutable state one fork copies eagerly — the
+// dominant arenas, counted without walking them: the banks' page
+// directories (their word pages are shared until written), PCBs, and the
+// data store's line content. An observability estimate, not an exact
+// allocator tally.
 func (p *Platform) forkBytes() uint64 {
 	var n uint64
-	n += 16 * uint64(p.kern.OCPMEM.Len())
+	n += p.kern.OCPMEM.CloneBytes()
 	if p.kern.DRAM != nil {
-		n += 16 * uint64(p.kern.DRAM.Len())
+		n += p.kern.DRAM.CloneBytes()
 	}
 	n += 128 * uint64(len(p.kern.Procs))
 	if p.data != nil {
@@ -77,8 +84,8 @@ func (p *Platform) forkBytes() uint64 {
 	return n
 }
 
-// PlatformSnapshot is a frozen deep copy of a platform — a template that
-// hands out any number of independent forks. The snapshot itself is never
+// PlatformSnapshot is a frozen fork of a platform — a template that hands
+// out any number of independent forks. The snapshot itself is never
 // run: Snapshot copies the source once, and each Fork copies the frozen
 // image, so forks taken before and after the source keeps running are
 // identical.

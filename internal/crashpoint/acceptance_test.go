@@ -26,6 +26,7 @@ var acceptanceClosure = []string{
 	"internal/power",
 	"internal/energy",
 	"internal/cache",
+	"internal/wordtab",
 	"internal/kernel",
 	"internal/pmdk",
 }

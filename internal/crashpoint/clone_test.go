@@ -9,21 +9,22 @@ import (
 
 // TestForkCompleteness pins System's (and its capture structs') field
 // lists against System.Fork: a new mutable field fails here until the
-// fork handles it. (sysRegion.reg is deliberately nil on forks — CutAt
-// never consults it, and re-registering would mutate the very bank state
-// the cut judges.) The shadow and pre-cut capture are not copied at all:
-// Build freezes them, and every fork shares them read-only — their maps,
-// slices and the precomputed key orders (committedKeys, stagedKeys,
-// lineKeys) included. TestFrozenShadowUntouchedByCuts pins that no cut
-// writes them.
+// fork handles it. (System.ckpt, the checkpoint region handles, is
+// deliberately nil on forks — CutAt never consults it, and re-registering
+// would mutate the very bank state the cut judges.) The shadow and pre-cut
+// capture are not copied at all: Build freezes them, and every fork shares
+// them read-only — their maps, slices, the checkpoint-region shadows and
+// the precomputed key orders (committedKeys with committedVals,
+// stagedKeys, lineKeys) included. TestFrozenShadowUntouchedByCuts pins
+// that no cut writes them.
 func TestForkCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, System{},
 		"Scenario", "Platform", "Window",
 		"journal", "pool", "poolObj", "ckpt", "shadow", "pre")
-	snapshot.CheckCovered(t, sysRegion{}, "name", "live", "reg", "committed")
+	snapshot.CheckCovered(t, regionShadow{}, "name", "live", "committed")
 	snapshot.CheckCovered(t, sysShadow{},
-		"jCommitted", "jStaged", "pool", "poolStaged", "poolOpen", "lines",
-		"committedKeys", "stagedKeys", "lineKeys")
+		"jCommitted", "jStaged", "pool", "poolStaged", "poolOpen", "regions", "lines",
+		"committedKeys", "committedVals", "stagedKeys", "lineKeys")
 	snapshot.CheckCovered(t, preState{},
 		"appChecksum", "coreMRegs", "devContext", "devMMIO", "aliveCount")
 }

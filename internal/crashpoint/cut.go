@@ -163,15 +163,15 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 	if got, want := s.journal.Len(), len(s.shadow.jCommitted); got != want {
 		out.report(label, InvTornCommit, "journal recovered %d keys, committed %d", got, want)
 	}
-	for _, key := range s.shadow.committedKeys {
+	for i, key := range s.shadow.committedKeys {
 		v, err := s.journal.Get(key)
 		if err != nil {
 			out.report(label, InvLostCommit, "committed journal key %d lost: %v", key, err)
 			continue
 		}
-		if v != s.shadow.jCommitted[key] {
+		if want := s.shadow.committedVals[i]; v != want {
 			out.report(label, InvTornCommit,
-				"journal key %d = %d, committed %d", key, v, s.shadow.jCommitted[key])
+				"journal key %d = %d, committed %d", key, v, want)
 		}
 	}
 	for _, key := range s.shadow.stagedKeys {
@@ -202,7 +202,7 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 	// Checkpoint bank: a restarted application re-registers and restores;
 	// it must see the committed snapshots, never the dirty live values.
 	m2 := checkpoint.NewManager(bank)
-	for _, r := range s.ckpt {
+	for _, r := range s.shadow.regions {
 		got := make([]uint64, len(r.live))
 		ptrs := make([]*uint64, len(r.live))
 		for j := range ptrs {

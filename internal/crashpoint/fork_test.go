@@ -2,6 +2,7 @@ package crashpoint
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -115,6 +116,49 @@ func TestForkedSweepMatchesGrid(t *testing.T) {
 		want := outcomeJSON(t, rep.Cells[0].Cuts[i])
 		if got != want {
 			t.Fatalf("offset %v: hand-forked cut != sweep cell cut\nhand:  %s\nsweep: %s", off, got, want)
+		}
+	}
+}
+
+// TestConcurrentForksOfOneBase forks one built system from two goroutines
+// at once and cuts every fork, on both the warm and the cold path. Fork
+// marks the pages, log and device its clones share with one atomic store
+// each on the source; under -race (make race) this test proves those marks
+// race-free. Every concurrent outcome must equal the same cut of a fork
+// taken serially.
+func TestConcurrentForksOfOneBase(t *testing.T) {
+	base, err := Build(tinyScenario(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets := CellOffsets(base, "concurrent-forks", 2)
+	want := make([]string, len(offsets))
+	for i, off := range offsets {
+		want[i] = outcomeJSON(t, base.Fork().CutAt(off))
+	}
+
+	got := make([][]string, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, off := range offsets {
+				b, err := json.Marshal(base.Fork().CutAt(off))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], string(b))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range offsets {
+			if i >= len(got[g]) || got[g][i] != want[i] {
+				t.Fatalf("goroutine %d, offset %v: concurrent fork's cut differs from a serial fork's", g, offsets[i])
+			}
 		}
 	}
 }

@@ -57,3 +57,33 @@ func BenchmarkCrashSweepCell(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkForkedBankSteadyState pins the cut path's bank traffic at 0
+// allocs/op once a fork owns the pages it touches. It forks a built cell,
+// lets the fork save every process context once (copying or creating
+// those pages), and then times what each Stop and Go repeat: saving and
+// restoring every context in place, and the ordered application-region
+// digest every cut takes.
+func BenchmarkForkedBankSteadyState(b *testing.B) {
+	base, err := Build(benchScenario())
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := base.Fork().Platform.Kernel()
+	for _, p := range k.Procs {
+		p.SaveContext()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		for _, p := range k.Procs {
+			p.SaveContext()
+			p.RestoreContext()
+		}
+		sum += appRegionsChecksum(k.OCPMEM)
+	}
+	if sum == 0 {
+		b.Fatal("empty digest")
+	}
+}

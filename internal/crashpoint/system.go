@@ -91,11 +91,12 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// sysRegion is one checkpoint region the system drives, with its shadow.
-type sysRegion struct {
+// regionShadow is one checkpoint region's shadow: the application's live
+// variables (the region handle Build drives points into live) and the
+// snapshot its last commit took.
+type regionShadow struct {
 	name      string
 	live      []uint64
-	reg       *checkpoint.Region
 	committed []uint64
 }
 
@@ -111,12 +112,15 @@ type sysShadow struct {
 	poolStaged []uint64
 	poolOpen   bool
 
+	regions []regionShadow
+
 	lines map[uint64][]byte
 
 	// The ascending orders CutAt walks, computed once by freeze: the
-	// committed journal keys, the staged journal keys no commit covers,
-	// and the written datastore lines.
+	// committed journal keys with their values, the staged journal keys no
+	// commit covers, and the written datastore lines.
 	committedKeys []uint64
+	committedVals []uint64
 	stagedKeys    []uint64
 	lineKeys      []uint64
 }
@@ -125,6 +129,10 @@ type sysShadow struct {
 // writes the shadow afterwards.
 func (sh *sysShadow) freeze() {
 	sh.committedKeys = sortedKeys(sh.jCommitted)
+	sh.committedVals = make([]uint64, len(sh.committedKeys))
+	for i, k := range sh.committedKeys {
+		sh.committedVals[i] = sh.jCommitted[k]
+	}
 	for _, k := range sortedKeys(sh.jStaged) {
 		if _, committed := sh.jCommitted[k]; !committed {
 			sh.stagedKeys = append(sh.stagedKeys, k)
@@ -154,7 +162,10 @@ type System struct {
 	journal *journal.Store
 	pool    *pmdk.Pool
 	poolObj pmdk.OID
-	ckpt    []*sysRegion
+
+	// ckpt are the checkpoint region handles the application phase
+	// commits through, one per shadow.regions entry (nil on forks).
+	ckpt []*checkpoint.Region
 
 	shadow *sysShadow
 	pre    *preState
@@ -205,13 +216,13 @@ func Build(sc Scenario) (*System, error) {
 	s.pool.SetRoot(s.poolObj)
 	m := checkpoint.NewManager(bank)
 	for _, sh := range ckptShapes {
-		r := &sysRegion{name: sh.name, live: make([]uint64, sh.vars)}
+		r := regionShadow{name: sh.name, live: make([]uint64, sh.vars)}
 		ptrs := make([]*uint64, sh.vars)
 		for j := range ptrs {
 			ptrs[j] = &r.live[j]
 		}
-		r.reg = m.Register(sh.name, ptrs...)
-		s.ckpt = append(s.ckpt, r)
+		s.ckpt = append(s.ckpt, m.Register(sh.name, ptrs...))
+		s.shadow.regions = append(s.shadow.regions, r)
 	}
 
 	if err := s.runApp(spec); err != nil {
@@ -251,11 +262,12 @@ func (s *System) runApp(spec workload.Spec) error {
 	if err := s.pool.TxCommit(); err != nil {
 		return err
 	}
-	for _, r := range s.ckpt {
+	for i, reg := range s.ckpt {
+		r := &s.shadow.regions[i]
 		for j := range r.live {
 			r.live[j] = rng.Uint64()
 		}
-		r.reg.Commit()
+		reg.Commit()
 		r.committed = append([]uint64(nil), r.live...)
 	}
 
@@ -302,10 +314,11 @@ func (s *System) runApp(spec workload.Spec) error {
 				s.shadow.poolOpen = false
 			}
 		case i%5 == 1:
-			r := s.ckpt[rng.Intn(len(s.ckpt))]
+			ri := rng.Intn(len(s.ckpt))
+			r := &s.shadow.regions[ri]
 			r.live[rng.Intn(len(r.live))] = val
 			if rng.Bool(0.35) {
-				r.reg.Commit()
+				s.ckpt[ri].Commit()
 				r.committed = append([]uint64(nil), r.live...)
 			}
 		case i%6 == 2 && ds != nil:
@@ -338,7 +351,7 @@ func (s *System) runApp(spec workload.Spec) error {
 	s.pool.Set(s.poolObj, idx, rng.Uint64()|1)
 	s.shadow.poolStaged[idx] = 0 // value irrelevant; openness is what matters
 	// ...a dirty checkpoint variable, and a half-migrated checkpoint.
-	s.ckpt[0].live[0] = rng.Uint64() | 1
+	s.shadow.regions[0].live[0] = rng.Uint64() | 1
 	_, _ = s.journal.CheckpointStep(now, 1)
 	return nil
 }

@@ -16,26 +16,41 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/pmemdimm"
 	"repro/internal/sim"
+	"repro/internal/wordtab"
 )
 
 // Store is a key-value store with a write-ahead log.
+//
+// A clone shares what it has not yet written with its source (see Clone):
+// the word pages of mem and home, the log records, and the sector device.
 type Store struct {
-	dev *pmemdimm.SectorDevice
+	// dev is the block device under the log. The store owns it; while
+	// devShared is set a clone shares it too, and the next device op
+	// takes a private copy first.
+	dev       *pmemdimm.SectorDevice
+	devShared atomic.Bool
 
 	// Volatile state (lost on power failure).
-	mem map[uint64]uint64
+	mem wordtab.Table
 
 	// log is the durable WAL: committed records survive crashes. The
 	// in-memory slice stands in for the sector contents; the timing of
-	// every append/barrier goes through dev.
+	// every append/barrier goes through dev. Its first logShared records
+	// may be shared with a clone, so Commit copies the log before setting
+	// the flag on one of them; the shared prefix is capacity-clipped on the
+	// clone's side, so appends never reach it.
 	log       []logRecord
+	logShared atomic.Int64
 	committed int // records before this index are durable
 
 	// home is the durable home location, updated at checkpoints.
-	home map[uint64]uint64
+	home wordtab.Table
 
 	// ckptPos is the volatile cursor of an in-progress incremental
 	// checkpoint: records before it have been migrated into home. A crash
@@ -56,13 +71,19 @@ type logRecord struct {
 // ErrNotFound marks a missing key.
 var ErrNotFound = errors.New("journal: key not found")
 
-// Open creates a store over the sector device.
+// Open creates a store over the sector device, which the store then owns.
 func Open(dev *pmemdimm.SectorDevice) *Store {
-	return &Store{
-		dev:  dev,
-		mem:  make(map[uint64]uint64),
-		home: make(map[uint64]uint64),
+	return &Store{dev: dev}
+}
+
+// device returns the sector device for one op, first taking a private copy
+// if a clone shares it.
+func (s *Store) device() *pmemdimm.SectorDevice {
+	if s.devShared.Load() {
+		s.dev = s.dev.Clone()
+		s.devShared.Store(false)
 	}
+	return s.dev
 }
 
 // Put stages a mutation: it lands in volatile memory and appends a log
@@ -71,11 +92,15 @@ func Open(dev *pmemdimm.SectorDevice) *Store {
 //
 //lightpc:journalappend
 func (s *Store) Put(now sim.Time, key, value uint64) sim.Time {
-	s.mem[key] = value
+	s.mem.Set(key, value)
+	if len(s.log) == cap(s.log) {
+		// The append moves the log to a new array no clone shares.
+		s.logShared.Store(0)
+	}
 	s.log = append(s.log, logRecord{key: key, value: value})
 	s.appends++
 	// One log append = one sector write at the log head.
-	done := s.dev.WriteSector(now, s.nextLBA)
+	done := s.device().WriteSector(now, s.nextLBA)
 	s.nextLBA++
 	return done
 }
@@ -88,10 +113,14 @@ func (s *Store) Put(now sim.Time, key, value uint64) sim.Time {
 func (s *Store) Commit(now sim.Time) sim.Time {
 	s.barriers++
 	// The barrier record itself plus the device-level force.
-	done := s.dev.WriteSector(now, s.nextLBA)
+	done := s.device().WriteSector(now, s.nextLBA)
 	s.nextLBA++
-	if len(s.log) > 0 {
-		s.log[len(s.log)-1].commit = true
+	if n := len(s.log); n > 0 {
+		if int64(n) <= s.logShared.Load() {
+			s.log = slices.Clone(s.log)
+			s.logShared.Store(0)
+		}
+		s.log[n-1].commit = true
 	}
 	s.committed = len(s.log)
 	return done
@@ -99,7 +128,7 @@ func (s *Store) Commit(now sim.Time) sim.Time {
 
 // Get reads a key from volatile memory (the fast path journaling buys).
 func (s *Store) Get(key uint64) (uint64, error) {
-	if v, ok := s.mem[key]; ok {
+	if v, ok := s.mem.Get(key); ok {
 		return v, nil
 	}
 	return 0, ErrNotFound
@@ -132,8 +161,8 @@ func (s *Store) CheckpointStep(now sim.Time, n int) (sim.Time, bool) {
 	t := now
 	for n > 0 && s.ckptPos < s.committed {
 		r := s.log[s.ckptPos]
-		s.home[r.key] = r.value
-		t = s.dev.WriteSector(t, s.nextLBA%1024+2048) // home region
+		s.home.Set(r.key, r.value)
+		t = s.device().WriteSector(t, s.nextLBA%1024+2048) // home region
 		s.ckptPos++
 		n--
 	}
@@ -141,6 +170,7 @@ func (s *Store) CheckpointStep(now sim.Time, n int) (sim.Time, bool) {
 		return t, false
 	}
 	s.log = append([]logRecord{}, s.log[s.committed:]...)
+	s.logShared.Store(0)
 	s.committed = 0
 	s.ckptPos = 0
 	return t, true
@@ -148,11 +178,11 @@ func (s *Store) CheckpointStep(now sim.Time, n int) (sim.Time, bool) {
 
 // Crash models a power failure: volatile state vanishes; only the home
 // location and the committed log prefix survive. An in-progress
-// incremental checkpoint loses its cursor.
+// incremental checkpoint loses its cursor. Nothing is copied: a store
+// forked with Clone crashes without touching the pages, records or device
+// it shares.
 func (s *Store) Crash() {
-	// Recovery can only bring back keys that were put, so the live key
-	// count sizes the map it rebuilds.
-	s.mem = make(map[uint64]uint64, len(s.mem))
+	s.mem.Reset()
 	// Clipping the capacity at the durable prefix keeps the committed
 	// records in place without copying them; the next append reallocates.
 	s.log = s.log[:s.committed:s.committed]
@@ -166,7 +196,7 @@ func (s *Store) Recover(now sim.Time) sim.Time {
 	t := now
 	s.RecoverState()
 	for range s.log {
-		t = s.dev.ReadSector(t, s.nextLBA%1024)
+		t = s.device().ReadSector(t, s.nextLBA%1024)
 	}
 	return t
 }
@@ -177,11 +207,9 @@ func (s *Store) Recover(now sim.Time) sim.Time {
 // cut path replays once per cut purely as an integrity check — skip the
 // simulated sector reads entirely.
 func (s *Store) RecoverState() {
-	for k, v := range s.home {
-		s.mem[k] = v
-	}
+	s.home.Range(0, math.MaxUint64, s.mem.Set)
 	for _, r := range s.log {
-		s.mem[r.key] = r.value
+		s.mem.Set(r.key, r.value)
 	}
 }
 
@@ -191,7 +219,7 @@ func (s *Store) Stats() (appends, barriers, checkpoints uint64) {
 }
 
 // Len reports live keys.
-func (s *Store) Len() int { return len(s.mem) }
+func (s *Store) Len() int { return s.mem.Len() }
 
 // EncodeRecord serializes a record (the on-disk format, exercised by
 // tests; 17 bytes: key, value, commit flag).

@@ -2,12 +2,14 @@ package kernel
 
 import "slices"
 
-// Clone returns a deep copy of the live system image. Every object in the
-// kernel's pointer graph — processes, cores, devices, wait queues, banks,
-// page tables, TLBs — is duplicated, and the aliases among them (a Process
-// appears in Procs, possibly a Core's Current or RunQueue, and possibly a
-// WaitQueue's waiters; a bank is shared by the kernel and every PCB) are
-// remapped so each alias in the clone points at the clone's object. Bank
+// Clone returns an independent copy of the live system image. Every object
+// in the kernel's pointer graph — processes, cores, devices, wait queues,
+// banks, page tables, TLBs — is duplicated, and the aliases among them (a
+// Process appears in Procs, possibly a Core's Current or RunQueue, and
+// possibly a WaitQueue's waiters; a bank is shared by the kernel and every
+// PCB) are remapped so each alias in the clone points at the clone's
+// object. Banks and page tables copy only their page directories: their
+// word pages stay shared until either side writes one (see Bank). Bank
 // write observers are not carried over (Bank.Clone drops them): an observer
 // belongs to whoever installed it on the source.
 func (k *Kernel) Clone() *Kernel {
@@ -36,9 +38,9 @@ func (k *Kernel) Clone() *Kernel {
 	out.OCPMEM = bankOf(k.OCPMEM)
 	out.Boot = &Bootloader{ocpmem: out.OCPMEM}
 
-	// Processes: value-copy each PCB, deep-copy its address space, remap
-	// its bank; tree and wait-queue links are rewired below once every
-	// clone exists.
+	// Processes: value-copy each PCB, clone its address space, remap its
+	// bank; tree and wait-queue links are rewired below once every clone
+	// exists.
 	procs := map[*Process]*Process{nil: nil}
 	out.Procs = make([]*Process, len(k.Procs))
 	for i, p := range k.Procs {
@@ -90,16 +92,13 @@ func (k *Kernel) Clone() *Kernel {
 	return out
 }
 
-// clone deep-copies an address space (nil until AttachVM).
+// clone copies an address space (nil until AttachVM); its translation
+// pages are shared copy-on-write like a bank's.
 func (pt *PageTable) clone() *PageTable {
 	if pt == nil {
 		return nil
 	}
-	entries := make(map[uint64]uint64, len(pt.entries))
-	for k, v := range pt.entries {
-		entries[k] = v
-	}
-	return &PageTable{Root: pt.Root, entries: entries}
+	return &PageTable{Root: pt.Root, entries: pt.entries.Clone()}
 }
 
 // clone deep-copies a translation cache (nil until AttachVM).

@@ -2,8 +2,10 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
+	"repro/internal/wordtab"
 )
 
 // Virtual memory: each process owns a page table anchored by the page-
@@ -19,41 +21,37 @@ const PageSize = 4096
 type PageTable struct {
 	// Root is the page-table-directory pointer stored in the PCB.
 	Root    uint64
-	entries map[uint64]uint64
+	entries wordtab.Table
 }
 
 // NewPageTable allocates an address space rooted at the given directory
 // address.
 func NewPageTable(root uint64) *PageTable {
-	return &PageTable{Root: root, entries: make(map[uint64]uint64)}
+	return &PageTable{Root: root}
 }
 
 // MapPage installs a translation.
-func (pt *PageTable) MapPage(vpn, ppn uint64) { pt.entries[vpn] = ppn }
+func (pt *PageTable) MapPage(vpn, ppn uint64) { pt.entries.Set(vpn, ppn) }
 
 // UnmapPage removes one.
-func (pt *PageTable) UnmapPage(vpn uint64) { delete(pt.entries, vpn) }
+func (pt *PageTable) UnmapPage(vpn uint64) { pt.entries.Delete(vpn) }
 
 // Walk translates a VPN; ok is false on a page fault.
-func (pt *PageTable) Walk(vpn uint64) (ppn uint64, ok bool) {
-	ppn, ok = pt.entries[vpn]
-	return ppn, ok
-}
+func (pt *PageTable) Walk(vpn uint64) (ppn uint64, ok bool) { return pt.entries.Get(vpn) }
 
 // Len reports mapped pages.
-func (pt *PageTable) Len() int { return len(pt.entries) }
+func (pt *PageTable) Len() int { return pt.entries.Len() }
 
-// Checksum digests the address space (EP-cut verification).
+// Checksum digests the address space (EP-cut verification) as an
+// order-independent fold: the XOR of per-entry hashes.
 func (pt *PageTable) Checksum() uint64 {
 	var h uint64 = 1469598103934665603
-	// Order-independent fold (XOR of per-entry hashes) keeps it
-	// deterministic without sorting.
-	for v, p := range pt.entries {
+	pt.entries.Range(0, math.MaxUint64, func(v, p uint64) {
 		e := v*0x9E3779B97F4A7C15 ^ p*0xC2B2AE3D27D4EB4F
 		e ^= e >> 29
 		e *= 0xBF58476D1CE4E5B9
 		h ^= e
-	}
+	})
 	return h ^ pt.Root
 }
 

@@ -42,6 +42,7 @@ var pmdkClosure = []string{
 	"internal/power",
 	"internal/energy",
 	"internal/cache",
+	"internal/wordtab",
 	"internal/kernel",
 	"internal/pmdk",
 }

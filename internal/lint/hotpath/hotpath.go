@@ -1,15 +1,21 @@
-// Package hotpath forbids map[uint64]-keyed fields in the device hot
-// packages (pram, memctrl, psm, pmemdimm).
+// Package hotpath forbids map[uint64]-keyed fields in the hot packages:
+// the device models (pram, memctrl, psm, pmemdimm) and the persistent-word
+// holders every crash cut forks (kernel, journal).
 //
-// Those packages perform one metadata lookup per simulated memory access —
-// in-flight cooling windows, wear counters, near-cache tags, line content —
-// and a profile of the experiment suite once showed ~40% of all CPU inside
-// Go map machinery for exactly these lookups. internal/linetab provides the
-// paged, epoch-stamped replacements (Counters, Table, Bits, Slab, Flight)
-// with O(1) access, index-ordered iteration, and zero steady-state
-// allocation. A bounded structure keyed by block — pmemdimm's LRU tiers —
-// uses a fixed-capacity open-addressed index instead, sized once at
-// construction. This analyzer keeps the maps from creeping back.
+// The device packages perform one metadata lookup per simulated memory
+// access — in-flight cooling windows, wear counters, near-cache tags, line
+// content — and a profile of the experiment suite once showed ~40% of all
+// CPU inside Go map machinery for exactly these lookups. internal/linetab
+// provides the paged, epoch-stamped replacements (Counters, Table, Bits,
+// Slab, Flight) with O(1) access, index-ordered iteration, and zero
+// steady-state allocation. A bounded structure keyed by block — pmemdimm's
+// LRU tiers — uses a fixed-capacity open-addressed index instead, sized
+// once at construction. The kernel's banks and page tables and the WAL
+// journal's images hold words keyed by address; the crash adversary clones
+// them for every cut and digests them in address order, so they use
+// internal/wordtab's copy-on-write Table, whose clone copies a page
+// directory and whose walks need no sort. This analyzer keeps the maps from
+// creeping back.
 //
 // Only struct fields are flagged: a local map inside a constructor or a
 // cold path is fine; persistent per-line state held by a device model is
@@ -31,15 +37,16 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid map[uint64]-keyed fields in device hot packages (use internal/linetab or a fixed-capacity index)",
+	Doc:  "forbid map[uint64]-keyed fields in hot packages (use internal/linetab, internal/wordtab or a fixed-capacity index)",
 	Run:  run,
 }
 
 // hotPackages are the device-model packages with per-access metadata
-// lookups on the simulated memory path.
-var hotPackages = []string{"pram", "memctrl", "psm", "pmemdimm"}
+// lookups on the simulated memory path, and the packages whose persistent
+// words every crash cut forks.
+var hotPackages = []string{"pram", "memctrl", "psm", "pmemdimm", "kernel", "journal"}
 
-// hotPackage reports whether the import path names a device hot package
+// hotPackage reports whether the import path names a hot package
 // (matched by final path element so fixture stubs scope the same way).
 func hotPackage(path string) bool {
 	last := path
@@ -76,7 +83,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if len(field.Names) > 0 {
 					name = field.Names[0].Name
 				}
-				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in device hot package %s: per-line metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight) or, for a bounded tier, a fixed-capacity open-addressed index", name, pass.Pkg.Path())
+				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in hot package %s: per-line device metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight), persistent words internal/wordtab's Table, and a bounded tier a fixed-capacity open-addressed index", name, pass.Pkg.Path())
 			}
 			return true
 		})

@@ -9,5 +9,6 @@ import (
 
 func TestHotpath(t *testing.T) {
 	linttest.Run(t, "testdata", hotpath.Analyzer,
-		"internal/pram", "internal/memctrl", "internal/psm", "internal/pmemdimm", "internal/coldpkg")
+		"internal/pram", "internal/memctrl", "internal/psm", "internal/pmemdimm",
+		"internal/kernel", "internal/journal", "internal/coldpkg")
 }

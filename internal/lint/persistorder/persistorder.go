@@ -203,30 +203,33 @@ func collect(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo)
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			classifyCall(pass, byObj, in, n)
-		case *ast.AssignStmt:
-			// A write through a map field named "home" is the journal's
-			// checkpointed image.
-			for _, lhs := range n.Lhs {
-				if idx, ok := lhs.(*ast.IndexExpr); ok {
-					if sel, ok := idx.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "home" {
-						if _, isMap := typeUnder(pass, idx.X).(*types.Map); isMap {
-							in.mutates = true
-							in.events = append(in.events, event{evMutate, lhs.Pos(), "write to the checkpoint image (home)"})
-						}
-					}
-				}
+			if homeWrite(pass, n) {
+				in.mutates = true
+				in.events = append(in.events, event{evMutate, n.Pos(), "write to the checkpoint image (home)"})
 			}
 		}
 		return true
 	})
 }
 
-func typeUnder(pass *analysis.Pass, e ast.Expr) types.Type {
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return nil
+// homeWrite reports whether call writes the journal's checkpointed image:
+// a Set or Delete on a wordtab.Table field named "home". (The volatile
+// image is a Table too, so Table writes in general are not sinks.)
+func homeWrite(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Set" && sel.Sel.Name != "Delete" {
+		return false
 	}
-	return t.Underlying()
+	field, ok := sel.X.(*ast.SelectorExpr)
+	if !ok || field.Sel.Name != "home" {
+		return false
+	}
+	named, ok := pass.TypesInfo.TypeOf(field).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Table" {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path[strings.LastIndex(path, "/")+1:] == "wordtab"
 }
 
 func classifyCall(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo, call *ast.CallExpr) {

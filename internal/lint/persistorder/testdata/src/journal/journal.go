@@ -1,11 +1,15 @@
 // Package journal is a scoped fixture: a WAL store whose checkpoint image
-// (the home map) must never be touched before the log append covering it.
+// (the home table) must never be touched before the log append covering
+// it, while its volatile image (mem) may be.
 package journal
+
+import "wordtab"
 
 // Store is a key-value store with a write-ahead log.
 type Store struct {
 	log  []uint64
-	home map[uint64]uint64
+	mem  wordtab.Table
+	home wordtab.Table
 }
 
 // Append is the append primitive; its interior is exempt.
@@ -20,15 +24,23 @@ func (s *Store) Append(k, v uint64) {
 //lightpc:commitpoint
 func (s *Store) Commit() {}
 
-// PutGood logs first, then updates the checkpoint image: clean.
+// PutGood stages in volatile memory, logs, then updates the checkpoint
+// image: clean.
 func (s *Store) PutGood(k, v uint64) {
+	s.mem.Set(k, v)
 	s.Append(k, v)
-	s.home[k] = v
+	s.home.Set(k, v)
 	s.Commit()
 }
 
 // CheckpointEarly touches the home image before the append that covers it.
 func (s *Store) CheckpointEarly(k, v uint64) {
-	s.home[k] = v // want `precedes the journal append`
+	s.home.Set(k, v) // want `precedes the journal append`
 	s.Append(k, v)
+}
+
+// DropEarly removes a home word before the append that covers it.
+func (s *Store) DropEarly(k uint64) {
+	s.home.Delete(k) // want `precedes the journal append`
+	s.Append(k, 0)
 }

@@ -4,7 +4,11 @@
 // reported.
 package zahot
 
-import "zadep"
+import (
+	"sync/atomic"
+
+	"zadep"
+)
 
 var sink []int
 
@@ -57,4 +61,12 @@ func ColdPanic(x int) int {
 		panic(string(rune(x)) + " negative")
 	}
 	return x
+}
+
+// Counts bumps and reads an atomic counter: sync/atomic never allocates.
+//
+//lightpc:zeroalloc
+func Counts(c *atomic.Uint64) uint64 {
+	c.Add(1)
+	return c.Load()
 }

@@ -61,10 +61,12 @@ type ZeroAlloc struct{}
 func (*ZeroAlloc) AFact() {}
 
 // stdlibAllowed are dependency-free stdlib packages whose functions never
-// allocate (pure arithmetic); calls into them need no fact.
+// allocate (pure arithmetic, atomic loads and stores); calls into them need
+// no fact. Boxing a value for atomic.Value is still reported at the call.
 var stdlibAllowed = map[string]bool{
-	"math":      true,
-	"math/bits": true,
+	"math":        true,
+	"math/bits":   true,
+	"sync/atomic": true,
 }
 
 // required registers the pinned hot set per package (keyed by the import
@@ -93,6 +95,7 @@ var required = map[string][]string{
 	"nvdimm":   {"DIMM.ReadLine", "DIMM.WriteLine", "DIMM.LineBusy"},
 	"dram":     {"DIMM.Read", "DIMM.Write"},
 	"pmemdimm": {"DIMM.Read", "DIMM.Write", "lru.touch", "lru.insert"},
+	"wordtab":  {"Table.Get", "Table.Set"},
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
