@@ -2,7 +2,10 @@
 // exports what the observability layer recorded: a Chrome trace-event JSON
 // timeline (open it in Perfetto or chrome://tracing), a Prometheus-text
 // metrics snapshot, and an ASCII phase table against the PSU hold-up
-// budget. All output is deterministic: same flags, same bytes.
+// budget. Every scenario also checks that each process resumed at the
+// EP-cut with the state it had before Stop; a mismatch exits 1 (a torn
+// Stop that cold boots does not). All output is deterministic: same flags,
+// same bytes.
 //
 // Usage:
 //
@@ -10,6 +13,8 @@
 //	lightpc-obs -platform full -workload Redis -seed 7 -trace redis.json
 //	lightpc-obs -mode sweep -seeds 1,2,3,4 -j 4 -trace sweep.json
 //	lightpc-obs -mode energy -workload Redis    # per-phase joule breakdown
+//	lightpc-obs -cores 16 -devices 400 -psu server
+//	lightpc-obs -holdup 2ms                  # force a torn stop -> cold boot
 //	lightpc-obs -check-trace out.json        # validate and exit
 //	lightpc-obs -check-prom out.prom         # validate and exit
 package main
@@ -67,7 +72,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses args, writes the tables and artifact
 // names to stdout, and returns the exit code (2 for bad flags, 1 when the
-// run or an artifact check fails).
+// run, the EP-cut check or an artifact check fails).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lightpc-obs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -156,6 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		data []byte
 	}
 	var artifacts []artifact
+	var cells []*drive.Result
 	switch *mode {
 	case "sng", "energy":
 		res, err := drive.SnG(sc)
@@ -176,6 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{*promOut, res.Registry.PrometheusBytes()},
 			{*jsonOut, res.Registry.JSONBytes()},
 		}
+		cells = []*drive.Result{res}
 	case "sweep":
 		sw, err := drive.Sweep(sc, seedList, *jobs)
 		if err != nil {
@@ -188,12 +195,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		artifacts = []artifact{{*traceOut, sw.ChromeTrace()}, {*promOut, sw.Prometheus()}}
+		cells = sw.Cells
 	default:
 		return fail(2, fmt.Errorf("unknown mode %q (want sng, sweep, or energy)", *mode))
 	}
 	for _, a := range artifacts {
 		if err := writeFile(stdout, a.path, a.data); err != nil {
 			return fail(1, err)
+		}
+	}
+	for _, c := range cells {
+		if c.Diverged {
+			return fail(1, fmt.Errorf("%s seed %d: EP-cut mismatch: resumed process state diverged from before Stop",
+				c.Scenario.Kind, c.Scenario.Seed))
 		}
 	}
 	return 0

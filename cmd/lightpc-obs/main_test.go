@@ -32,3 +32,26 @@ func TestBadFlagValuesExit2(t *testing.T) {
 		}
 	}
 }
+
+// TestEPCutCheckExitCodes checks the EP-cut verdict reaches the exit
+// code: a committed Stop that resumes every process exits 0 in sng and
+// sweep modes, and so does a torn Stop, which cold boots instead of
+// resuming.
+func TestEPCutCheckExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{}, "EP-cut verified"},
+		{[]string{"-mode", "sweep", "-seeds", "1,2"}, "EP-cut verified"},
+		{[]string{"-holdup", "100us"}, "no EP-cut, recovery cold boots"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 0 {
+			t.Errorf("%v: exit %d, want 0; stderr: %s", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("%v: stdout lacks %q:\n%s", tc.args, tc.want, stdout.String())
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package lightpc
 
 import (
-	"fmt"
-
 	"repro/internal/memctrl"
 	"repro/internal/snapshot"
 )
@@ -11,8 +9,9 @@ import (
 // cores, devices, wait queues, both memory banks), the full memory
 // subsystem (PSM row buffers, wear leveler, PRAM cooling windows and RNG
 // streams, or the DRAM controller's bank state), the lazily created data
-// store, and — when metering is on — the energy meter set, rewired so the
-// fork's devices charge the fork's meters. The memory banks are copied on
+// store, and — when metering is on — a meter set of its own: Fork binds
+// fresh meters to the fork's devices, as New does, and copies each
+// source meter's state residency into them. The memory banks are copied on
 // write: the fork copies their page directories and shares their word
 // pages, and either side copies a page on its first write to it. The copy
 // and the source then evolve independently: running, power-failing, or
@@ -24,10 +23,10 @@ import (
 // pages shared, so several goroutines may fork one platform at once as long
 // as none of them runs it; each fork then belongs to its goroutine.
 //
-// Observer attachments are not forked: an obs tracer on the SnG and any
-// bank write observers stay with (or are dropped from) the source, because
-// an observer instance records one timeline. Fork a quiet platform, then
-// instrument the copy.
+// Observer attachments are not forked: obs tracers on the SnG and the PSM
+// and any bank write observers stay with the source, because an observer
+// instance records one timeline. Fork a quiet platform, then instrument
+// the copy.
 func (p *Platform) Fork() *Platform {
 	out := &Platform{cfg: p.cfg}
 	if p.dramC != nil {
@@ -41,19 +40,8 @@ func (p *Platform) Fork() *Platform {
 	if p.data != nil {
 		out.data = p.data.CloneFor(out.psm)
 	}
-	if p.energy != nil {
-		out.energy = p.energy.Clone()
-		for i := range p.coreM {
-			out.coreM = append(out.coreM, out.energy.Lookup(fmt.Sprintf("core%d", i)))
-		}
-		out.cfg.CPU.Energy = out.coreM
-		switch {
-		case out.dramC != nil:
-			out.dramC.SetEnergy(out.energy.Lookup("memctrl"), out.energy.Lookup("dram"))
-		case out.psm != nil:
-			out.psm.SetEnergy(out.energy.Lookup("psm"), out.energy.Lookup("pram"))
-		}
-	}
+	out.bindMeters()
+	out.energy.CopyResidency(p.energy)
 	out.kern = p.kern.Clone()
 	s := *p.sng
 	s.K = out.kern

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/snapshot"
 	"repro/internal/sng"
 )
@@ -43,19 +45,27 @@ func TestForkRunEquivalence(t *testing.T) {
 }
 
 // TestForkIsolation runs a workload on one fork and checks the base and a
-// later fork are untouched by it.
+// later fork are untouched by it, and that power-failing a fork records
+// nothing on the tracer attached to the base's PSM.
 func TestForkIsolation(t *testing.T) {
 	cfg := DefaultConfig(LightPCFull)
 	cfg.SampleOps = 5_000
 	spec := mustSpec(t, "SQLite")
 	base := New(cfg)
+	tr := obs.NewTracer()
+	base.PSM().SetTracer(tr)
 	first := runJSON(t, base.Fork().Run(spec))
 	if base.Kernel().OCPMEM == nil {
 		t.Fatal("base lost its bank")
 	}
-	second := runJSON(t, base.Fork().Run(spec))
+	f := base.Fork()
+	second := runJSON(t, f.Run(spec))
 	if first != second {
 		t.Fatalf("base was mutated by a fork's run:\nfirst:  %s\nsecond: %s", first, second)
+	}
+	f.PowerFail(0, power.ATX())
+	if n := tr.Len(); n != 0 {
+		t.Fatalf("the base's PSM tracer recorded %d events from a fork's power failure", n)
 	}
 }
 

@@ -7,7 +7,6 @@ package cache
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -64,7 +63,6 @@ type Cache struct {
 	backend Backend
 	stamp   uint64
 	stats   Stats
-	em      *energy.Meter // nil = energy accounting disabled
 }
 
 // New builds a cache over the backend. Geometry must divide evenly.
@@ -92,10 +90,6 @@ func New(cfg Config, backend Backend) *Cache {
 // Config reports the configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetMeter attaches an energy meter charged per hit/fill/writeback/
-// flush-line op (nil detaches; the per-core caches may share one meter).
-func (c *Cache) SetMeter(m *energy.Meter) { c.em = m }
-
 // Lines reports the total line capacity.
 func (c *Cache) Lines() int { return int(c.nsets) * c.cfg.Ways }
 
@@ -120,7 +114,6 @@ func (c *Cache) Access(now sim.Time, a trace.Access) (done sim.Time, hit bool) {
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.stamp
-			c.em.Op(energy.CacheHit)
 			if a.Op == trace.OpWrite {
 				set[i].dirty = true
 				c.stats.WriteHits++
@@ -144,11 +137,9 @@ func (c *Cache) Access(now sim.Time, a trace.Access) (done sim.Time, hit bool) {
 	}
 	if set[victim].valid && set[victim].dirty {
 		c.stats.Writebacks++
-		c.em.Op(energy.CacheWriteback)
 		c.backend.Write(now, c.lineAddr(setIdx, set[victim].tag))
 	}
 	c.stats.Fills++
-	c.em.Op(energy.CacheFill)
 	fillDone := c.backend.Read(now, c.lineAddr(setIdx, tag))
 	set[victim] = way{tag: tag, valid: true, dirty: a.Op == trace.OpWrite, lru: c.stamp}
 	if a.Op == trace.OpWrite {
@@ -195,7 +186,6 @@ func (c *Cache) Flush(now sim.Time) sim.Time {
 			w := &c.sets[s][i]
 			if w.valid && w.dirty {
 				c.stats.FlushedLines++
-				c.em.Op(energy.CacheFlushLine)
 				ack := c.backend.Write(at, c.lineAddr(uint64(s), w.tag))
 				// Writebacks issue back-to-back; the backend's own
 				// queueing shows up through the acks.

@@ -20,12 +20,9 @@ import (
 // core: invariant.go, recorder.go, and poolcheck.go need only these.
 var acceptanceClosure = []string{
 	"internal/sim",
-	"internal/snapshot",
 	"internal/trace",
-	"internal/obs",
-	"internal/power",
-	"internal/energy",
 	"internal/cache",
+	"internal/obs",
 	"internal/wordtab",
 	"internal/kernel",
 	"internal/pmdk",

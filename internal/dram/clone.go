@@ -3,14 +3,12 @@ package dram
 import "slices"
 
 // Clone returns a deep copy of the DIMM: per-bank row/occupancy state,
-// refresh schedule, and counters. The energy meter pointer is carried over;
-// platform forks rewire it afterwards (SetMeter).
+// refresh schedule, and counters.
 func (d *DIMM) Clone() *DIMM {
 	return &DIMM{
 		cfg:         d.cfg,
 		banks:       slices.Clone(d.banks),
 		nextRefresh: d.nextRefresh,
-		em:          d.em,
 		reads:       d.reads,
 		writes:      d.writes,
 		rowHits:     d.rowHits,

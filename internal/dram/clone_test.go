@@ -11,7 +11,7 @@ import (
 // type copied wholesale by slices.Clone.)
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, DIMM{},
-		"cfg", "banks", "nextRefresh", "em",
+		"cfg", "banks", "nextRefresh",
 		"reads", "writes", "rowHits", "refreshes")
 	snapshot.CheckCovered(t, bank{}, "openRow", "hasOpen", "busyUntil")
 }

@@ -9,7 +9,6 @@
 package dram
 
 import (
-	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -55,8 +54,6 @@ type DIMM struct {
 
 	nextRefresh sim.Time
 
-	em *energy.Meter // nil = energy accounting disabled
-
 	reads     sim.Counter
 	writes    sim.Counter
 	rowHits   sim.Counter
@@ -78,10 +75,6 @@ func New(cfg Config) *DIMM {
 // Config reports the DIMM configuration.
 func (d *DIMM) Config() Config { return d.cfg }
 
-// SetMeter attaches an energy meter charged per activate/precharge/CAS/
-// refresh op (nil detaches; the DIMMs of one rank set may share a meter).
-func (d *DIMM) SetMeter(m *energy.Meter) { d.em = m }
-
 //lightpc:zeroalloc
 func (d *DIMM) bankAndRow(addr uint64) (int, uint64) {
 	row := addr / d.cfg.RowSize
@@ -102,14 +95,12 @@ func (d *DIMM) refreshStall(start sim.Time) sim.Time {
 	for d.nextRefresh.Add(d.cfg.RefreshLatency) <= start {
 		d.nextRefresh = d.nextRefresh.Add(d.cfg.RefreshInterval)
 		d.refreshes.Inc()
-		d.em.Op(energy.DRAMRefresh)
 	}
 	if start >= d.nextRefresh {
 		// Request landed inside a refresh window: wait it out.
 		stallEnd := d.nextRefresh.Add(d.cfg.RefreshLatency)
 		d.nextRefresh = d.nextRefresh.Add(d.cfg.RefreshInterval)
 		d.refreshes.Inc()
-		d.em.Op(energy.DRAMRefresh)
 		return stallEnd
 	}
 	return start
@@ -128,10 +119,6 @@ func (d *DIMM) access(now sim.Time, addr uint64) (done sim.Time, rowHit bool) {
 		lat = d.cfg.RowHit
 		rowHit = true
 		d.rowHits.Inc()
-	} else {
-		// A row miss precharges the open page and activates the new one.
-		d.em.Op(energy.DRAMPrecharge)
-		d.em.Op(energy.DRAMActivate)
 	}
 	b.openRow = row
 	b.hasOpen = true
@@ -145,7 +132,6 @@ func (d *DIMM) access(now sim.Time, addr uint64) (done sim.Time, rowHit bool) {
 //lightpc:zeroalloc
 func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 	d.reads.Inc()
-	d.em.Op(energy.DRAMCASRead)
 	done, _ := d.access(now, addr)
 	return done
 }
@@ -156,7 +142,6 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 //lightpc:zeroalloc
 func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 	d.writes.Inc()
-	d.em.Op(energy.DRAMCASWrite)
 	done, _ := d.access(now, addr)
 	return done
 }

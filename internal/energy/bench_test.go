@@ -7,17 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The disabled benches are pinned at 0 allocs/op by BENCH_SEED.json
-// (perfdiff -strict-zero-alloc): a disabled meter must cost an
-// instrumented device hot path nothing.
-
-func BenchmarkDisabledMeterOp(b *testing.B) {
-	b.ReportAllocs()
-	var m *energy.Meter
-	for i := 0; i < b.N; i++ {
-		m.Op(0)
-	}
-}
+// Both benches are pinned at 0 allocs/op by BENCH_SEED.json (perfdiff
+// -strict-zero-alloc): a disabled meter must cost an instrumented hot path
+// nothing, and an enabled state transition must not allocate.
 
 func BenchmarkDisabledMeterSync(b *testing.B) {
 	b.ReportAllocs()
@@ -27,19 +19,10 @@ func BenchmarkDisabledMeterSync(b *testing.B) {
 	}
 }
 
-func BenchmarkEnabledMeterOp(b *testing.B) {
-	b.ReportAllocs()
-	m := energy.NewMeter("dev", testSpec())
-	b.ResetTimer() // meter construction allocates; the charge path must not
-	for i := 0; i < b.N; i++ {
-		m.Op(0)
-	}
-}
-
 func BenchmarkEnabledMeterSetState(b *testing.B) {
 	b.ReportAllocs()
-	m := energy.NewMeter("dev", testSpec())
-	b.ResetTimer() // meter construction allocates; the charge path must not
+	m := energy.NewMeter("dev", testSpec(), nil)
+	b.ResetTimer() // meter construction allocates; the state path must not
 	for i := 0; i < b.N; i++ {
 		m.SetState(sim.Time(i), energy.State(i&1))
 	}

@@ -3,14 +3,15 @@
 // entries plus per-state power draws ({op → joules, state → watts}) — and a
 // Meter accumulates against that spec in sim-time.
 //
-// The hot paths never touch a float. A Meter stores per-op event counts
-// (uint64) and per-state resident durations (sim.Duration, integer
-// picoseconds); joules are computed only at export time as
-// Σ count×J/op + Σ duration×watts. Charging an operation is one slice
-// increment; a state transition is one subtraction and one addition
-// (lazy idle integration: time is charged to the outgoing state on
-// transition, never sampled on a clock). That makes two properties exact
-// rather than approximate:
+// A device's operations are counted once, by the device itself: a Meter
+// keeps no op tally of its own. It is bound at construction to a Counts
+// function that reads the counters of the devices it meters, and it calls
+// that function only at export time. What a Meter does accumulate is state
+// residency, as integer picoseconds (sim.Duration); joules are computed
+// only at export time as Σ count×J/op + Σ duration×watts. A state
+// transition is one subtraction and one addition (lazy idle integration:
+// time is charged to the outgoing state on transition, never sampled on a
+// clock). That makes two properties exact rather than approximate:
 //
 //   - determinism: exported joules are a pure function of the event
 //     sequence in sim-time — no host clock, no map order, no float
@@ -52,47 +53,33 @@ type Spec struct {
 	States    []StateSpec
 }
 
+// Counts fills dst[op] with how many times each op of a meter's Spec has
+// happened, read from the counters the metered devices keep. dst has one
+// zeroed entry per Spec op, indexed by the spec's Op constants.
+type Counts func(dst []uint64)
+
 // Meter accumulates one device's energy against a Spec. The zero/nil meter
 // is disabled: every hot method no-ops. A fresh meter starts in state 0 at
 // sim-time 0.
 type Meter struct {
 	name     string
 	spec     *Spec
-	opCount  []uint64
+	counts   Counts // nil when the spec has no ops
 	stateDur []sim.Duration
 	state    State
 	since    sim.Time // integration origin of the current state residency
 }
 
 // NewMeter returns an enabled meter named name (the registry/report label)
-// accumulating against spec.
-func NewMeter(name string, spec *Spec) *Meter {
+// accumulating against spec, whose op counts are read through counts (nil
+// for a spec without ops).
+func NewMeter(name string, spec *Spec, counts Counts) *Meter {
 	return &Meter{
 		name:     name,
 		spec:     spec,
-		opCount:  make([]uint64, len(spec.Ops)),
+		counts:   counts,
 		stateDur: make([]sim.Duration, len(spec.States)),
 	}
-}
-
-// Op charges one occurrence of op. Nil-safe no-op when disabled.
-//
-//lightpc:zeroalloc
-func (m *Meter) Op(op Op) {
-	if m == nil {
-		return
-	}
-	m.opCount[op]++
-}
-
-// OpN charges n occurrences of op at once. Nil-safe no-op when disabled.
-//
-//lightpc:zeroalloc
-func (m *Meter) OpN(op Op, n uint64) {
-	if m == nil {
-		return
-	}
-	m.opCount[op] += n
 }
 
 // Sync integrates the current state's residency up to now. A now earlier
@@ -154,20 +141,21 @@ func (m *Meter) Spec() *Spec {
 	return m.spec
 }
 
-// State reports the current state.
-func (m *Meter) State() State {
-	if m == nil {
-		return 0
-	}
-	return m.state
-}
-
-// OpCount reports how many times op has been charged.
+// OpCount reports how many times op has happened on the metered devices.
 func (m *Meter) OpCount(op Op) uint64 {
 	if m == nil {
 		return 0
 	}
-	return m.opCount[op]
+	return m.opCounts()[op]
+}
+
+// opCounts reads every op count of the spec from the bound devices.
+func (m *Meter) opCounts() []uint64 {
+	c := make([]uint64, len(m.spec.Ops))
+	if m.counts != nil {
+		m.counts(c)
+	}
+	return c
 }
 
 // StateDur reports the total residency charged to state s so far (time
@@ -185,7 +173,7 @@ func (m *Meter) OpJ() float64 {
 		return 0
 	}
 	var j float64
-	for i, c := range m.opCount {
+	for i, c := range m.opCounts() {
 		j += float64(c) * m.spec.Ops[i].J
 	}
 	return j
@@ -240,28 +228,6 @@ func (s *Set) Meters() []*Meter {
 	return s.meters
 }
 
-// Len reports the number of meters.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.meters)
-}
-
-// Lookup returns the meter named name, or nil. Linear scan: sets are
-// small and this is export-path code.
-func (s *Set) Lookup(name string) *Meter {
-	if s == nil {
-		return nil
-	}
-	for _, m := range s.meters {
-		if m.name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // Sync integrates every meter up to now.
 //
 //lightpc:zeroalloc
@@ -281,6 +247,24 @@ func (s *Set) Rebase(now sim.Time) {
 	}
 	for _, m := range s.meters {
 		m.Rebase(now)
+	}
+}
+
+// CopyResidency gives each meter the state residency of the meter at the
+// same position in src: its current state, that state's integration
+// origin, and the duration charged to every state. A platform fork builds
+// meters over its own devices with the same assembly as its source and
+// then copies the source's residency, so its joules continue from the
+// source's. Nil s or src no-ops.
+func (s *Set) CopyResidency(src *Set) {
+	if s == nil || src == nil {
+		return
+	}
+	for i, m := range s.meters {
+		from := src.meters[i]
+		copy(m.stateDur, from.stateDur)
+		m.state = from.state
+		m.since = from.since
 	}
 }
 

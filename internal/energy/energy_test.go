@@ -11,6 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
+// tally stands in for a metered device: it keeps its own op counts, as
+// every device does, and a meter reads them through tally.counts.
+type tally []uint64
+
+func (t tally) counts(dst []uint64) { copy(dst, t) }
+
 func testSpec() *energy.Spec {
 	return &energy.Spec{
 		Component: "test",
@@ -33,8 +39,6 @@ func TestDisabledMeterZeroAllocs(t *testing.T) {
 	var m *energy.Meter
 	var s *energy.Set
 	if n := testing.AllocsPerRun(100, func() {
-		m.Op(0)
-		m.OpN(1, 7)
 		m.Sync(42)
 		m.SetState(43, 1)
 		m.Rebase(44)
@@ -44,13 +48,14 @@ func TestDisabledMeterZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEnabledMeterChargeZeroAllocs pins the enabled charge path too: an
-// op increment and a sync are slice arithmetic, never an allocation.
+// TestEnabledMeterChargeZeroAllocs pins the enabled charge path too: a
+// state transition and a sync are slice arithmetic, never an allocation.
 func TestEnabledMeterChargeZeroAllocs(t *testing.T) {
-	m := energy.NewMeter("dev", testSpec())
+	m := energy.NewMeter("dev", testSpec(), nil)
 	now := sim.Time(0)
 	if n := testing.AllocsPerRun(100, func() {
-		m.Op(0)
+		now = now.Add(sim.Microsecond)
+		m.SetState(now, energy.State(now&1))
 		now = now.Add(sim.Microsecond)
 		m.Sync(now)
 	}); n != 0 {
@@ -64,8 +69,8 @@ func TestEnabledMeterChargeZeroAllocs(t *testing.T) {
 // exact (integer picoseconds), not epsilon-based.
 func TestObservationInvariance(t *testing.T) {
 	rng := sim.NewRNG(7)
-	a := energy.NewMeter("a", testSpec())
-	b := energy.NewMeter("b", testSpec())
+	a := energy.NewMeter("a", testSpec(), nil)
+	b := energy.NewMeter("b", testSpec(), nil)
 	now := sim.Time(0)
 	for i := 0; i < 1000; i++ {
 		now = now.Add(sim.Duration(1 + rng.Uint64n(1_000_000)))
@@ -97,7 +102,7 @@ func TestObservationInvariance(t *testing.T) {
 // behaviour that lets one meter span a workload run, a Stop, and a Go,
 // each of which is its own timeline starting at 0).
 func TestSyncBackwardsRebases(t *testing.T) {
-	m := energy.NewMeter("dev", testSpec())
+	m := energy.NewMeter("dev", testSpec(), nil)
 	m.Sync(1000)
 	if got := m.StateDur(0); got != 1000 {
 		t.Fatalf("StateDur(0) = %v, want 1000", got)
@@ -114,9 +119,7 @@ func TestSyncBackwardsRebases(t *testing.T) {
 
 // TestJoules pins the export arithmetic against hand-computed values.
 func TestJoules(t *testing.T) {
-	m := energy.NewMeter("dev", testSpec())
-	m.Op(0)
-	m.OpN(1, 3)
+	m := energy.NewMeter("dev", testSpec(), tally{1, 3}.counts)
 	m.SetState(sim.Time(sim.Second), 1)     // 1 s on @0.5 W
 	m.Sync(sim.Time(0).Add(2 * sim.Second)) // 1 s off @0 W
 	// The export multiplies counts by per-op joules at runtime, so compare
@@ -138,25 +141,50 @@ func TestJoules(t *testing.T) {
 // snapshot-delta primitive.
 func TestSetOrderAndSnapshot(t *testing.T) {
 	s := energy.NewSet()
-	m1 := s.Add(energy.NewMeter("first", testSpec()))
-	m2 := s.Add(energy.NewMeter("second", testSpec()))
-	if got := s.Len(); got != 2 {
-		t.Fatalf("Len = %d", got)
-	}
-	if s.Meters()[0] != m1 || s.Meters()[1] != m2 {
+	ops := make(tally, 2)
+	m1 := s.Add(energy.NewMeter("first", testSpec(), ops.counts))
+	m2 := s.Add(energy.NewMeter("second", testSpec(), nil))
+	if got := s.Meters(); len(got) != 2 || got[0] != m1 || got[1] != m2 {
 		t.Fatal("registration order not preserved")
 	}
-	if s.Lookup("second") != m2 || s.Lookup("nope") != nil {
-		t.Fatal("Lookup broken")
-	}
 	before := s.SnapshotJ()
-	m1.Op(1) // +15 nJ
+	ops[1]++ // +15 nJ
 	after := s.SnapshotJ()
 	if d := after[0] - before[0]; d != 15e-9 {
 		t.Errorf("snapshot delta %v, want 15e-9", d)
 	}
 	if after[1] != before[1] {
 		t.Errorf("uncharged meter moved: %v -> %v", before[1], after[1])
+	}
+}
+
+// TestCopyResidency checks a set built by the same assembly picks up
+// another set's state residency and then integrates exactly as the source
+// does.
+func TestCopyResidency(t *testing.T) {
+	build := func() *energy.Set {
+		s := energy.NewSet()
+		s.Add(energy.NewMeter("a", testSpec(), nil))
+		s.Add(energy.NewMeter("b", testSpec(), nil))
+		return s
+	}
+	src := build()
+	src.Meters()[0].SetState(100, 1)
+	src.Meters()[1].Sync(250)
+	dst := build()
+	dst.CopyResidency(src)
+	for _, s := range []*energy.Set{src, dst} {
+		s.Sync(1000)
+	}
+	for i, m := range dst.Meters() {
+		for st := energy.State(0); st < 2; st++ {
+			if got, want := m.StateDur(st), src.Meters()[i].StateDur(st); got != want {
+				t.Errorf("meter %d state %d: copy charged %v, source %v", i, st, got, want)
+			}
+		}
+	}
+	if got := dst.Meters()[0].StateDur(1); got != 900 {
+		t.Errorf("copied meter charged %v to its copied state, want 900", got)
 	}
 }
 
@@ -180,8 +208,7 @@ func TestSpecsCalibration(t *testing.T) {
 // joule gauges appear in the Prometheus exposition under the meter's
 // prefix.
 func TestRegisterExportsMeter(t *testing.T) {
-	m := energy.NewMeter("dev", testSpec())
-	m.Op(0)
+	m := energy.NewMeter("dev", testSpec(), tally{1, 0}.counts)
 	m.Sync(sim.Time(sim.Second))
 	r := obs.NewRegistry()
 	energy.Register(r, "energy_", m)
@@ -203,8 +230,7 @@ func TestRegisterExportsMeter(t *testing.T) {
 // per meter, in nanojoules, passing the trace validator.
 func TestEmitCounters(t *testing.T) {
 	s := energy.NewSet()
-	m := s.Add(energy.NewMeter("dev", testSpec()))
-	m.OpN(1, 2) // 30 nJ
+	s.Add(energy.NewMeter("dev", testSpec(), tally{0, 2}.counts)) // 30 nJ
 	tr := obs.NewTracer()
 	energy.EmitCounters(tr, 5, tr.Lane("energy"), s)
 	if tr.Len() != 1 {

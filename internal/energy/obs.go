@@ -8,8 +8,9 @@ import (
 )
 
 // Register exposes one meter through a registry: a CounterFunc per op
-// (event counts, exact) and GaugeFuncs for the derived joules. Sampling
-// happens at export time, so registration costs the charge paths nothing.
+// (event counts read from the metered devices, exact) and GaugeFuncs for
+// the derived joules. Sampling happens at export time, so registration
+// costs the simulation paths nothing.
 // Nil registry or nil meter no-ops.
 func Register(r *obs.Registry, prefix string, m *Meter) {
 	if r == nil || m == nil {

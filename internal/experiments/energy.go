@@ -119,18 +119,31 @@ func EnergyAccounting(o Options) ([]EnergyKindResult, []*report.Table) {
 
 // energyMicro drives a PMEM DIMM behind an L1 cache plus a crossbar NoC
 // with a fixed seeded access pattern, so the tier/hit-class meters the
-// platform harness never charges (PMEM SRAM/DRAM/media tiers, cache
+// platform harness never reaches (PMEM SRAM/DRAM/media tiers, cache
 // hit/fill/writeback/flush, per-hop NoC) produce deterministic joules.
+// Each meter reads its op counts from its device's own counters.
 func energyMicro(o Options) *report.Table {
 	pm := pmemdimm.New(pmemdimm.DefaultConfig())
-	pmM := energy.NewMeter("pmemdimm", energy.PMEMDIMMSpec(power.Default()))
-	pm.SetMeter(pmM)
+	pmM := energy.NewMeter("pmemdimm", energy.PMEMDIMMSpec(power.Default()), func(n []uint64) {
+		s := pm.Stats()
+		n[energy.PMEMSRAMHit] = s.SRAMHits
+		n[energy.PMEMDRAMHit] = s.DRAMHits
+		n[energy.PMEMMediaRead] = s.MediaReads
+		n[energy.PMEMMediaWrite] = s.MediaWrites
+		n[energy.PMEMCombinedWrite] = s.CombinedWrites
+	})
 	l1 := cache.New(cache.DefaultConfig(), pm)
-	cM := energy.NewMeter("cache", energy.CacheSpec())
-	l1.SetMeter(cM)
+	cM := energy.NewMeter("cache", energy.CacheSpec(), func(n []uint64) {
+		s := l1.Stats()
+		n[energy.CacheHit] = s.ReadHits + s.WriteHits
+		n[energy.CacheFill] = s.Fills
+		n[energy.CacheWriteback] = s.Writebacks
+		n[energy.CacheFlushLine] = s.FlushedLines
+	})
 	net := noc.New(noc.DefaultConfig())
-	nM := energy.NewMeter("noc", energy.NoCSpec())
-	net.SetMeter(nM)
+	nM := energy.NewMeter("noc", energy.NoCSpec(), func(n []uint64) {
+		n[energy.NoCHop], _ = net.Stats()
+	})
 
 	ops := 4096
 	if o.Quick {

@@ -25,10 +25,10 @@ import (
 var cpuClosure = []string{
 	"internal/sim",
 	"internal/trace",
+	"internal/cache",
 	"internal/obs",
 	"internal/power",
 	"internal/energy",
-	"internal/cache",
 	"internal/workload",
 	"internal/cpu",
 }
@@ -38,10 +38,8 @@ var cpuClosure = []string{
 var pmdkClosure = []string{
 	"internal/sim",
 	"internal/trace",
-	"internal/obs",
-	"internal/power",
-	"internal/energy",
 	"internal/cache",
+	"internal/obs",
 	"internal/wordtab",
 	"internal/kernel",
 	"internal/pmdk",
@@ -51,7 +49,6 @@ var pmdkClosure = []string{
 // layer the determinism analyzer holds to its strictest level.
 var obsClosure = []string{
 	"internal/sim",
-	"internal/snapshot",
 	"internal/trace",
 	"internal/obs",
 }

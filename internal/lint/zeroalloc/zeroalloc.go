@@ -88,7 +88,7 @@ var required = map[string][]string{
 		"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add",
 		"Tracer.Span", "Tracer.Begin", "Tracer.End", "Tracer.Instant", "Tracer.Counter",
 	},
-	"energy":   {"Meter.Op", "Meter.OpN", "Meter.Sync", "Meter.SetState", "Meter.Rebase", "Set.Sync"},
+	"energy":   {"Meter.Sync", "Meter.SetState", "Meter.Rebase", "Set.Sync"},
 	"pram":     {"Device.Read", "Device.Write"},
 	"psm":      {"PSM.Read", "PSM.Write", "PSM.program"},
 	"memctrl":  {"PSMBackend.Read", "PSMBackend.Write", "PMEMBackend.Read", "PMEMBackend.Write", "NMEM.access"},

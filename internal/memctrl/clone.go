@@ -2,31 +2,12 @@ package memctrl
 
 import "repro/internal/dram"
 
-// Clone returns a deep copy of the controller and its DIMMs. Energy meter
-// pointers are carried over; platform forks rewire them via SetEnergy.
+// Clone returns a deep copy of the controller and its DIMMs.
 func (c *DRAMController) Clone() *DRAMController {
-	out := &DRAMController{
-		ctrlLat: c.ctrlLat,
-		em:      c.em,
-	}
+	out := &DRAMController{ctrlLat: c.ctrlLat}
 	out.dimms = make([]*dram.DIMM, len(c.dimms))
 	for i, d := range c.dimms {
 		out.dimms[i] = d.Clone()
 	}
 	return out
-}
-
-// Clone returns a deep copy of the memory-mode cache over freshly cloned
-// DRAM and PMEM sides.
-func (n *NMEM) Clone() *NMEM {
-	return &NMEM{
-		dram:       n.dram.Clone(),
-		pmem:       n.pmem.Clone(),
-		blockBits:  n.blockBits,
-		lines:      n.lines.Clone(),
-		sets:       n.sets,
-		hits:       n.hits,
-		misses:     n.misses,
-		writebacks: n.writebacks,
-	}
 }

@@ -13,7 +13,6 @@ package memctrl
 
 import (
 	"repro/internal/dram"
-	"repro/internal/energy"
 	"repro/internal/linetab"
 	"repro/internal/pmemdimm"
 	"repro/internal/psm"
@@ -25,7 +24,6 @@ import (
 type DRAMController struct {
 	dimms   []*dram.DIMM
 	ctrlLat sim.Duration
-	em      *energy.Meter // nil = energy accounting disabled
 }
 
 // NewDRAMController builds a controller over n DIMMs with the given config.
@@ -40,16 +38,6 @@ func NewDRAMController(n int, cfg dram.Config, ctrlLat sim.Duration) *DRAMContro
 	return c
 }
 
-// SetEnergy attaches energy meters: ctrlM is charged one request op per
-// Read/Write through the controller pipeline; dimmM is shared by every
-// DRAM DIMM's activate/precharge/CAS/refresh charges (nil detaches).
-func (c *DRAMController) SetEnergy(ctrlM, dimmM *energy.Meter) {
-	c.em = ctrlM
-	for _, d := range c.dimms {
-		d.SetMeter(dimmM)
-	}
-}
-
 //lightpc:zeroalloc
 func (c *DRAMController) route(addr uint64) (*dram.DIMM, uint64) {
 	line := addr / 64
@@ -61,7 +49,6 @@ func (c *DRAMController) route(addr uint64) (*dram.DIMM, uint64) {
 //
 //lightpc:zeroalloc
 func (c *DRAMController) Read(now sim.Time, addr uint64) sim.Time {
-	c.em.Op(energy.CtrlRequest)
 	d, a := c.route(addr)
 	return d.Read(now.Add(c.ctrlLat), a)
 }
@@ -70,7 +57,6 @@ func (c *DRAMController) Read(now sim.Time, addr uint64) sim.Time {
 //
 //lightpc:zeroalloc
 func (c *DRAMController) Write(now sim.Time, addr uint64) sim.Time {
-	c.em.Op(energy.CtrlRequest)
 	d, a := c.route(addr)
 	return d.Write(now.Add(c.ctrlLat), a)
 }

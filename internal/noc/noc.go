@@ -12,7 +12,6 @@ package noc
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -74,7 +73,6 @@ type Network struct {
 
 	transactions uint64
 	waitTotal    sim.Duration
-	em           *energy.Meter // nil = energy accounting disabled
 }
 
 // New builds a network.
@@ -91,10 +89,6 @@ func New(cfg Config) *Network {
 // Config reports the configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// SetMeter attaches an energy meter charged one hop op per transaction
-// (nil detaches).
-func (n *Network) SetMeter(m *energy.Meter) { n.em = m }
-
 // Transfer routes one 64 B transaction from a master to a slave starting
 // at now, returning when the message is delivered (the response path is
 // symmetric; callers double it or fold it into the endpoint latency).
@@ -106,7 +100,6 @@ func (n *Network) Transfer(now sim.Time, master, slave int) sim.Time {
 		panic(fmt.Sprintf("noc: master %d out of range", master))
 	}
 	n.transactions++
-	n.em.Op(energy.NoCHop)
 	var start sim.Time
 	switch n.cfg.Topology {
 	case SharedBus:

@@ -3,8 +3,7 @@ package nvdimm
 import "repro/internal/pram"
 
 // Clone returns a deep copy of the DIMM: every PRAM device is cloned, the
-// write-power slots and counters are copied. Energy meter pointers inside
-// the devices are carried over; platform forks rewire them via SetMeter.
+// write-power slots and counters are copied.
 func (d *DIMM) Clone() *DIMM {
 	out := &DIMM{
 		cfg:            d.cfg,

@@ -20,7 +20,6 @@ package nvdimm
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/pram"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -119,16 +118,9 @@ func (d *DIMM) Config() Config { return d.cfg }
 // Groups reports the number of independent chip-enable groups.
 func (d *DIMM) Groups() int { return d.groups }
 
-// Devices exposes the underlying PRAM devices (for wear inspection).
+// Devices exposes the underlying PRAM devices (wear inspection, energy
+// metering).
 func (d *DIMM) Devices() []*pram.Device { return d.devices }
-
-// SetMeter attaches one shared energy meter to every PRAM device in the
-// DIMM (nil detaches) — the whole array accounts as one component.
-func (d *DIMM) SetMeter(m *energy.Meter) {
-	for _, dev := range d.devices {
-		dev.SetMeter(m)
-	}
-}
 
 // pairFor maps a cacheline index to its chip-enable pair and the device row
 // within each member (DualChannel).

@@ -16,6 +16,7 @@ import (
 
 	lightpc "repro"
 	"repro/internal/energy"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/report"
@@ -53,7 +54,7 @@ type Scenario struct {
 	Energy bool
 }
 
-// withDefaults fills the zero values with the lightpc-sng defaults.
+// withDefaults fills the zero values with the lightpc-obs flag defaults.
 func (sc Scenario) withDefaults() Scenario {
 	if sc.Seed == 0 {
 		sc.Seed = 1
@@ -102,6 +103,12 @@ type Result struct {
 	Go    sng.GoReport
 	GoErr error
 
+	// Diverged reports a failed EP-cut check: Go succeeded, but the
+	// resumed processes' state differs from just before Stop. The check
+	// does not run on LegacyPC, whose process state lives in DRAM that the
+	// power loss wipes.
+	Diverged bool
+
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
 
@@ -113,7 +120,8 @@ type Result struct {
 
 // SnG executes one instrumented scenario: build the platform, wire the
 // observability layer through it, optionally run the workload, age the
-// scheduler, pull the power against the hold-up window, and recover.
+// scheduler, pull the power against the hold-up window, recover, and check
+// that every process resumed at the EP-cut.
 func SnG(sc Scenario) (*Result, error) {
 	return run(sc, "")
 }
@@ -166,13 +174,30 @@ func run(sc Scenario, prefix string) (*Result, error) {
 	}
 
 	p.Kernel().Tick(sc.Ticks)
+	before := p.Kernel().ProcsChecksum()
 
 	// PowerFail with the (possibly overridden) window, then Go at the
 	// same origin the CLI uses.
 	res.Stop = p.SnG().Stop(0, sim.Time(window))
 	p.Kernel().PowerLoss()
 	res.Go, res.GoErr = p.Recover(0)
+	if res.GoErr == nil && sc.Kind != lightpc.LegacyPC {
+		res.Diverged = !resumedIntact(p.Kernel(), before)
+	}
 	return res, nil
+}
+
+// resumedIntact restores the saved context of every runnable or running
+// process and reports whether the process table matches want, its
+// checksum from just before Stop. RestoreContext only reads the bank, so
+// the check moves no metric.
+func resumedIntact(k *kernel.Kernel, want uint64) bool {
+	for _, pr := range k.Procs {
+		if pr.State == kernel.TaskRunnable || pr.State == kernel.TaskRunning {
+			pr.RestoreContext()
+		}
+	}
+	return k.ProcsChecksum() == want
 }
 
 // PhaseTable renders the run's SnG decomposition as an aligned table:
@@ -205,8 +230,15 @@ func (res *Result) PhaseTable() string {
 	} else {
 		t.Note("budget exceeded in phase %q — no EP-cut, recovery cold boots", res.Stop.OverrunPhase)
 	}
-	if res.GoErr != nil {
+	switch {
+	case res.GoErr != nil:
 		t.Note("Go: %v", res.GoErr)
+	case sc.Kind == lightpc.LegacyPC:
+		t.Note("EP-cut not checked: LegacyPC keeps process state in volatile DRAM")
+	case res.Diverged:
+		t.Note("EP-cut MISMATCH: resumed process state diverged from before Stop")
+	default:
+		t.Note("EP-cut verified: every process resumed with identical state")
 	}
 	return t.String()
 }

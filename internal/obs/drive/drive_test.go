@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	lightpc "repro"
+	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -219,5 +221,56 @@ func TestWorkloadMetricsExported(t *testing.T) {
 		if want := res.Registry.Lookup(counter).Value(); n == 0 || float64(n) != want {
 			t.Fatalf("%s counts %d samples, %s is %v", hist, n, counter, want)
 		}
+	}
+}
+
+// Both OC-PMEM kinds, with and without a workload, resume each process
+// at the EP-cut, and the phase table says so; LegacyPC's process state is
+// volatile, so its table says the check did not run. A torn Stop cold
+// boots instead: no check runs and nothing is flagged.
+func TestEPCutVerified(t *testing.T) {
+	for _, kind := range []lightpc.Kind{lightpc.LegacyPC, lightpc.LightPCB, lightpc.LightPCFull} {
+		for _, wl := range []string{"", "Redis"} {
+			res := mustSnG(t, Scenario{Kind: kind, Seed: 3, Workload: wl})
+			if res.GoErr != nil || res.Diverged {
+				t.Fatalf("%v/%q: GoErr=%v Diverged=%v", kind, wl, res.GoErr, res.Diverged)
+			}
+			want := "EP-cut verified"
+			if kind == lightpc.LegacyPC {
+				want = "EP-cut not checked"
+			}
+			if !strings.Contains(res.PhaseTable(), want) {
+				t.Fatalf("%v/%q: phase table lacks %q:\n%s", kind, wl, want, res.PhaseTable())
+			}
+		}
+	}
+	torn := mustSnG(t, Scenario{Kind: lightpc.LightPCFull, Seed: 1, Holdup: 100 * sim.Microsecond})
+	if table := torn.PhaseTable(); torn.GoErr == nil || torn.Diverged ||
+		strings.Contains(table, "EP-cut verified") || strings.Contains(table, "MISMATCH") {
+		t.Fatalf("torn stop: GoErr=%v Diverged=%v\n%s", torn.GoErr, torn.Diverged, torn.PhaseTable())
+	}
+}
+
+// resumedIntact flags a saved context that differs from the state before
+// Stop.
+func TestResumedIntactCatchesDivergence(t *testing.T) {
+	p := lightpc.New(lightpc.DefaultConfig(lightpc.LightPCFull))
+	k := p.Kernel()
+	k.Tick(20)
+	before := k.ProcsChecksum()
+	p.PowerFail(0, power.ATX())
+	if _, err := p.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range k.Procs {
+		if pr.State == kernel.TaskRunnable {
+			pr.RestoreContext()
+			pr.PC++
+			pr.SaveContext()
+			break
+		}
+	}
+	if resumedIntact(k, before) {
+		t.Fatal("a corrupted saved context passed the EP-cut check")
 	}
 }

@@ -16,8 +16,7 @@ func (l *lru) clone() *lru {
 }
 
 // Clone returns a deep copy of the DIMM: RNG position, both LRU tier
-// arenas, queue occupancy, stats, and the latency histogram. The energy
-// meter pointer is carried over; platform forks rewire it afterwards.
+// arenas, queue occupancy, stats, and the latency histogram.
 func (d *DIMM) Clone() *DIMM {
 	return &DIMM{
 		cfg:       d.cfg,
@@ -26,7 +25,6 @@ func (d *DIMM) Clone() *DIMM {
 		dram:      d.dram.clone(),
 		busyUntil: d.busyUntil,
 		stats:     d.stats,
-		em:        d.em,
 		readLat:   d.readLat.Clone(),
 	}
 }

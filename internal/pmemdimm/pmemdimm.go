@@ -12,7 +12,6 @@
 package pmemdimm
 
 import (
-	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -273,7 +272,6 @@ type DIMM struct {
 
 	busyUntil sim.Time // LSQ head-of-line serialization
 	stats     Stats
-	em        *energy.Meter // nil = energy accounting disabled
 
 	readLat *sim.LatencyHistogram
 }
@@ -298,10 +296,6 @@ func New(cfg Config) *DIMM {
 // Config reports the configuration.
 func (d *DIMM) Config() Config { return d.cfg }
 
-// SetMeter attaches an energy meter charged per internal-hierarchy op
-// (SRAM/DRAM hits, media reads/programs, combined writes; nil detaches).
-func (d *DIMM) SetMeter(m *energy.Meter) { d.em = m }
-
 //lightpc:zeroalloc
 func (d *DIMM) firmware() sim.Duration {
 	j := d.rng.Norm(float64(d.cfg.FirmwareBase), float64(d.cfg.FirmwareJitter))
@@ -322,7 +316,6 @@ func (d *DIMM) evictDirty(dirty, evicted bool) {
 	d.stats.Evictions++
 	if dirty {
 		d.stats.MediaWrites++
-		d.em.Op(energy.PMEMMediaWrite)
 		d.busyUntil = d.busyUntil.Add(d.cfg.MediaWrite / 4)
 	}
 }
@@ -341,12 +334,10 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 	bblock := addr / BufferBlock
 	if _, ok := d.sram.touch(mblock); ok {
 		d.stats.SRAMHits++
-		d.em.Op(energy.PMEMSRAMHit)
 	} else if _, ok := d.dram.touch(bblock); ok {
 		// SRAM miss, DRAM hit: pay the second lookup and refill SRAM
 		// (inclusive).
 		d.stats.DRAMHits++
-		d.em.Op(energy.PMEMDRAMHit)
 		lat += d.cfg.DRAMLookup
 		d.evictDirty(d.sram.insert(mblock, false))
 	} else {
@@ -354,7 +345,6 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 		// both tiers.
 		lat += d.cfg.DRAMLookup + d.firmware() + d.cfg.MediaRead
 		d.stats.MediaReads++
-		d.em.Op(energy.PMEMMediaRead)
 		d.evictDirty(d.dram.insert(bblock, false))
 		d.evictDirty(d.sram.insert(mblock, false))
 	}
@@ -382,7 +372,6 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 	if i, ok := d.sram.touch(mblock); ok {
 		// Combined into the open 256 B block.
 		d.stats.CombinedWrites++
-		d.em.Op(energy.PMEMCombinedWrite)
 		d.sram.markDirty(i)
 	} else {
 		// Allocate in SRAM: the ack pays the allocation lookup; the
@@ -418,7 +407,6 @@ func (d *DIMM) Flush(now sim.Time) sim.Time {
 	// DIMM's internal banking.
 	lat := sim.Duration(dirty) * d.cfg.MediaWrite / 4
 	d.stats.MediaWrites += uint64(dirty)
-	d.em.OpN(energy.PMEMMediaWrite, uint64(dirty))
 	done := sim.Max(now, d.busyUntil).Add(lat)
 	d.busyUntil = done
 	return done

@@ -1,10 +1,8 @@
 package pram
 
 // Clone returns a deep copy of the device's mutable state: RNG stream
-// position, command-interface occupancy, cooling windows, and wear counts.
-// The energy meter pointer is carried over; callers forking a whole
-// platform rewire meters afterwards (SetMeter) so the clone charges its own
-// accountant.
+// position, command-interface occupancy, cooling windows, wear counts, and
+// the access counters.
 func (d *Device) Clone() *Device {
 	return &Device{
 		cfg:         d.cfg,
@@ -12,7 +10,6 @@ func (d *Device) Clone() *Device {
 		busyUntil:   d.busyUntil,
 		inFlight:    d.inFlight.Clone(),
 		wear:        d.wear.Clone(),
-		em:          d.em,
 		reads:       d.reads,
 		writes:      d.writes,
 		conflicts:   d.conflicts,

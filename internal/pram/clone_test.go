@@ -10,6 +10,6 @@ import (
 // mutable field fails here until the clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, Device{},
-		"cfg", "rng", "busyUntil", "inFlight", "wear", "em",
+		"cfg", "rng", "busyUntil", "inFlight", "wear",
 		"reads", "writes", "conflicts", "errInjected")
 }

@@ -14,7 +14,6 @@ package pram
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/linetab"
 	"repro/internal/sim"
 )
@@ -75,7 +74,6 @@ type Device struct {
 	inFlight linetab.Flight
 
 	wear        *linetab.Counters
-	em          *energy.Meter // nil = energy accounting disabled
 	reads       sim.Counter
 	writes      sim.Counter
 	conflicts   sim.Counter // reads that found the target row programming
@@ -96,11 +94,6 @@ func NewDevice(cfg DeviceConfig) *Device {
 
 // Config reports the device configuration.
 func (d *Device) Config() DeviceConfig { return d.cfg }
-
-// SetMeter attaches an energy meter charged per energy.PRAMRead /
-// PRAMWrite / PRAMCooling op (nil detaches; many devices may share one
-// array meter).
-func (d *Device) SetMeter(m *energy.Meter) { d.em = m }
 
 //lightpc:zeroalloc
 func (d *Device) checkRow(row uint64) {
@@ -130,7 +123,6 @@ func (d *Device) Busy(now sim.Time, row uint64) bool {
 func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corrupted bool) {
 	d.checkRow(row)
 	d.reads.Inc()
-	d.em.Op(energy.PRAMRead)
 	start := sim.Max(now, d.busyUntil)
 	if !d.inFlight.Quiet(start) {
 		if end, ok := d.inFlight.End(row); ok && end > start {
@@ -168,8 +160,6 @@ func (d *Device) WornOut(row uint64) bool {
 func (d *Device) Write(now sim.Time, row uint64) (accept, complete sim.Time) {
 	d.checkRow(row)
 	d.writes.Inc()
-	d.em.Op(energy.PRAMWrite)
-	d.em.Op(energy.PRAMCooling)
 	accept = sim.Max(now, d.busyUntil)
 	if !d.inFlight.Quiet(accept) {
 		if end, ok := d.inFlight.End(row); ok && end > accept {

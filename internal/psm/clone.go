@@ -27,11 +27,11 @@ func (m *mceState) clone() mceState {
 
 // Clone returns a deep copy of the PSM and its Bare-NVDIMM array: row
 // buffers, wear-leveler cursor, latency histograms, command-queue
-// occupancy, MCE bookkeeping, and every PRAM device's RNG/cooling state.
-// Observer attachments (energy meter, tracer, MCE handler) are carried over
-// as pointers; callers forking a whole platform rewire the meters
-// (SetEnergy) and must re-install an MCE handler if its closure captured
-// source-side state.
+// occupancy, MCE bookkeeping, counters, and every PRAM device's
+// RNG/cooling state. The tracer is not carried over — a tracer records one
+// timeline, so the clone starts untraced (attach one with SetTracer). The
+// MCE handler is carried over as a pointer; re-install it if its closure
+// captured source-side state.
 func (p *PSM) Clone() *PSM {
 	out := &PSM{
 		cfg:          p.cfg,
@@ -44,9 +44,7 @@ func (p *PSM) Clone() *PSM {
 		mce:          p.mce.clone(),
 		mceHandler:   p.mceHandler,
 		drainScratch: make([]uint64, 0, cap(p.drainScratch)),
-		em:           p.em,
-		tr:           p.tr,
-		trLane:       p.trLane,
+		scrubLines:   p.scrubLines,
 	}
 	out.dimms = make([]*nvdimm.DIMM, len(p.dimms))
 	for i, d := range p.dimms {

@@ -8,13 +8,14 @@ import (
 
 // TestCloneCompleteness pins each cloned struct's field list: a new
 // mutable field fails here until PSM.Clone / DataStore.CloneFor handles
-// it. (mceHandler, em, tr and trLane are deliberately carried as-is —
-// forks rewire them; Stats and rowBuffer are value types copied
-// wholesale; rs is the immutable codec and stays shared.)
+// it. (mceHandler is deliberately carried as-is; tr and trLane are
+// deliberately dropped, so a clone starts untraced; Stats and rowBuffer
+// are value types copied wholesale; rs is the immutable codec and stays
+// shared.)
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, PSM{},
 		"cfg", "dimms", "buffers", "wl", "stats", "readLat", "writeAckLat",
-		"hold", "mce", "mceHandler", "drainScratch", "em", "tr", "trLane")
+		"hold", "mce", "mceHandler", "drainScratch", "scrubLines", "tr", "trLane")
 	snapshot.CheckCovered(t, DataStore{},
 		"psm", "lines", "rsWords", "rs", "deadDevs",
 		"reconstructions", "symbolRepairs")

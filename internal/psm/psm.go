@@ -19,7 +19,6 @@
 package psm
 
 import (
-	"repro/internal/energy"
 	"repro/internal/nvdimm"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -147,7 +146,10 @@ type PSM struct {
 	// window): window closes and flushes are the write hot path.
 	drainScratch []uint64
 
-	em *energy.Meter // nil = energy accounting disabled
+	// scrubLines counts the physical lines RemixWearSeed's data scrubs
+	// have visited; ScrubLines reads it. It stays out of Stats, which
+	// callers encode whole (the repository benchmark's digest does).
+	scrubLines uint64
 
 	tr     *obs.Tracer
 	trLane obs.Lane
@@ -195,16 +197,6 @@ func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimms }
 // WearLeveler exposes the Start-Gap state (nil when disabled).
 func (p *PSM) WearLeveler() *StartGap { return p.wl }
 
-// SetEnergy attaches energy meters: psmM is charged per PSM port/XCC/
-// wear-leveling op, pramM is shared by every PRAM device in the array
-// (nil detaches either).
-func (p *PSM) SetEnergy(psmM, pramM *energy.Meter) {
-	p.em = psmM
-	for _, d := range p.dimms {
-		d.SetMeter(pramM)
-	}
-}
-
 // SetMCEHandler installs the machine-check callback raised when a corrupted
 // read cannot be reconstructed. The default handler only counts.
 func (p *PSM) SetMCEHandler(h func(now sim.Time, line uint64)) { p.mceHandler = h }
@@ -235,7 +227,6 @@ func (p *PSM) bufferFor(line uint64) *rowBuffer {
 //lightpc:zeroalloc
 func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	p.stats.Reads++
-	p.em.Op(energy.PSMPortRead)
 	start := now.Add(p.cfg.PortLatency)
 
 	if p.Poisoned(line) {
@@ -262,7 +253,6 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	if p.cfg.XCC && d.LineBusy(start, inner) {
 		if done, ok, corr := d.ReadReconstructed(start, inner); ok && !corr {
 			p.stats.Reconstructs++
-			p.em.Op(energy.PSMReconstruct)
 			p.readLat.Add(done.Sub(now))
 			return done
 		}
@@ -279,7 +269,6 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 			// granules are damaged too (two DIMMs dead: beyond XCC).
 			if rdone, ok, corr := d.ReadReconstructed(done, inner); ok && !corr {
 				p.stats.ContainedErrors++
-				p.em.Op(energy.PSMReconstruct)
 				done = rdone
 				repaired = true
 			}
@@ -322,10 +311,8 @@ func (p *PSM) program(at sim.Time, line uint64) sim.Time {
 	at = sim.Max(at, p.hold[0])
 	accept, complete := d.WriteLine(at, inner)
 	p.stats.MediaWrites++
-	p.em.Op(energy.PSMMediaWrite)
 	if p.wl != nil && p.wl.RecordWrite() {
 		p.stats.WearLevelMoves++
-		p.em.Op(energy.PSMWearMove)
 	}
 	if !p.cfg.EarlyReturn {
 		// Conventional in-order queue: the write owns the channel until
@@ -345,7 +332,6 @@ func (p *PSM) program(at sim.Time, line uint64) sim.Time {
 //lightpc:zeroalloc
 func (p *PSM) Write(now sim.Time, line uint64) sim.Time {
 	p.stats.Writes++
-	p.em.Op(energy.PSMPortWrite)
 	start := now.Add(p.cfg.PortLatency)
 
 	if !p.cfg.RowBuffer {
@@ -434,7 +420,7 @@ func (p *PSM) RemixWearSeed(now sim.Time, seed uint64) sim.Time {
 	pairs := len(p.dimms) * p.dimms[0].Groups()
 	per := p.cfg.NVDIMM.Device.ReadLatency + p.cfg.NVDIMM.Device.WriteLatency
 	total := sim.Duration(p.wl.PhysicalLines()) * per / sim.Duration(pairs)
-	p.em.OpN(energy.PSMScrubLine, p.wl.PhysicalLines())
+	p.scrubLines += p.wl.PhysicalLines()
 	end := now.Add(total)
 	p.tr.Span(now, end, p.trLane, "psm", "wear-scrub")
 	return end
@@ -442,6 +428,10 @@ func (p *PSM) RemixWearSeed(now sim.Time, seed uint64) sim.Time {
 
 // Stats returns a copy of the counters.
 func (p *PSM) Stats() Stats { return p.stats }
+
+// ScrubLines reports how many physical lines wear-seed scrubs have
+// visited.
+func (p *PSM) ScrubLines() uint64 { return p.scrubLines }
 
 // ReadLatency exposes the read-latency histogram (Fig 16 data).
 func (p *PSM) ReadLatency() *sim.LatencyHistogram { return p.readLat }

@@ -149,25 +149,7 @@ func New(cfg Config) *Platform {
 	default:
 		panic(fmt.Sprintf("lightpc: unknown kind %v", cfg.Kind))
 	}
-	if cfg.Energy {
-		p.energy = energy.NewSet()
-		switch cfg.Kind {
-		case LegacyPC:
-			ctrlM := p.energy.Add(energy.NewMeter("memctrl", energy.DRAMCtrlSpec(cfg.Power)))
-			dimmM := p.energy.Add(energy.NewMeter("dram", energy.DRAMArraySpec(cfg.Power, cfg.DRAMs)))
-			p.dramC.SetEnergy(ctrlM, dimmM)
-		default:
-			psmM := p.energy.Add(energy.NewMeter("psm", energy.PSMSpec(cfg.Power)))
-			pramM := p.energy.Add(energy.NewMeter("pram", energy.PRAMArraySpec(cfg.Power, cfg.PSM.DIMMs)))
-			p.psm.SetEnergy(psmM, pramM)
-		}
-		for i := 0; i < cfg.CPU.Cores; i++ {
-			m := energy.NewMeter(fmt.Sprintf("core%d", i), energy.CPUCoreSpec(cfg.Power))
-			p.energy.Add(m)
-			p.coreM = append(p.coreM, m)
-		}
-		p.cfg.CPU.Energy = p.coreM
-	}
+	p.bindMeters()
 	kc := cfg.Kernel
 	kc.Seed = cfg.Seed
 	p.kern = kernel.New(kc)
@@ -176,6 +158,59 @@ func New(cfg Config) *Platform {
 	p.sng.Energy = p.energy
 	p.sng.CoreEnergy = p.coreM
 	return p
+}
+
+// bindMeters builds the platform's meter set when Config.Energy is on:
+// one meter per device complex, reading its op counts from the counters
+// those devices keep, then one per core. New and Fork both call it, so a
+// fork's meters read the fork's devices.
+func (p *Platform) bindMeters() {
+	if !p.cfg.Energy {
+		return
+	}
+	pw := p.cfg.Power
+	p.energy = energy.NewSet()
+	if c := p.dramC; c != nil {
+		p.energy.Add(energy.NewMeter("memctrl", energy.DRAMCtrlSpec(pw), func(n []uint64) {
+			r, w, _, _ := c.Stats()
+			n[energy.CtrlRequest] = r + w
+		}))
+		p.energy.Add(energy.NewMeter("dram", energy.DRAMArraySpec(pw, p.cfg.DRAMs), func(n []uint64) {
+			r, w, rowHits, refreshes := c.Stats()
+			// Every row miss precharges the open page and activates the new one.
+			n[energy.DRAMActivate] = r + w - rowHits
+			n[energy.DRAMPrecharge] = r + w - rowHits
+			n[energy.DRAMCASRead] = r
+			n[energy.DRAMCASWrite] = w
+			n[energy.DRAMRefresh] = refreshes
+		}))
+	} else {
+		ps := p.psm
+		p.energy.Add(energy.NewMeter("psm", energy.PSMSpec(pw), func(n []uint64) {
+			s := ps.Stats()
+			n[energy.PSMPortRead] = s.Reads
+			n[energy.PSMPortWrite] = s.Writes
+			n[energy.PSMReconstruct] = s.Reconstructs + s.ContainedErrors
+			n[energy.PSMMediaWrite] = s.MediaWrites
+			n[energy.PSMWearMove] = s.WearLevelMoves
+			n[energy.PSMScrubLine] = ps.ScrubLines()
+		}))
+		p.energy.Add(energy.NewMeter("pram", energy.PRAMArraySpec(pw, p.cfg.PSM.DIMMs), func(n []uint64) {
+			for _, d := range ps.DIMMs() {
+				for _, dev := range d.Devices() {
+					r, w, _, _ := dev.Stats()
+					n[energy.PRAMRead] += r
+					n[energy.PRAMWrite] += w
+				}
+			}
+			// Every program is followed by its cooling window.
+			n[energy.PRAMCooling] = n[energy.PRAMWrite]
+		}))
+	}
+	for i := 0; i < p.cfg.CPU.Cores; i++ {
+		p.coreM = append(p.coreM, p.energy.Add(energy.NewMeter(fmt.Sprintf("core%d", i), energy.CPUCoreSpec(pw), nil)))
+	}
+	p.cfg.CPU.Energy = p.coreM
 }
 
 // Config reports the platform configuration.
