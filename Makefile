@@ -63,7 +63,7 @@ perfdiff: | $(BIN)
 
 # fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
 # line-table, LRU-index, word-table and latency-histogram differential
-# models, and the crash-cut fuzzers
+# models, the divisor-vs-hardware-divide check, and the crash-cut fuzzers
 # (the checked-in corpora also replay as plain seeds in `make test`).
 fuzz-smoke:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
 	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=2s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=2s
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s
 

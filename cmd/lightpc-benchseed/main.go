@@ -215,7 +215,10 @@ func main() {
 	// (pinned at 0 allocs/op) and the per-fork copy of a full DIMM.
 	// internal/psm: a warmed PSM's read/write mix, pinned at 0 allocs/op
 	// with its latency histograms live.
-	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint", "./internal/pmemdimm", "./internal/psm")
+	// internal/workload: the Table II generators' batch fills, pinned at 0
+	// allocs/op, in ns per reference; internal/cpu: the LegacyPC reference
+	// path (generators, interleaver, DRAM controller) in ns per reference.
+	cmd := exec.Command("go", "test", "-run=^$", "-bench=.", "-benchtime=1x", "-benchmem", "-count=1", ".", "./internal/sim", "./internal/obs", "./internal/linetab", "./internal/energy", "./internal/crashpoint", "./internal/pmemdimm", "./internal/psm", "./internal/workload", "./internal/cpu")
 	// The bench subprocess must also see the real core count, both so the
 	// parallel benches (which skip below 2) get their chance and so the
 	// "-N" name suffix matches what parseBench strips.

@@ -8,6 +8,8 @@ func (d *DIMM) Clone() *DIMM {
 	return &DIMM{
 		cfg:         d.cfg,
 		banks:       slices.Clone(d.banks),
+		rowDiv:      d.rowDiv,
+		bankDiv:     d.bankDiv,
 		nextRefresh: d.nextRefresh,
 		reads:       d.reads,
 		writes:      d.writes,

@@ -52,6 +52,10 @@ type DIMM struct {
 	cfg   Config
 	banks []bank
 
+	// rowDiv and bankDiv split an address into its row and the row's bank
+	// (RowSize and Banks are fixed at New).
+	rowDiv, bankDiv sim.Divisor
+
 	nextRefresh sim.Time
 
 	reads     sim.Counter
@@ -60,14 +64,20 @@ type DIMM struct {
 	refreshes sim.Counter
 }
 
-// New builds a DIMM from the config.
+// New builds a DIMM from the config. A zero Banks means one bank, and a
+// zero RowSize means DefaultConfig's.
 func New(cfg Config) *DIMM {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
+	if cfg.RowSize == 0 {
+		cfg.RowSize = DefaultConfig().RowSize
+	}
 	return &DIMM{
 		cfg:         cfg,
 		banks:       make([]bank, cfg.Banks),
+		rowDiv:      sim.NewDivisor(cfg.RowSize),
+		bankDiv:     sim.NewDivisor(uint64(cfg.Banks)),
 		nextRefresh: sim.Time(cfg.RefreshInterval),
 	}
 }
@@ -77,8 +87,8 @@ func (d *DIMM) Config() Config { return d.cfg }
 
 //lightpc:zeroalloc
 func (d *DIMM) bankAndRow(addr uint64) (int, uint64) {
-	row := addr / d.cfg.RowSize
-	return int(row % uint64(len(d.banks))), row
+	row := d.rowDiv.Div(addr)
+	return int(d.bankDiv.Mod(row)), row
 }
 
 // refreshStall advances the refresh schedule and reports the earliest time

@@ -76,8 +76,12 @@ var stdlibAllowed = map[string]bool{
 // annotation is reported, so deleting an annotation (or renaming a hot
 // function) cannot silently drop the static contract.
 var required = map[string][]string{
-	"sim": {"Counter.Inc", "LatencyHistogram.Add"},
-	"cpu": {"interleaver.run"},
+	"sim": {
+		"Counter.Inc", "LatencyHistogram.Add",
+		"Divisor.Div", "Divisor.Mod", "Divisor.DivMod", "RNG.Uint64",
+	},
+	"workload": {"Synthetic.step", "Synthetic.NextBatch", "Background.step", "Background.NextBatch"},
+	"cpu":      {"interleaver.run"},
 	"linetab": {
 		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",
 		"Table.Get", "Table.Set", "Bits.Get", "Bits.Set",

@@ -22,8 +22,9 @@ import (
 // DRAMController interleaves 64 B lines across a set of DRAM DIMMs behind a
 // fixed controller pipeline latency.
 type DRAMController struct {
-	dimms   []*dram.DIMM
-	ctrlLat sim.Duration
+	dimms      []*dram.DIMM
+	interleave sim.Divisor // len(dimms)
+	ctrlLat    sim.Duration
 }
 
 // NewDRAMController builds a controller over n DIMMs with the given config.
@@ -31,7 +32,7 @@ func NewDRAMController(n int, cfg dram.Config, ctrlLat sim.Duration) *DRAMContro
 	if n <= 0 {
 		n = 1
 	}
-	c := &DRAMController{ctrlLat: ctrlLat}
+	c := &DRAMController{interleave: sim.NewDivisor(uint64(n)), ctrlLat: ctrlLat}
 	for i := 0; i < n; i++ {
 		c.dimms = append(c.dimms, dram.New(cfg))
 	}
@@ -40,9 +41,8 @@ func NewDRAMController(n int, cfg dram.Config, ctrlLat sim.Duration) *DRAMContro
 
 //lightpc:zeroalloc
 func (c *DRAMController) route(addr uint64) (*dram.DIMM, uint64) {
-	line := addr / 64
-	idx := int(line % uint64(len(c.dimms)))
-	return c.dimms[idx], (line / uint64(len(c.dimms))) * 64
+	inner, idx := c.interleave.DivMod(addr / 64)
+	return c.dimms[idx], inner * 64
 }
 
 // Read services a 64 B line read.

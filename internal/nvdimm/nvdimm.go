@@ -74,7 +74,9 @@ const writeSlots = 2
 type DIMM struct {
 	cfg     Config
 	devices []*pram.Device
-	groups  int // chip-enable groups (pairs for DualChannel, 1 for DRAMLike)
+	// groups divides by the chip-enable group count (pairs for
+	// DualChannel, 1 for DRAMLike).
+	groups sim.Divisor
 
 	// slots tracks the write-power budget.
 	slots [writeSlots]sim.Time
@@ -103,9 +105,9 @@ func New(cfg Config) *DIMM {
 	}
 	switch cfg.Layout {
 	case DualChannel:
-		d.groups = cfg.DevicesPerDIMM / 2
+		d.groups = sim.NewDivisor(uint64(cfg.DevicesPerDIMM / 2))
 	case DRAMLike:
-		d.groups = 1
+		d.groups = sim.NewDivisor(1)
 	default:
 		panic(fmt.Sprintf("nvdimm: unknown layout %v", cfg.Layout))
 	}
@@ -116,7 +118,7 @@ func New(cfg Config) *DIMM {
 func (d *DIMM) Config() Config { return d.cfg }
 
 // Groups reports the number of independent chip-enable groups.
-func (d *DIMM) Groups() int { return d.groups }
+func (d *DIMM) Groups() int { return int(d.groups.N()) }
 
 // Devices exposes the underlying PRAM devices (wear inspection, energy
 // metering).
@@ -127,8 +129,8 @@ func (d *DIMM) Devices() []*pram.Device { return d.devices }
 //
 //lightpc:zeroalloc
 func (d *DIMM) pairFor(line uint64) (first int, row uint64) {
-	g := int(line % uint64(d.groups))
-	return g * 2, line / uint64(d.groups)
+	row, g := d.groups.DivMod(line)
+	return int(g) * 2, row
 }
 
 // PairFor exposes the line→pair mapping (the functional data store uses it

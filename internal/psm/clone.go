@@ -36,6 +36,10 @@ func (p *PSM) Clone() *PSM {
 	out := &PSM{
 		cfg:          p.cfg,
 		buffers:      slices.Clone(p.buffers),
+		window:       p.window,
+		slots:        p.slots,
+		interleave:   p.interleave,
+		wearLines:    p.wearLines,
 		wl:           p.wl.Clone(),
 		stats:        p.stats,
 		readLat:      p.readLat.Clone(),

@@ -14,7 +14,8 @@ import (
 // shared.)
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, PSM{},
-		"cfg", "dimms", "buffers", "wl", "stats", "readLat", "writeAckLat",
+		"cfg", "dimms", "buffers", "window", "slots", "interleave", "wearLines",
+		"wl", "stats", "readLat", "writeAckLat",
 		"hold", "mce", "mceHandler", "drainScratch", "scrubLines", "tr", "trLane")
 	snapshot.CheckCovered(t, DataStore{},
 		"psm", "lines", "rsWords", "rs", "deadDevs",

@@ -127,8 +127,14 @@ type PSM struct {
 	cfg   Config
 	dimms []*nvdimm.DIMM
 
-	buffers     []rowBuffer
-	wl          *StartGap
+	buffers []rowBuffer
+	wl      *StartGap
+
+	// The address splits, by geometry fixed at New: lines per row-buffer
+	// window, row-buffer slots, DIMMs, and (when wl is set) wear-levelled
+	// lines.
+	window, slots, interleave, wearLines sim.Divisor
+
 	stats       Stats
 	readLat     *sim.LatencyHistogram
 	writeAckLat *sim.LatencyHistogram
@@ -172,6 +178,9 @@ func New(cfg Config) *PSM {
 	p := &PSM{
 		cfg:          cfg,
 		buffers:      make([]rowBuffer, cfg.Buffers),
+		window:       sim.NewDivisor(cfg.WindowLines),
+		slots:        sim.NewDivisor(uint64(cfg.Buffers)),
+		interleave:   sim.NewDivisor(uint64(cfg.DIMMs)),
 		readLat:      new(sim.LatencyHistogram),
 		writeAckLat:  new(sim.LatencyHistogram),
 		drainScratch: make([]uint64, 0, 64),
@@ -184,6 +193,7 @@ func New(cfg Config) *PSM {
 	p.hold = make([]sim.Time, cfg.DIMMs)
 	if cfg.WearLevelLines > 0 {
 		p.wl = NewStartGap(cfg.WearLevelLines, cfg.WearLevelThreshold, cfg.Seed)
+		p.wearLines = sim.NewDivisor(cfg.WearLevelLines)
 	}
 	return p
 }
@@ -208,18 +218,19 @@ func (p *PSM) SetMCEHandler(h func(now sim.Time, line uint64)) { p.mceHandler = 
 func (p *PSM) mapLine(line uint64) (d *nvdimm.DIMM, dimmIdx int, inner uint64) {
 	pl := line
 	if p.wl != nil {
-		pl = p.wl.Map(line % p.cfg.WearLevelLines)
+		pl = p.wl.Map(p.wearLines.Mod(line))
 	}
-	idx := int(pl % uint64(len(p.dimms)))
-	return p.dimms[idx], idx, pl / uint64(len(p.dimms))
+	inner, idx := p.interleave.DivMod(pl)
+	return p.dimms[idx], int(idx), inner
 }
 
-// bufferFor selects the row-buffer slot for a line's window.
+// bufferFor splits a line into its row-buffer window and its offset in the
+// window, and selects the window's row-buffer slot.
 //
 //lightpc:zeroalloc
-func (p *PSM) bufferFor(line uint64) *rowBuffer {
-	w := windowOf(line, p.cfg.WindowLines)
-	return &p.buffers[w%uint64(len(p.buffers))]
+func (p *PSM) bufferFor(line uint64) (rb *rowBuffer, window, off uint64) {
+	window, off = p.window.DivMod(line)
+	return &p.buffers[p.slots.Mod(window)], window, off
 }
 
 // Read services a 64 B cacheline read and returns its completion time.
@@ -239,7 +250,7 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	}
 
 	if p.cfg.RowBuffer {
-		if rb := p.bufferFor(line); rb.isDirty(line, p.cfg.WindowLines) {
+		if rb, w, off := p.bufferFor(line); rb.isDirty(w, off) {
 			p.stats.RowBufferServes++
 			done := start.Add(p.cfg.RowBufferLatency)
 			p.readLat.Add(done.Sub(now))
@@ -340,10 +351,10 @@ func (p *PSM) Write(now sim.Time, line uint64) sim.Time {
 		return ack
 	}
 
-	rb := p.bufferFor(line)
-	if rb.hit(line, p.cfg.WindowLines) {
+	rb, w, off := p.bufferFor(line)
+	if rb.hit(w) {
 		p.stats.RowBufferHits++
-		rb.markDirty(line, p.cfg.WindowLines)
+		rb.markDirty(off)
 		ack := start.Add(p.cfg.RowBufferLatency)
 		p.writeAckLat.Add(ack.Sub(now))
 		return ack
@@ -359,8 +370,8 @@ func (p *PSM) Write(now sim.Time, line uint64) sim.Time {
 			at = t
 		}
 	}
-	rb.openWindow(line, p.cfg.WindowLines)
-	rb.markDirty(line, p.cfg.WindowLines)
+	rb.openWindow(w)
+	rb.markDirty(off)
 	ack := sim.Max(at, start).Add(p.cfg.RowBufferLatency)
 	p.writeAckLat.Add(ack.Sub(now))
 	return ack

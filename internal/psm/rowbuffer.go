@@ -9,42 +9,30 @@ package psm
 // the media as an early-return write.
 type rowBuffer struct {
 	open   bool
-	window uint64 // window index (line / windowLines)
+	window uint64 // window index (line / WindowLines)
 	dirty  uint64 // bitmap over up to 64 lines inside the window
 }
 
-// windowOf computes the window index for a line.
+// hit reports whether window w is the open one.
 //
 //lightpc:zeroalloc
-func windowOf(line, windowLines uint64) uint64 { return line / windowLines }
-
-// hit reports whether the line falls in the open window.
-//
-//lightpc:zeroalloc
-func (rb *rowBuffer) hit(line, windowLines uint64) bool {
-	return rb.open && windowOf(line, windowLines) == rb.window
+func (rb *rowBuffer) hit(w uint64) bool {
+	return rb.open && rb.window == w
 }
 
-// dirtyBit returns the bitmap mask for a line within the window.
+// markDirty records a buffered write to line off of the open window.
 //
 //lightpc:zeroalloc
-func dirtyBit(line, windowLines uint64) uint64 {
-	return 1 << (line % windowLines)
+func (rb *rowBuffer) markDirty(off uint64) {
+	rb.dirty |= 1 << off
 }
 
-// markDirty records a buffered write.
+// isDirty reports whether line off of window w has buffered (not yet
+// programmed) data.
 //
 //lightpc:zeroalloc
-func (rb *rowBuffer) markDirty(line, windowLines uint64) {
-	rb.dirty |= dirtyBit(line, windowLines)
-}
-
-// isDirty reports whether the line has buffered (not yet programmed) data.
-//
-//lightpc:zeroalloc
-func (rb *rowBuffer) isDirty(line, windowLines uint64) bool {
-	return rb.open && windowOf(line, windowLines) == rb.window &&
-		rb.dirty&dirtyBit(line, windowLines) != 0
+func (rb *rowBuffer) isDirty(w, off uint64) bool {
+	return rb.hit(w) && rb.dirty&(1<<off) != 0
 }
 
 // drainInto appends the dirty lines to buf and empties the buffer. Every
@@ -70,11 +58,11 @@ func (rb *rowBuffer) drainInto(windowLines uint64, buf []uint64) []uint64 {
 	return buf
 }
 
-// openWindow switches the buffer to a new window (caller drains first).
+// openWindow switches the buffer to window w (caller drains first).
 //
 //lightpc:zeroalloc
-func (rb *rowBuffer) openWindow(line, windowLines uint64) {
+func (rb *rowBuffer) openWindow(w uint64) {
 	rb.open = true
-	rb.window = windowOf(line, windowLines)
+	rb.window = w
 	rb.dirty = 0
 }

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a small, fast, deterministic pseudo-random source
 // (xoshiro256**). Every stochastic element of the simulation draws from an
 // explicitly seeded RNG so runs are reproducible.
@@ -22,24 +27,19 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It is the xoshiro256** step
+// written on locals, with the state update folded into one store, so it
+// stays under the compiler's inlining budget (as does Below, which wraps
+// it): a generator's draws are inline, not calls.
 //
 //lightpc:zeroalloc
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
-
-//lightpc:zeroalloc
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Intn returns a uniform integer in [0, n). It panics when n <= 0.
 //
@@ -72,6 +72,30 @@ func (r *RNG) Float64() float64 {
 //
 //lightpc:zeroalloc
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// Threshold returns Bool(p) as an integer bound on a draw's top 53 bits:
+// Below(Threshold(p)) consumes the same draw and returns the same result
+// as Bool(p) for every p and every generator state. Bool compares
+// u/2^53 < p with u = x>>11, an exact scaling, so it holds exactly when
+// u < p·2^53, that is when u < ceil(p·2^53); the bound is clamped to
+// [0, 2^53], and NaN, which no draw is below, maps to 0.
+func Threshold(p float64) uint64 {
+	t := math.Ceil(p * (1 << 53))
+	switch {
+	case !(t > 0): // also NaN
+		return 0
+	case t >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(t)
+}
+
+// Below reports whether the next draw's top 53 bits are below t: Bool
+// with a probability precomputed by Threshold, one integer compare and no
+// float conversion.
+//
+//lightpc:zeroalloc
+func (r *RNG) Below(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Exp returns an exponentially distributed duration with the given mean.
 //
@@ -148,7 +172,7 @@ func SubSeed(seed uint64, label string) uint64 {
 // changes what either stream produces. Distinct labels yield decorrelated
 // streams; the same label always yields the same stream.
 func (r *RNG) Split(label string) *RNG {
-	return NewRNG(SubSeed(r.s[0]^rotl(r.s[2], 19), label))
+	return NewRNG(SubSeed(r.s[0]^bits.RotateLeft64(r.s[2], 19), label))
 }
 
 // Shuffle permutes the first n indices using swap, Fisher–Yates.

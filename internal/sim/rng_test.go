@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -212,5 +213,65 @@ func TestRNGBool(t *testing.T) {
 	p := float64(hits) / n
 	if p < 0.29 || p > 0.31 {
 		t.Fatalf("Bool(0.3) frequency = %v", p)
+	}
+}
+
+// TestThresholdMatchesBool checks that Below(Threshold(p)) and Bool(p)
+// agree on every draw, at the boundary draws either side of the threshold
+// and on random ones, for probabilities at every edge: 0, the smallest
+// subnormal, the generators' Table II knobs, one ulp below 1, 1, and the
+// out-of-range, infinite and NaN values Bool also accepts.
+func TestThresholdMatchesBool(t *testing.T) {
+	ps := []float64{0, 5e-324, 0.05, 0.15, 0.25, 0.5, 0.55, 0.7, 0.85,
+		1 - 0x1p-53, 1, 1.5, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, p := range ps {
+		th := Threshold(p)
+		if th > 1<<53 {
+			t.Fatalf("Threshold(%v) = %d, beyond 2^53", p, th)
+		}
+		check := func(x uint64) {
+			viaFloat := float64(x>>11)/(1<<53) < p
+			if viaInt := x>>11 < th; viaInt != viaFloat {
+				t.Fatalf("p=%v draw %#x: threshold %d says %v, Bool says %v", p, x, th, viaInt, viaFloat)
+			}
+		}
+		for _, u := range []uint64{th - 1, th, th + 1, 0, 1<<53 - 1} {
+			if u < 1<<53 {
+				check(u << 11)
+				check(u<<11 | 0x7ff)
+			}
+		}
+		a, b := NewRNG(th), NewRNG(th)
+		for i := 0; i < 10000; i++ {
+			if got, want := a.Below(th), b.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Below %v, Bool %v", p, i, got, want)
+			}
+		}
+	}
+	if Threshold(0.5) != 1<<52 || Threshold(1) != 1<<53 || Threshold(math.NaN()) != 0 {
+		t.Fatalf("Threshold(0.5, 1, NaN) = %d, %d, %d", Threshold(0.5), Threshold(1), Threshold(math.NaN()))
+	}
+}
+
+// TestUint64MatchesReference checks the inlinable Uint64 against the
+// textbook xoshiro256** step over many draws from several seeds.
+func TestUint64MatchesReference(t *testing.T) {
+	rotl := func(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
+	for seed := uint64(0); seed < 8; seed++ {
+		r := NewRNG(seed)
+		s := r.s
+		for i := 0; i < 10000; i++ {
+			want := rotl(s[1]*5, 7) * 9
+			tt := s[1] << 17
+			s[2] ^= s[0]
+			s[3] ^= s[1]
+			s[1] ^= s[2]
+			s[0] ^= s[3]
+			s[2] ^= tt
+			s[3] = rotl(s[3], 45)
+			if got := r.Uint64(); got != want || r.s != s {
+				t.Fatalf("seed %d draw %d: %#x (state %x), want %#x (state %x)", seed, i, got, r.s, want, s)
+			}
+		}
 	}
 }

@@ -3,9 +3,11 @@ package workload
 // Batched reference streaming. Driving a platform pulls tens of millions of
 // references per run; one Generator.Next interface call per reference is
 // pure dispatch overhead on that path. BatchSource lets a generator fill a
-// caller-provided slice in one call — inside NextBatch the receiver is
-// concrete, so the per-reference call devirtualizes (and inlines) — while
-// Next stays as the universal single-step shim.
+// caller-provided slice in one call, while Next stays as the universal
+// single-step shim. The Table II generators (Synthetic, Background) keep
+// their whole per-reference logic in one unexported step: NextBatch checks
+// the stream length once per batch and loops over step, and Next is a
+// shim over the same step, so the two paths cannot drift apart.
 //
 // The batching contract: NextBatch(buf) must emit exactly the references
 // the same sequence of Next calls would have emitted, in the same order,
@@ -44,33 +46,27 @@ func FillBatch(g Generator, buf []Ref) int {
 	return n
 }
 
-// NextBatch fills buf by stepping the generator with direct (devirtualized)
-// calls.
+// NextBatch fills buf by looping over the generator's step: no Next, no
+// per-reference end-of-stream check.
+//
+//lightpc:zeroalloc
 func (g *Synthetic) NextBatch(buf []Ref) int {
-	n := 0
-	for n < len(buf) {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
+	buf = buf[:min(uint64(len(buf)), g.Remaining())]
+	for i := range buf {
+		buf[i] = g.step()
 	}
-	return n
+	return len(buf)
 }
 
-// NextBatch fills buf by stepping the generator with direct calls.
+// NextBatch fills buf by looping over the generator's step.
+//
+//lightpc:zeroalloc
 func (b *Background) NextBatch(buf []Ref) int {
-	n := 0
-	for n < len(buf) {
-		r, ok := b.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
+	buf = buf[:min(uint64(len(buf)), b.left)]
+	for i := range buf {
+		buf[i] = b.step()
 	}
-	return n
+	return len(buf)
 }
 
 // NextBatch fills buf by stepping the generator with direct calls.

@@ -3,13 +3,15 @@ package workload
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/trace"
 )
 
 // batchEquals drives two identically-constructed generators — one through
-// Next, one through NextBatch with awkward buffer sizes — and requires
-// identical reference sequences, Remaining trajectories, and final Stats.
+// Next, one through NextBatch calls of awkward sizes interleaved with Next
+// calls — and requires identical reference sequences, Remaining
+// trajectories, and final Stats.
 func batchEquals(t *testing.T, name string, mk func() Generator) {
 	t.Helper()
 	serial := mk()
@@ -20,18 +22,25 @@ func batchEquals(t *testing.T, name string, mk func() Generator) {
 	}
 
 	// Deliberately odd sizes so batches straddle every internal phase
-	// boundary (STREAM element expansion, read/write mix switches, ...).
-	sizes := []int{1, 3, 7, 64, 2, 128, 5}
+	// boundary (STREAM element expansion, read/write mix switches, ...);
+	// a 0 is a single Next call on the same generator.
+	sizes := []int{1, 3, 0, 7, 64, 0, 0, 2, 128, 5}
 	var buf [128]Ref
-	si := 0
 	var got []Ref
-	for {
-		n := bs.NextBatch(buf[:sizes[si%len(sizes)]])
-		si++
-		if n == 0 {
-			break
+	for si := 0; ; si++ {
+		if sz := sizes[si%len(sizes)]; sz == 0 {
+			r, ok := batched.Next()
+			if !ok {
+				break
+			}
+			got = append(got, r)
+		} else {
+			n := bs.NextBatch(buf[:sz])
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
 		}
-		got = append(got, buf[:n]...)
 	}
 
 	var want []Ref
@@ -137,4 +146,12 @@ func mustSpecB(t *testing.T, name string) Spec {
 		t.Fatalf("unknown spec %q", name)
 	}
 	return s
+}
+
+// TestRefSize pins the reference record at 32 bytes: trace.Access packs
+// into 16 (Addr, Size, Op), so a core's 64-reference batch is 2 KB.
+func TestRefSize(t *testing.T) {
+	if a, r := unsafe.Sizeof(trace.Access{}), unsafe.Sizeof(Ref{}); a != 16 || r != 32 {
+		t.Fatalf("sizeof trace.Access = %d, Ref = %d; want 16 and 32", a, r)
+	}
 }

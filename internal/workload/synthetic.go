@@ -64,6 +64,9 @@ func GapCycles(s Spec) int {
 	return g
 }
 
+// recentLines is the recent-write ring's capacity.
+const recentLines = 256
+
 // recentRing remembers recently written lines so read misses can target
 // them — the read-after-write behaviour of Figure 16. Picks are biased
 // toward the newest entries (concurrent readers chase fresh writes).
@@ -73,8 +76,12 @@ type recentRing struct {
 	full bool
 }
 
+// newRecentRing builds a ring of n lines, 0 < n ≤ recentLines.
 func newRecentRing(n int) *recentRing { return &recentRing{buf: make([]uint64, n)} }
 
+// push records a written line, overwriting the oldest once the ring is full.
+//
+//lightpc:zeroalloc
 func (r *recentRing) push(line uint64) {
 	r.buf[r.next] = line
 	r.next++
@@ -84,6 +91,9 @@ func (r *recentRing) push(line uint64) {
 	}
 }
 
+// size reports how many lines the ring holds.
+//
+//lightpc:zeroalloc
 func (r *recentRing) size() int {
 	if r.full {
 		return len(r.buf)
@@ -91,17 +101,36 @@ func (r *recentRing) size() int {
 	return r.next
 }
 
+// spanDivisors[n] divides by n for every span a pick draws over, so a pick
+// is divide-free even while the ring is still filling and its size is not
+// a power of two.
+var spanDivisors = func() (d [recentLines + 1]sim.Divisor) {
+	for n := 1; n <= recentLines; n++ {
+		d[n] = sim.NewDivisor(uint64(n))
+	}
+	return d
+}()
+
+// The fixed Bernoulli draws of the generators, as sim.Threshold bounds.
+var (
+	newestEight = sim.Threshold(0.7)  // a recent-write pick stays in the newest eight
+	sequential  = sim.Threshold(0.5)  // a non-RAW read continues the read cursor
+	bgRead      = sim.Threshold(0.85) // a background reference is a read
+)
+
 // pick returns a recently written line, favouring the newest eight.
+//
+//lightpc:zeroalloc
 func (r *recentRing) pick(rng *sim.RNG) (uint64, bool) {
 	n := r.size()
 	if n == 0 {
 		return 0, false
 	}
 	span := n
-	if span > 8 && rng.Bool(0.7) {
+	if span > 8 && rng.Below(newestEight) {
 		span = 8
 	}
-	back := rng.Intn(span) + 1
+	back := int(spanDivisors[span].Mod(rng.Uint64())) + 1
 	idx := r.next - back
 	for idx < 0 {
 		idx += len(r.buf)
@@ -111,20 +140,25 @@ func (r *recentRing) pick(rng *sim.RNG) (uint64, bool) {
 
 // Synthetic is the Table II-driven memory-level trace generator.
 type Synthetic struct {
-	spec Spec
-	rng  *sim.RNG
+	name string
+	rng  sim.RNG
 
 	readsLeft  uint64
 	writesLeft uint64
 	gap        int
 
+	// rawRead and streamWrite are the spec's RAWFrac and WriteStreamFrac
+	// as sim.Threshold bounds.
+	rawRead     uint64
+	streamWrite uint64
+
 	recent *recentRing
 
-	readCursor  uint64
+	readCursor  uint64 // always below foot.N()
 	writeCursor uint64
 
-	footLines uint64
-	stats     trace.Stats
+	foot  sim.Divisor // footprint in lines
+	stats trace.Stats
 }
 
 // NewSynthetic builds a generator that emits sampleOps memory-level
@@ -136,21 +170,23 @@ func NewSynthetic(spec Spec, sampleOps uint64, seed uint64) *Synthetic {
 	}
 	reads := uint64(float64(sampleOps) * spec.Reads / total)
 	writes := sampleOps - reads
-	rng := sim.NewRNG(seed ^ hashName(spec.Name))
+	footLines := spec.FootprintBytes / trace.CacheLineSize
+	if footLines == 0 {
+		footLines = 1 << 20
+	}
 	g := &Synthetic{
-		spec:       spec,
-		rng:        rng,
-		readsLeft:  reads,
-		writesLeft: writes,
-		gap:        GapCycles(spec),
-		recent:     newRecentRing(256),
-		footLines:  spec.FootprintBytes / trace.CacheLineSize,
+		name:        spec.Name,
+		rng:         *sim.NewRNG(seed ^ hashName(spec.Name)),
+		readsLeft:   reads,
+		writesLeft:  writes,
+		gap:         GapCycles(spec),
+		rawRead:     sim.Threshold(spec.RAWFrac),
+		streamWrite: sim.Threshold(spec.WriteStreamFrac),
+		recent:      newRecentRing(recentLines),
+		foot:        sim.NewDivisor(footLines),
 	}
-	if g.footLines == 0 {
-		g.footLines = 1 << 20
-	}
-	g.readCursor = rng.Uint64n(g.footLines)
-	g.writeCursor = rng.Uint64n(g.footLines)
+	g.readCursor = g.rng.Uint64n(footLines)
+	g.writeCursor = g.rng.Uint64n(footLines)
 	return g
 }
 
@@ -164,9 +200,11 @@ func hashName(s string) uint64 {
 }
 
 // Name reports the workload name.
-func (g *Synthetic) Name() string { return g.spec.Name }
+func (g *Synthetic) Name() string { return g.name }
 
 // Remaining reports how many references are left.
+//
+//lightpc:zeroalloc
 func (g *Synthetic) Remaining() uint64 { return g.readsLeft + g.writesLeft }
 
 // Stats exposes the emitted-traffic characterization.
@@ -174,60 +212,71 @@ func (g *Synthetic) Stats() trace.Stats { return g.stats }
 
 const pageLines = 64 // 4 KB of 64 B lines
 
-// nextLine picks the target line.
-func (g *Synthetic) nextLine(isRead bool) uint64 {
-	if isRead {
-		if g.rng.Bool(g.spec.RAWFrac) {
-			if line, ok := g.recent.pick(g.rng); ok {
-				return line
-			}
-		}
-		if g.rng.Bool(0.5) {
-			g.readCursor = (g.readCursor + 1) % g.footLines
-			return g.readCursor
-		}
-		return g.rng.Uint64n(g.footLines)
-	}
-	if g.rng.Bool(g.spec.WriteStreamFrac) {
-		page := g.writeCursor / pageLines
-		g.writeCursor = page*pageLines + (g.writeCursor+1)%pageLines
-		return g.writeCursor
-	}
-	g.writeCursor = g.rng.Uint64n(g.footLines)
-	return g.writeCursor
-}
-
 // Next emits one memory-level reference.
 func (g *Synthetic) Next() (Ref, bool) {
-	total := g.readsLeft + g.writesLeft
-	if total == 0 {
+	if g.Remaining() == 0 {
 		return Ref{}, false
 	}
-	isRead := g.rng.Uint64n(total) < g.readsLeft
-	ref := Ref{ComputeCycles: g.gap}
-	if isRead {
+	return g.step(), true
+}
+
+// step emits one memory-level reference; the caller guarantees
+// Remaining() > 0. Its draws, in order: the read/write pick; for a read,
+// the read-after-write trial (and, if it fires on a non-empty ring, the
+// recent-write pick), then the sequential trial, then a uniform line; for
+// a write, the page-stream trial, then a uniform line.
+//
+//lightpc:zeroalloc
+func (g *Synthetic) step() Ref {
+	ref := Ref{Access: trace.Access{Size: trace.CacheLineSize}, ComputeCycles: g.gap}
+	var line uint64
+	// The read/write pick divides by the references left, which change on
+	// every call: the one hardware divide per reference.
+	if g.rng.Uint64n(g.readsLeft+g.writesLeft) < g.readsLeft {
 		g.readsLeft--
 		g.stats.Reads++
-		line := g.nextLine(true)
-		ref.Access = trace.Access{Op: trace.OpRead, Addr: line * trace.CacheLineSize, Size: trace.CacheLineSize}
-		return ref, true
+		ref.Access.Op = trace.OpRead
+		ok := false
+		if g.rng.Below(g.rawRead) {
+			line, ok = g.recent.pick(&g.rng)
+		}
+		switch {
+		case ok:
+		case g.rng.Below(sequential):
+			if g.readCursor++; g.readCursor == g.foot.N() {
+				g.readCursor = 0
+			}
+			line = g.readCursor
+		default:
+			line = g.foot.Mod(g.rng.Uint64())
+		}
+	} else {
+		g.writesLeft--
+		g.stats.Writes++
+		ref.Access.Op = trace.OpWrite
+		if g.rng.Below(g.streamWrite) {
+			page := g.writeCursor / pageLines
+			g.writeCursor = page*pageLines + (g.writeCursor+1)%pageLines
+		} else {
+			g.writeCursor = g.foot.Mod(g.rng.Uint64())
+		}
+		line = g.writeCursor
+		g.recent.push(line)
 	}
-	g.writesLeft--
-	g.stats.Writes++
-	line := g.nextLine(false)
-	g.recent.push(line)
-	ref.Access = trace.Access{Op: trace.OpWrite, Addr: line * trace.CacheLineSize, Size: trace.CacheLineSize}
-	return ref, true
+	ref.Access.Addr = line * trace.CacheLineSize
+	return ref
 }
+
+// backgroundLines is the kernel threads' 64 MB footprint in lines.
+const backgroundLines = (64 << 20) / trace.CacheLineSize
 
 // Background generates the ambient kernel-thread traffic every measurement
 // runs on top of ("all the workloads are executed upon our system already
 // running tens of kernel threads", Section VI): read-mostly references with
 // light intensity spread over a modest footprint.
 type Background struct {
-	rng   *sim.RNG
+	rng   sim.RNG
 	left  uint64
-	foot  uint64
 	stats trace.Stats
 }
 
@@ -235,9 +284,8 @@ type Background struct {
 // references.
 func NewBackground(sampleOps uint64, seed uint64) *Background {
 	return &Background{
-		rng:  sim.NewRNG(seed ^ 0xBEEFBEEF),
+		rng:  *sim.NewRNG(seed ^ 0xBEEFBEEF),
 		left: sampleOps,
-		foot: (64 << 20) / trace.CacheLineSize,
 	}
 }
 
@@ -245,26 +293,38 @@ func NewBackground(sampleOps uint64, seed uint64) *Background {
 func (b *Background) Name() string { return "kernel-threads" }
 
 // Remaining reports outstanding references.
+//
+//lightpc:zeroalloc
 func (b *Background) Remaining() uint64 { return b.left }
 
 // Stats exposes traffic counters.
 func (b *Background) Stats() trace.Stats { return b.stats }
 
-// Next emits one reference: 85% reads, sparse in time (kernel threads are
-// mostly idle).
+// Next emits one reference.
 func (b *Background) Next() (Ref, bool) {
 	if b.left == 0 {
 		return Ref{}, false
 	}
+	return b.step(), true
+}
+
+// step emits one reference, 85% reads, sparse in time (kernel threads are
+// mostly idle); the caller guarantees Remaining() > 0. It draws the line,
+// then the read/write trial.
+//
+//lightpc:zeroalloc
+func (b *Background) step() Ref {
 	b.left--
-	ref := Ref{ComputeCycles: 80} // sparse: mostly idle housekeeping
-	line := b.rng.Uint64n(b.foot)
-	if b.rng.Bool(0.85) {
+	line := b.rng.Uint64() % backgroundLines
+	ref := Ref{
+		Access:        trace.Access{Addr: line * trace.CacheLineSize, Size: trace.CacheLineSize, Op: trace.OpWrite},
+		ComputeCycles: 80, // sparse: mostly idle housekeeping
+	}
+	if b.rng.Below(bgRead) {
 		b.stats.Reads++
-		ref.Access = trace.Access{Op: trace.OpRead, Addr: line * trace.CacheLineSize, Size: trace.CacheLineSize}
+		ref.Access.Op = trace.OpRead
 	} else {
 		b.stats.Writes++
-		ref.Access = trace.Access{Op: trace.OpWrite, Addr: line * trace.CacheLineSize, Size: trace.CacheLineSize}
 	}
-	return ref, true
+	return ref
 }

@@ -82,8 +82,12 @@ type Config struct {
 	Kernel kernel.Config // the mini-OS SnG operates on
 	Power  power.Params
 
-	// SampleOps is how many memory references each workload run samples
-	// (results scale linearly; larger = smoother, slower).
+	// SampleOps sizes a workload run's reference streams (cpu.Fanout). A
+	// multithreaded spec on more than one core runs ⌊SampleOps/Cores⌋
+	// references on each core. Any other spec runs SampleOps references on
+	// core 0, plus ⌊SampleOps/4⌋ kernel-thread background references on
+	// each other core: 2.75×SampleOps in all at the default 8 cores.
+	// Results scale linearly; larger = smoother, slower.
 	SampleOps uint64
 	Seed      uint64
 

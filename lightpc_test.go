@@ -191,3 +191,18 @@ func TestPlatformDataStore(t *testing.T) {
 		t.Fatal("LegacyPC should have no data store")
 	}
 }
+
+// TestZeroDRAMRowSizeDefaults checks that a LegacyPC with DRAM.RowSize 0
+// runs as if the row size were dram.DefaultConfig's, the way a zero Banks
+// falls back to one bank, instead of dividing by zero on the first
+// reference.
+func TestZeroDRAMRowSizeDefaults(t *testing.T) {
+	cfg := DefaultConfig(LegacyPC)
+	cfg.SampleOps = 5_000
+	want := New(cfg).Run(mustSpec(t, "gcc"))
+	cfg.DRAM.RowSize = 0
+	got := New(cfg).Run(mustSpec(t, "gcc"))
+	if got != want {
+		t.Fatalf("RowSize 0 run = %+v, want the default row size's %+v", got, want)
+	}
+}
