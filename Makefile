@@ -61,15 +61,11 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-benchseed -out $(BIN)/bench-new.json
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
-# fuzz-smoke: a short native-fuzzing pass over each codec/parser target, the
-# line-table, LRU-index, word-table and latency-histogram differential
-# models, the divisor-vs-hardware-divide check, and the crash-cut fuzzers
-# (the checked-in corpora also replay as plain seeds in `make test`).
+# fuzz-smoke: a short native-fuzzing pass over the line-table, LRU-index,
+# word-table and latency-histogram differential models, the
+# divisor-vs-hardware-divide check, and the crash-cut fuzzers (the
+# checked-in corpora also replay as plain seeds in `make test`).
 fuzz-smoke:
-	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=2s
-	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=2s
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplayParse -fuzztime=2s
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=2s
 	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
 	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
 	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=2s

@@ -71,20 +71,3 @@ func (p *Platform) forkBytes() uint64 {
 	}
 	return n
 }
-
-// PlatformSnapshot is a frozen fork of a platform — a template that hands
-// out any number of independent forks. The snapshot itself is never
-// run: Snapshot copies the source once, and each Fork copies the frozen
-// image, so forks taken before and after the source keeps running are
-// identical.
-type PlatformSnapshot struct {
-	frozen *Platform
-}
-
-// Snapshot freezes the platform's current state into a reusable template.
-func (p *Platform) Snapshot() *PlatformSnapshot {
-	return &PlatformSnapshot{frozen: p.Fork()}
-}
-
-// Fork returns a fresh platform initialized from the frozen image.
-func (s *PlatformSnapshot) Fork() *Platform { return s.frozen.Fork() }

@@ -90,18 +90,3 @@ func TestForkEnergyRewired(t *testing.T) {
 		t.Fatal("fork's meters did not advance past the base's")
 	}
 }
-
-// TestSnapshotFork checks the frozen-snapshot surface: every Fork() off
-// one Snapshot yields the same behaviour, even after siblings ran.
-func TestSnapshotFork(t *testing.T) {
-	cfg := DefaultConfig(LightPCFull)
-	cfg.SampleOps = 5_000
-	spec := mustSpec(t, "gcc")
-	snap := New(cfg).Snapshot()
-	first := runJSON(t, snap.Fork().Run(spec))
-	snap.Fork().ColdBoot() // consume and discard an unrelated fork
-	second := runJSON(t, snap.Fork().Run(spec))
-	if first != second {
-		t.Fatalf("snapshot forks diverged:\nfirst:  %s\nsecond: %s", first, second)
-	}
-}

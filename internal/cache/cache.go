@@ -163,17 +163,6 @@ func (c *Cache) DirtyLines() int {
 	return n
 }
 
-// MarkAllDirty makes every line valid and dirty — the Fig 22 worst case
-// ("making all cachelines fully dirty thereby flushing the entire cache").
-func (c *Cache) MarkAllDirty() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.stamp++
-			c.sets[s][i] = way{tag: uint64(i), valid: true, dirty: true, lru: c.stamp}
-		}
-	}
-}
-
 // Flush writes every dirty line back and invalidates the cache — the cache
 // dump SnG performs per core. It returns the time the last writeback is
 // acknowledged.
@@ -195,16 +184,6 @@ func (c *Cache) Flush(now sim.Time) sim.Time {
 		}
 	}
 	return end
-}
-
-// Invalidate drops all lines without writing anything back (cold-boot
-// path).
-func (c *Cache) Invalidate() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
-		}
-	}
 }
 
 // Stats returns a copy of the counters.

@@ -114,30 +114,6 @@ func TestFlushWritesAllDirty(t *testing.T) {
 	}
 }
 
-func TestMarkAllDirtyThenFlush(t *testing.T) {
-	c, b := newTestCache()
-	c.MarkAllDirty()
-	if c.DirtyLines() != c.Lines() {
-		t.Fatalf("DirtyLines = %d, want %d", c.DirtyLines(), c.Lines())
-	}
-	c.Flush(0)
-	if len(b.writes) != c.Lines() {
-		t.Fatalf("flushed %d lines, want %d", len(b.writes), c.Lines())
-	}
-}
-
-func TestInvalidateDropsWithoutWriteback(t *testing.T) {
-	c, b := newTestCache()
-	c.Access(0, trace.Access{Op: trace.OpWrite, Addr: 0})
-	c.Invalidate()
-	if len(b.writes) != 0 {
-		t.Fatal("invalidate wrote back")
-	}
-	if c.DirtyLines() != 0 {
-		t.Fatal("invalidate left dirty lines")
-	}
-}
-
 func TestHitRateStats(t *testing.T) {
 	c, _ := newTestCache()
 	c.Access(0, trace.Access{Op: trace.OpRead, Addr: 0})

@@ -10,7 +10,6 @@ package dram
 
 import (
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config parameterizes the DIMM timing.
@@ -154,15 +153,6 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 	d.writes.Inc()
 	done, _ := d.access(now, addr)
 	return done
-}
-
-// Access dispatches by op, mirroring the backend interface used by
-// controllers.
-func (d *DIMM) Access(now sim.Time, a trace.Access) sim.Time {
-	if a.Op == trace.OpWrite {
-		return d.Write(now, a.Addr)
-	}
-	return d.Read(now, a.Addr)
 }
 
 // Drain reports when all banks go idle.

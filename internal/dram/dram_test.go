@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func noRefresh() Config {
@@ -87,19 +86,6 @@ func TestRefreshCountGrowsWithTime(t *testing.T) {
 	want := uint64(sim.Millisecond / cfg.RefreshInterval)
 	if refreshes < want-2 || refreshes > want+2 {
 		t.Fatalf("refreshes = %d, want ~%d", refreshes, want)
-	}
-}
-
-func TestAccessDispatch(t *testing.T) {
-	d := New(noRefresh())
-	d.Access(0, trace.Access{Op: trace.OpRead, Addr: 0, Size: 64})
-	d.Access(sim.Time(sim.Microsecond), trace.Access{Op: trace.OpWrite, Addr: 64, Size: 64})
-	r, w, hits, _ := d.Stats()
-	if r != 1 || w != 1 {
-		t.Fatalf("reads/writes = %d/%d", r, w)
-	}
-	if hits != 1 {
-		t.Fatalf("expected write to hit open row, hits=%d", hits)
 	}
 }
 

@@ -68,15 +68,6 @@ func gfPow(p int) byte {
 	return gfExp[p]
 }
 
-// polyEval evaluates a polynomial (coefficients highest-order first) at x.
-func polyEval(poly []byte, x byte) byte {
-	var y byte
-	for _, c := range poly {
-		y = gfMul(y, x) ^ c
-	}
-	return y
-}
-
 // polyMul multiplies two polynomials.
 func polyMul(a, b []byte) []byte {
 	out := make([]byte, len(a)+len(b)-1)

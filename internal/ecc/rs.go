@@ -30,9 +30,6 @@ func NewRS(t int) *RS {
 	return &RS{t: t, gen: gen}
 }
 
-// T reports the symbol-correction capability.
-func (r *RS) T() int { return r.t }
-
 // ParitySymbols reports the redundancy (2t bytes).
 func (r *RS) ParitySymbols() int { return 2 * r.t }
 

@@ -13,9 +13,7 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -220,27 +218,3 @@ func (s *Store) Stats() (appends, barriers, checkpoints uint64) {
 
 // Len reports live keys.
 func (s *Store) Len() int { return s.mem.Len() }
-
-// EncodeRecord serializes a record (the on-disk format, exercised by
-// tests; 17 bytes: key, value, commit flag).
-func EncodeRecord(r logRecord) []byte {
-	out := make([]byte, 17)
-	binary.LittleEndian.PutUint64(out, r.key)
-	binary.LittleEndian.PutUint64(out[8:], r.value)
-	if r.commit {
-		out[16] = 1
-	}
-	return out
-}
-
-// DecodeRecord parses a serialized record.
-func DecodeRecord(b []byte) (logRecord, error) {
-	if len(b) != 17 {
-		return logRecord{}, fmt.Errorf("journal: record length %d", len(b))
-	}
-	return logRecord{
-		key:    binary.LittleEndian.Uint64(b),
-		value:  binary.LittleEndian.Uint64(b[8:]),
-		commit: b[16] == 1,
-	}, nil
-}

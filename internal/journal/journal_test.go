@@ -100,17 +100,6 @@ func TestJournalingCostsTime(t *testing.T) {
 	}
 }
 
-func TestRecordCodecRoundTrip(t *testing.T) {
-	r := logRecord{key: 42, value: 99, commit: true}
-	got, err := DecodeRecord(EncodeRecord(r))
-	if err != nil || got != r {
-		t.Fatalf("round trip: %+v, %v", got, err)
-	}
-	if _, err := DecodeRecord([]byte{1, 2}); err == nil {
-		t.Fatal("short record accepted")
-	}
-}
-
 // Property: after any sequence of put/commit/crash, recovery reflects
 // exactly the committed prefix.
 func TestCrashConsistencyProperty(t *testing.T) {

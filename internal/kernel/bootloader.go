@@ -78,6 +78,8 @@ func (b *Bootloader) HasCommit() bool {
 	return b.ocpmem.Read(bcbBase+bcbCommitOff) == commitMagic
 }
 
-// ClearCommit consumes the commit (Go clears it once recovery starts so a
-// crash during recovery falls back to a cold boot of the recovered image).
+// ClearCommit consumes the commit. Go calls it as its last step, after it
+// has resumed the devices, restored the wear-leveler metadata and requeued
+// every task, so a second outage during Go finds the commit still set and
+// the next Go runs again from the same BCB.
 func (b *Bootloader) ClearCommit() { b.ocpmem.Write(bcbBase+bcbCommitOff, 0) }

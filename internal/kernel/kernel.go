@@ -1,10 +1,9 @@
 // Package kernel is the mini operating system PecOS operates on: process
 // control blocks with saveable architectural state, per-core run queues
-// under a CFS-style fair scheduler with wait queues and fork/exit/reap, a
-// dpm-ordered device list with the standard power-management callback
-// ladder, per-process page tables with per-core TLBs, volatile (DRAM) and
-// persistent (OC-PMEM) memory banks, hibernation images, and a bootloader
-// with its control block (BCB).
+// under a CFS-style fair scheduler with wait queues, a dpm-ordered device
+// list with the standard power-management callback ladder, volatile (DRAM)
+// and persistent (OC-PMEM) memory banks, hibernation images, and a
+// bootloader with its control block (BCB).
 //
 // It deliberately exposes the exact state Stop-and-Go manipulates —
 // TIF_SIGPENDING, TASK_UNINTERRUPTIBLE, run-queue membership, dpm_list
@@ -82,10 +81,6 @@ type Core struct {
 	// DirtyLines approximates the core's dirty L1 content for flush-cost
 	// accounting.
 	DirtyLines int
-
-	// TLB is the core's translation cache (nil until AttachVM); Go
-	// flushes it before rescheduling.
-	TLB *TLB
 }
 
 // Kernel is the live system image.
@@ -279,7 +274,8 @@ func (k *Kernel) Sleepers() []*Process {
 	return out
 }
 
-// Alive returns every non-stopped process, the traversal from init_task.
+// Alive returns every non-stopped process; the flat PCB list stands in for
+// the paper's traversal from init_task.
 func (k *Kernel) Alive() []*Process {
 	var out []*Process
 	for _, p := range k.Procs {

@@ -16,9 +16,7 @@ const (
 	// TaskUninterruptible has been parked by Drive-to-Idle: it cannot be
 	// scheduled and cannot take signals.
 	TaskUninterruptible
-	// TaskZombie has exited but awaits reaping by its parent.
-	TaskZombie
-	// TaskStopped has exited and been reaped (or is unrecoverable).
+	// TaskStopped is unrecoverable: its state was lost in an outage.
 	TaskStopped
 )
 
@@ -33,8 +31,6 @@ func (s ProcState) String() string {
 		return "sleeping"
 	case TaskUninterruptible:
 		return "uninterruptible"
-	case TaskZombie:
-		return "zombie"
 	case TaskStopped:
 		return "stopped"
 	default:
@@ -70,16 +66,6 @@ type Process struct {
 
 	// wq is the wait queue the task sleeps on (nil when awake).
 	wq *WaitQueue
-
-	// PageTable is the task's address space (nil until AttachVM); its Root
-	// is the page-table-directory pointer the PCB carries through the
-	// EP-cut.
-	PageTable *PageTable
-
-	// Parent links the task into the init-derived process tree
-	// (Drive-to-Idle "traverses alive PCBs derived from the init
-	// process").
-	Parent *Process
 
 	// memBase is where the process's working set lives in its bank.
 	memBase uint64

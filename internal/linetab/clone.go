@@ -27,29 +27,16 @@ func (c *Counters) Clone() *Counters {
 	return &Counters{
 		dir:     c.dir.clone(),
 		pages:   slices.Clone(c.pages),
-		epochs:  slices.Clone(c.epochs),
-		epoch:   c.epoch,
 		touched: c.touched,
 	}
-}
-
-// Clone returns a deep copy sharing no state with t.
-func (t *Table) Clone() *Table {
-	if t == nil {
-		return nil
-	}
-	out := t.cloneValue()
-	return &out
 }
 
 // cloneValue deep-copies a Table held by value (the Slab embeds one).
 func (t *Table) cloneValue() Table {
 	return Table{
-		dir:    t.dir.clone(),
-		pages:  slices.Clone(t.pages),
-		epochs: slices.Clone(t.epochs),
-		epoch:  t.epoch,
-		count:  t.count,
+		dir:   t.dir.clone(),
+		pages: slices.Clone(t.pages),
+		count: t.count,
 	}
 }
 
@@ -60,11 +47,9 @@ func (b *Bits) Clone() *Bits {
 		return nil
 	}
 	return &Bits{
-		dir:    b.dir.clone(),
-		pages:  slices.Clone(b.pages),
-		epochs: slices.Clone(b.epochs),
-		epoch:  b.epoch,
-		count:  b.count,
+		dir:   b.dir.clone(),
+		pages: slices.Clone(b.pages),
+		count: b.count,
 	}
 }
 

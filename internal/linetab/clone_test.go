@@ -12,11 +12,11 @@ func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, dirIndex{},
 		"dense", "spillKeys", "spillSlots", "spillLive", "spillShift")
 	snapshot.CheckCovered(t, Counters{},
-		"dir", "pages", "epochs", "epoch", "touched")
+		"dir", "pages", "touched")
 	snapshot.CheckCovered(t, Table{},
-		"dir", "pages", "epochs", "epoch", "count")
+		"dir", "pages", "count")
 	snapshot.CheckCovered(t, Bits{},
-		"dir", "pages", "epochs", "epoch", "count")
+		"dir", "pages", "count")
 	snapshot.CheckCovered(t, Slab{},
 		"rec", "refs", "arena")
 	snapshot.CheckCovered(t, Flight{},
@@ -41,7 +41,7 @@ func TestCloneIndependence(t *testing.T) {
 
 	tb := NewTable()
 	tb.Set(7, 70)
-	tc := tb.Clone()
+	tc := tb.cloneValue()
 	tc.Set(7, 71)
 	if v, _ := tb.Get(7); v != 70 {
 		t.Fatalf("source table changed by clone write: %d", v)
@@ -91,18 +91,6 @@ func BenchmarkCountersClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.Clone()
-	}
-}
-
-func BenchmarkTableClone(b *testing.B) {
-	tb := NewTable()
-	for i := 0; i < 4096; i++ {
-		tb.Set(uint64(i*37), uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tb.Clone()
 	}
 }
 

@@ -173,12 +173,3 @@ func (f *Flight) Len() int { return f.live }
 
 // Cap reports the arena size in slots — the bounded-memory observable.
 func (f *Flight) Cap() int { return len(f.keys) }
-
-// Reset empties the set.
-func (f *Flight) Reset() {
-	for i := range f.ends {
-		f.ends[i] = 0
-	}
-	f.live = 0
-	f.maxEnd = 0
-}

@@ -1,11 +1,11 @@
-// Package linetab provides the paged, epoch-stamped dense tables that back
-// the device-model hot paths (pram wear, psm poison/line metadata, memctrl
-// tag arrays). The simulated address spaces are line- or row-indexed and
-// dense from zero (a workload footprint divided into 64 B lines), which a
-// Go map serves with a hash, a probe, and incremental growth on every
-// access; a profile of the experiment suite showed ~40% of all CPU inside
-// map machinery for exactly these lookups. A paged table replaces that
-// with one directory load and one slot load.
+// Package linetab provides the paged dense tables that back the
+// device-model hot paths (pram wear, psm poison/line metadata, memctrl tag
+// arrays). The simulated address spaces are line- or row-indexed and dense
+// from zero (a workload footprint divided into 64 B lines), which a Go map
+// serves with a hash, a probe, and incremental growth on every access; a
+// profile of the experiment suite showed ~40% of all CPU inside map
+// machinery for exactly these lookups. A paged table replaces that with
+// one directory load and one slot load.
 //
 // Layout: a sparse page directory maps idx>>PageBits to fixed-size pages of
 // typed slots. The directory is a flat slice for the page indices real
@@ -13,11 +13,9 @@
 // spill table behind it so arbitrary 64-bit indices — fuzzers, adversarial
 // tests — stay correct without unbounded directory growth.
 //
-// Pages are epoch-stamped: Reset bumps the table epoch in O(1) and pages
-// revalidate (one memclr) on next touch, the same trick pmemdimm's LRU
-// tiers use for their flush epochs. Iteration (ForEach, Max) walks pages in
-// index order, so anything derived from a scan — a wear maximum, a scrub
-// order — is deterministic, unlike ranging over a map.
+// Iteration (ForEach, Max) walks pages in index order, so anything derived
+// from a scan — a wear maximum, a scrub order — is deterministic, unlike
+// ranging over a map.
 //
 // All tables treat absent slots as zero values; none of them allocate on
 // reads, and writes allocate only when they touch a page for the first
@@ -175,68 +173,38 @@ func (d *dirIndex) forEach(fn func(pi uint64, slot int32)) {
 type Counters struct {
 	dir     dirIndex
 	pages   []counterPage
-	epochs  []uint64
-	epoch   uint64
 	touched int
 }
 
 type counterPage [PageSize]uint64
 
 // NewCounters builds an empty counter table.
-func NewCounters() *Counters { return &Counters{epoch: 1} }
-
-// page returns the current-epoch page holding idx, or nil.
-//
-//lightpc:zeroalloc
-func (c *Counters) page(idx uint64) *counterPage {
-	slot := c.dir.get(idx >> PageBits)
-	if slot < 0 || c.epochs[slot] != c.epoch {
-		return nil
-	}
-	return &c.pages[slot]
-}
-
-// ensure returns the current-epoch page holding idx, creating or
-// revalidating it as needed.
-//
-//lightpc:zeroalloc
-func (c *Counters) ensure(idx uint64) *counterPage {
-	pi := idx >> PageBits
-	slot := c.dir.get(pi)
-	if slot < 0 {
-		slot = int32(len(c.pages))
-		//lint:allow zeroalloc page allocation happens once per page, on first touch
-		c.pages = append(c.pages, counterPage{})
-		//lint:allow zeroalloc page allocation happens once per page, on first touch
-		c.epochs = append(c.epochs, c.epoch)
-		c.dir.put(pi, slot)
-		return &c.pages[slot]
-	}
-	p := &c.pages[slot]
-	if c.epochs[slot] != c.epoch {
-		*p = counterPage{}
-		c.epochs[slot] = c.epoch
-	}
-	return p
-}
+func NewCounters() *Counters { return &Counters{} }
 
 // Get reports the counter at idx (zero when untouched).
 //
 //lightpc:zeroalloc
 func (c *Counters) Get(idx uint64) uint64 {
-	p := c.page(idx)
-	if p == nil {
+	slot := c.dir.get(idx >> PageBits)
+	if slot < 0 {
 		return 0
 	}
-	return p[idx&pageMask]
+	return c.pages[slot][idx&pageMask]
 }
 
 // Add adds delta to the counter at idx and reports the new value.
 //
 //lightpc:zeroalloc
 func (c *Counters) Add(idx uint64, delta uint64) uint64 {
-	p := c.ensure(idx)
-	v := &p[idx&pageMask]
+	pi := idx >> PageBits
+	slot := c.dir.get(pi)
+	if slot < 0 {
+		slot = int32(len(c.pages))
+		//lint:allow zeroalloc page allocation happens once per page, on first touch
+		c.pages = append(c.pages, counterPage{})
+		c.dir.put(pi, slot)
+	}
+	v := &c.pages[slot][idx&pageMask]
 	old := *v
 	*v = old + delta
 	if old == 0 {
@@ -254,31 +222,8 @@ func (c *Counters) Add(idx uint64, delta uint64) uint64 {
 //lightpc:zeroalloc
 func (c *Counters) Inc(idx uint64) uint64 { return c.Add(idx, 1) }
 
-// Set stores v at idx.
-//
-//lightpc:zeroalloc
-func (c *Counters) Set(idx uint64, v uint64) {
-	p := c.ensure(idx)
-	s := &p[idx&pageMask]
-	if *s == 0 {
-		if v != 0 {
-			c.touched++
-		}
-	} else if v == 0 {
-		c.touched--
-	}
-	*s = v
-}
-
 // Touched reports how many slots hold a nonzero count.
 func (c *Counters) Touched() int { return c.touched }
-
-// Reset clears the table in O(1) by bumping the epoch; pages revalidate
-// lazily on next touch.
-func (c *Counters) Reset() {
-	c.epoch++
-	c.touched = 0
-}
 
 // Max reports the highest counter and its index, scanning in index order so
 // ties resolve to the lowest index. Zero values when the table is empty.
@@ -294,9 +239,6 @@ func (c *Counters) Max() (idx, val uint64) {
 // ForEach visits every nonzero slot in ascending index order.
 func (c *Counters) ForEach(fn func(idx, val uint64)) {
 	c.dir.forEach(func(pi uint64, slot int32) {
-		if c.epochs[slot] != c.epoch {
-			return
-		}
 		p := &c.pages[slot]
 		base := pi << PageBits
 		for s, v := range p {
@@ -311,11 +253,9 @@ func (c *Counters) ForEach(fn func(idx, val uint64)) {
 // presence (a stored zero is distinct from an absent slot) — the shape of a
 // merged tag+dirty array.
 type Table struct {
-	dir    dirIndex
-	pages  []tablePage
-	epochs []uint64
-	epoch  uint64
-	count  int
+	dir   dirIndex
+	pages []tablePage
+	count int
 }
 
 type tablePage struct {
@@ -324,14 +264,14 @@ type tablePage struct {
 }
 
 // NewTable builds an empty table.
-func NewTable() *Table { return &Table{epoch: 1} }
+func NewTable() *Table { return &Table{} }
 
 // Get reports the value at idx and whether one is present.
 //
 //lightpc:zeroalloc
 func (t *Table) Get(idx uint64) (uint64, bool) {
 	slot := t.dir.get(idx >> PageBits)
-	if slot < 0 || t.epochs[slot] != t.epoch {
+	if slot < 0 {
 		return 0, false
 	}
 	p := &t.pages[slot]
@@ -352,12 +292,7 @@ func (t *Table) Set(idx uint64, v uint64) {
 		slot = int32(len(t.pages))
 		//lint:allow zeroalloc page allocation happens once per page, on first touch
 		t.pages = append(t.pages, tablePage{})
-		//lint:allow zeroalloc page allocation happens once per page, on first touch
-		t.epochs = append(t.epochs, t.epoch)
 		t.dir.put(pi, slot)
-	} else if t.epochs[slot] != t.epoch {
-		t.pages[slot] = tablePage{}
-		t.epochs[slot] = t.epoch
 	}
 	p := &t.pages[slot]
 	s := idx & pageMask
@@ -371,18 +306,9 @@ func (t *Table) Set(idx uint64, v uint64) {
 // Len reports how many slots hold a value.
 func (t *Table) Len() int { return t.count }
 
-// Reset clears the table in O(1) by bumping the epoch.
-func (t *Table) Reset() {
-	t.epoch++
-	t.count = 0
-}
-
 // ForEach visits every present slot in ascending index order.
 func (t *Table) ForEach(fn func(idx, val uint64)) {
 	t.dir.forEach(func(pi uint64, slot int32) {
-		if t.epochs[slot] != t.epoch {
-			return
-		}
 		p := &t.pages[slot]
 		base := pi << PageBits
 		for w, word := range p.present {
@@ -399,11 +325,9 @@ func (t *Table) ForEach(fn func(idx, val uint64)) {
 // sparse per-line flags). Get is nil-safe so an unallocated bitset costs a
 // single compare on the hot path.
 type Bits struct {
-	dir    dirIndex
-	pages  []bitsPage
-	epochs []uint64
-	epoch  uint64
-	count  int
+	dir   dirIndex
+	pages []bitsPage
+	count int
 }
 
 // Bits pages cover more index space per page than value tables: 32 K flag
@@ -413,7 +337,7 @@ const bitsPageBits = 15
 type bitsPage [1 << (bitsPageBits - 6)]uint64
 
 // NewBits builds an empty bitset.
-func NewBits() *Bits { return &Bits{epoch: 1} }
+func NewBits() *Bits { return &Bits{} }
 
 // Get reports whether idx is set. A nil receiver reads as all-clear.
 //
@@ -423,7 +347,7 @@ func (b *Bits) Get(idx uint64) bool {
 		return false
 	}
 	slot := b.dir.get(idx >> bitsPageBits)
-	if slot < 0 || b.epochs[slot] != b.epoch {
+	if slot < 0 {
 		return false
 	}
 	s := idx & (1<<bitsPageBits - 1)
@@ -440,12 +364,7 @@ func (b *Bits) Set(idx uint64) {
 		slot = int32(len(b.pages))
 		//lint:allow zeroalloc page allocation happens once per page, on first touch
 		b.pages = append(b.pages, bitsPage{})
-		//lint:allow zeroalloc page allocation happens once per page, on first touch
-		b.epochs = append(b.epochs, b.epoch)
 		b.dir.put(pi, slot)
-	} else if b.epochs[slot] != b.epoch {
-		b.pages[slot] = bitsPage{}
-		b.epochs[slot] = b.epoch
 	}
 	s := idx & (1<<bitsPageBits - 1)
 	if b.pages[slot][s>>6]&(1<<(s&63)) == 0 {
@@ -460,12 +379,6 @@ func (b *Bits) Count() int {
 		return 0
 	}
 	return b.count
-}
-
-// Reset clears the bitset in O(1) by bumping the epoch.
-func (b *Bits) Reset() {
-	b.epoch++
-	b.count = 0
 }
 
 // Slab stores fixed-size byte records indexed by line, with the content
@@ -483,7 +396,7 @@ func NewSlab(rec int) *Slab {
 	if rec <= 0 {
 		panic("linetab: slab record size must be positive")
 	}
-	return &Slab{rec: rec, refs: Table{epoch: 1}}
+	return &Slab{rec: rec}
 }
 
 // Put copies data (exactly the record size) into the slot for idx.
@@ -518,12 +431,6 @@ func (s *Slab) Get(idx uint64) ([]byte, bool) {
 
 // Len reports how many records are stored.
 func (s *Slab) Len() int { return s.refs.Len() }
-
-// Reset drops every record; the arena is reused.
-func (s *Slab) Reset() {
-	s.refs.Reset()
-	s.arena = s.arena[:0]
-}
 
 // ForEach visits every record in ascending index order. The record slice is
 // a live view; the callback must not retain it across Puts.

@@ -18,7 +18,7 @@ func TestCountersBasic(t *testing.T) {
 	if got := c.Add(42, 9); got != 10 {
 		t.Fatalf("Add = %d, want 10", got)
 	}
-	c.Set(7, 3)
+	c.Add(7, 3)
 	c.Inc(1 << 30) // well past the first page
 	if got := c.Touched(); got != 3 {
 		t.Fatalf("Touched = %d, want 3", got)
@@ -28,46 +28,22 @@ func TestCountersBasic(t *testing.T) {
 		t.Fatalf("Max = (%d, %d), want (42, 10)", idx, val)
 	}
 
-	// Setting a slot to zero un-touches it.
-	c.Set(7, 0)
+	// Wrapping a slot back to zero un-touches it.
+	c.Add(7, -c.Get(7))
 	if got := c.Touched(); got != 2 {
-		t.Fatalf("Touched after zero-Set = %d, want 2", got)
+		t.Fatalf("Touched after wrap to zero = %d, want 2", got)
 	}
 }
 
 func TestCountersMaxTieBreaksLow(t *testing.T) {
 	c := NewCounters()
-	c.Set(900, 5)
-	c.Set(3, 5)
-	c.Set(40000, 5)
+	c.Add(900, 5)
+	c.Add(3, 5)
+	c.Add(40000, 5)
 	idx, val := c.Max()
 	if idx != 3 || val != 5 {
 		t.Fatalf("Max tie = (%d, %d), want lowest index (3, 5)", idx, val)
 	}
-}
-
-func TestCountersReset(t *testing.T) {
-	c := NewCounters()
-	for i := uint64(0); i < 4*PageSize; i++ {
-		c.Inc(i)
-	}
-	c.Reset()
-	if got := c.Touched(); got != 0 {
-		t.Fatalf("Touched after Reset = %d", got)
-	}
-	if got := c.Get(3); got != 0 {
-		t.Fatalf("Get after Reset = %d", got)
-	}
-	// Pages revalidate: a stale page must come back zeroed, not with its
-	// pre-Reset contents.
-	if got := c.Inc(3); got != 1 {
-		t.Fatalf("Inc on stale page = %d, want 1", got)
-	}
-	c.ForEach(func(idx, val uint64) {
-		if idx != 3 || val != 1 {
-			t.Fatalf("ForEach visited (%d, %d) after Reset", idx, val)
-		}
-	})
 }
 
 func TestTableBasic(t *testing.T) {
@@ -85,10 +61,6 @@ func TestTableBasic(t *testing.T) {
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tb.Len())
-	}
-	tb.Reset()
-	if _, ok := tb.Get(5); ok || tb.Len() != 0 {
-		t.Fatal("Reset did not clear table")
 	}
 	tb.Set(1<<40, 1) // spill-directory territory
 	if v, ok := tb.Get(1 << 40); !ok || v != 1 {
@@ -139,14 +111,6 @@ func TestBitsBasic(t *testing.T) {
 	if b.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", b.Count())
 	}
-	b.Reset()
-	if b.Get(3) || b.Count() != 0 {
-		t.Fatal("Reset did not clear bits")
-	}
-	b.Set(3)
-	if !b.Get(3) || b.Get(5) {
-		t.Fatal("stale page revalidation failed")
-	}
 }
 
 func TestSlabBasic(t *testing.T) {
@@ -176,18 +140,6 @@ func TestSlabBasic(t *testing.T) {
 	s.ForEach(func(idx uint64, rec []byte) { got = append(got, idx) })
 	if len(got) != 2 || got[0] != 9 || got[1] != 700 {
 		t.Fatalf("ForEach order = %v, want [9 700]", got)
-	}
-
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset did not clear slab")
-	}
-	if _, ok := s.Get(9); ok {
-		t.Fatal("Reset left record visible")
-	}
-	s.Put(9, []byte{1, 1, 1, 1})
-	if rec, _ := s.Get(9); !bytes.Equal(rec, []byte{1, 1, 1, 1}) {
-		t.Fatalf("post-Reset Put = %v", rec)
 	}
 }
 
@@ -285,10 +237,6 @@ func TestFlightGrowsWhenLive(t *testing.T) {
 		if end, ok := f.End(i); !ok || end != 1<<40 {
 			t.Fatalf("End(%d) = (%v, %v) after growth", i, end, ok)
 		}
-	}
-	f.Reset()
-	if f.Len() != 0 || !f.Quiet(0) {
-		t.Fatal("Reset did not clear Flight")
 	}
 }
 

@@ -125,13 +125,6 @@ func (s *FactStore) Import(analyzer string, obj types.Object, fact Fact) bool {
 	return json.Unmarshal(raw, fact) == nil
 }
 
-// Has reports whether any fact of the given type name exists on the object
-// key (used by tests and debugging dumps).
-func (s *FactStore) Has(analyzer, objectKey, typeName string) bool {
-	_, ok := s.facts[factKey{analyzer, objectKey, typeName}]
-	return ok
-}
-
 // Len reports the number of stored facts.
 func (s *FactStore) Len() int { return len(s.facts) }
 

@@ -48,7 +48,7 @@ func ForkSorted(t *table) *table {
 
 // cloneMapToMap copies keyed state map-to-map: iteration order cannot
 // escape a commutative copy, so the real device Clones use exactly this
-// shape (kernel page tables, journal home images, PSM dead-device sets).
+// shape (the PSM's dead-device set).
 func cloneMapToMap(src map[uint64]uint64) map[uint64]uint64 {
 	out := make(map[uint64]uint64, len(src))
 	for k, v := range src {

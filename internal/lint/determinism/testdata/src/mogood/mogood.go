@@ -43,8 +43,8 @@ func Copy(dst, src map[uint64]uint64) {
 	}
 }
 
-// Checksum mirrors kernel.PageTable.Checksum: an order-independent XOR
-// fold needs no sorting.
+// Checksum folds the map with an order-independent XOR, which needs no
+// sorting.
 func Checksum(m map[uint64]uint64) uint64 {
 	var h uint64 = 1469598103934665603
 	for v, p := range m {

@@ -6,16 +6,15 @@
 // access — in-flight cooling windows, wear counters, near-cache tags, line
 // content — and a profile of the experiment suite once showed ~40% of all
 // CPU inside Go map machinery for exactly these lookups. internal/linetab
-// provides the paged, epoch-stamped replacements (Counters, Table, Bits,
-// Slab, Flight) with O(1) access, index-ordered iteration, and zero
-// steady-state allocation. A bounded structure keyed by block — pmemdimm's
-// LRU tiers — uses a fixed-capacity open-addressed index instead, sized
-// once at construction. The kernel's banks and page tables and the WAL
-// journal's images hold words keyed by address; the crash adversary clones
-// them for every cut and digests them in address order, so they use
-// internal/wordtab's copy-on-write Table, whose clone copies a page
-// directory and whose walks need no sort. This analyzer keeps the maps from
-// creeping back.
+// provides the paged replacements (Counters, Table, Bits, Slab, Flight)
+// with O(1) access, index-ordered iteration, and zero steady-state
+// allocation. A bounded structure keyed by block — pmemdimm's LRU tiers —
+// uses a fixed-capacity open-addressed index instead, sized once at
+// construction. The kernel's banks and the WAL journal's images hold words
+// keyed by address; the crash adversary clones them for every cut and
+// digests them in address order, so they use internal/wordtab's
+// copy-on-write Table, whose clone copies a page directory and whose walks
+// need no sort. This analyzer keeps the maps from creeping back.
 //
 // Only struct fields are flagged: a local map inside a constructor or a
 // cold path is fine; persistent per-line state held by a device model is

@@ -83,15 +83,12 @@ var required = map[string][]string{
 	"workload": {"Synthetic.step", "Synthetic.NextBatch", "Background.step", "Background.NextBatch"},
 	"cpu":      {"interleaver.run"},
 	"linetab": {
-		"Counters.Inc", "Counters.Add", "Counters.Get", "Counters.Set",
+		"Counters.Inc", "Counters.Add", "Counters.Get",
 		"Table.Get", "Table.Set", "Bits.Get", "Bits.Set",
 		"Slab.Put", "Slab.Get",
 		"Flight.Quiet", "Flight.End", "Flight.Busy", "Flight.Set", "Flight.Drain",
 	},
-	"obs": {
-		"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add",
-		"Tracer.Span", "Tracer.Begin", "Tracer.End", "Tracer.Instant", "Tracer.Counter",
-	},
+	"obs":      {"Tracer.Span", "Tracer.Begin", "Tracer.End", "Tracer.Instant", "Tracer.Counter"},
 	"energy":   {"Meter.Sync", "Meter.SetState", "Meter.Rebase", "Set.Sync"},
 	"pram":     {"Device.Read", "Device.Write"},
 	"psm":      {"PSM.Read", "PSM.Write", "PSM.program"},

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/pram"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Layout selects the channel organization.
@@ -290,17 +289,6 @@ func (d *DIMM) Drain(now sim.Time) sim.Time {
 		t = sim.Max(t, dev.Drain(now))
 	}
 	return t
-}
-
-// Access dispatches by op using the blocking paths (used by simple
-// controllers and tests).
-func (d *DIMM) Access(now sim.Time, a trace.Access) sim.Time {
-	if a.Op == trace.OpWrite {
-		_, complete := d.WriteLine(now, a.Line())
-		return complete
-	}
-	done, _, _ := d.ReadLine(now, a.Line())
-	return done
 }
 
 // Stats reports DIMM-level counters: line reads, line writes, reconstructed

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/pram"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func dual() *DIMM { return New(DefaultConfig()) }
@@ -144,16 +143,6 @@ func TestDrainCoversWrites(t *testing.T) {
 	}
 	if got := d.Drain(0); got != latest {
 		t.Fatalf("Drain = %v, want %v", got, latest)
-	}
-}
-
-func TestAccessDispatch(t *testing.T) {
-	d := dual()
-	d.Access(0, trace.Access{Op: trace.OpWrite, Addr: 0, Size: 64})
-	d.Access(0, trace.Access{Op: trace.OpRead, Addr: 4096, Size: 64})
-	r, w, _, _, _ := d.Stats()
-	if r != 1 || w != 1 {
-		t.Fatalf("reads/writes = %d/%d", r, w)
 	}
 }
 

@@ -20,17 +20,6 @@ func BenchmarkTracerDisabledSpan(b *testing.B) {
 	}
 }
 
-func BenchmarkRegistryDisabledInstruments(b *testing.B) {
-	var c *Counter
-	var g *Gauge
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-		c.Add(2)
-		g.Set(float64(i))
-	}
-}
-
 func BenchmarkTracerEnabledSpan(b *testing.B) {
 	tr := NewTracer()
 	lane := tr.Lane("core0")

@@ -31,83 +31,14 @@ func (k MetricKind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing tally. The nil counter (handed out
-// by a nil Registry) is the disabled counter: Inc/Add no-op at zero cost.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-//
-//lightpc:zeroalloc
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v++
-}
-
-// Add adds n.
-//
-//lightpc:zeroalloc
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Value reports the tally.
-//
-//lightpc:zeroalloc
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a settable instantaneous value. The nil gauge no-ops.
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-//
-//lightpc:zeroalloc
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add shifts the value by d.
-//
-//lightpc:zeroalloc
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value reports the gauge.
-//
-//lightpc:zeroalloc
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Metric is one registry entry: a name, help text, and exactly one backing
-// instrument (direct counter/gauge, a sampling func, or a view on a
-// histogram its owner records into).
+// instrument (a sampling func, or a view on a histogram its owner records
+// into).
 type Metric struct {
 	Name string
 	Help string
 	Kind MetricKind
 
-	c  *Counter
-	g  *Gauge
 	h  *sim.LatencyHistogram
 	cf func() uint64
 	gf func() float64
@@ -116,12 +47,8 @@ type Metric struct {
 // Value samples the metric's scalar value (counter/gauge only).
 func (m *Metric) Value() float64 {
 	switch {
-	case m.c != nil:
-		return float64(m.c.v)
 	case m.cf != nil:
 		return float64(m.cf())
-	case m.g != nil:
-		return m.g.v
 	case m.gf != nil:
 		return m.gf()
 	default:
@@ -133,7 +60,6 @@ func (m *Metric) Value() float64 {
 func (m *Metric) Hist() *sim.LatencyHistogram { return m.h }
 
 // Registry holds named metrics. The nil registry is the disabled registry:
-// constructors return nil instruments (which themselves no-op) and
 // registration funcs do nothing. Metrics are kept in an insertion-ordered
 // slice with a name index — exports sort by name, never by map order.
 type Registry struct {
@@ -157,26 +83,6 @@ func (r *Registry) add(m *Metric) {
 	}
 	r.byName[m.Name] = len(r.metrics)
 	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers and returns a counter. Returns nil on a nil registry.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.add(&Metric{Name: name, Help: help, Kind: KindCounter, c: c})
-	return c
-}
-
-// Gauge registers and returns a gauge. Returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(&Metric{Name: name, Help: help, Kind: KindGauge, g: g})
-	return g
 }
 
 // Histogram registers a view on h, a sim-time histogram its owner keeps

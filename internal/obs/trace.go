@@ -218,18 +218,6 @@ func (t *Tracer) End(at sim.Time, id SpanID) {
 	}
 }
 
-// EndArg closes the span and attaches one integer argument.
-//
-//lightpc:zeroalloc
-func (t *Tracer) EndArg(at sim.Time, id SpanID, argName string, arg int64) {
-	if t == nil || id <= 0 || int(id) > len(t.events) {
-		return
-	}
-	t.End(at, id)
-	ev := &t.events[id-1]
-	ev.ArgName, ev.Arg = argName, arg
-}
-
 // Instant records a point event.
 //
 //lightpc:zeroalloc

@@ -13,7 +13,6 @@ package pmemdimm
 
 import (
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Block granularities (Section II-A).
@@ -410,14 +409,6 @@ func (d *DIMM) Flush(now sim.Time) sim.Time {
 	done := sim.Max(now, d.busyUntil).Add(lat)
 	d.busyUntil = done
 	return done
-}
-
-// Access dispatches by op.
-func (d *DIMM) Access(now sim.Time, a trace.Access) sim.Time {
-	if a.Op == trace.OpWrite {
-		return d.Write(now, a.Addr)
-	}
-	return d.Read(now, a.Addr)
 }
 
 // Stats returns a copy of the counters.

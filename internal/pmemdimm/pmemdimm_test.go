@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/pram"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestColdReadGoesToMedia(t *testing.T) {
@@ -143,16 +142,6 @@ func TestFlushCleansDirtyState(t *testing.T) {
 	}
 }
 
-func TestAccessDispatch(t *testing.T) {
-	d := New(DefaultConfig())
-	d.Access(0, trace.Access{Op: trace.OpWrite, Addr: 0, Size: 64})
-	d.Access(0, trace.Access{Op: trace.OpRead, Addr: 0, Size: 64})
-	s := d.Stats()
-	if s.Reads != 1 || s.Writes != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	l := newLRU(2)
 	if _, ev := l.insert(1, false); ev {
@@ -258,7 +247,7 @@ func TestDIMMInvariantsProperty(t *testing.T) {
 }
 
 // TestDIMMSteadyStateAllocFree pins the access hot path: once the tier
-// caches are warm, Read/Write/Access must not allocate, latency histogram
+// caches are warm, Read/Write must not allocate, latency histogram
 // included. The obs layer samples these counters via CounterFunc, so the
 // instrumented DIMM must stay as allocation-free as the bare one.
 func TestDIMMSteadyStateAllocFree(t *testing.T) {
@@ -267,13 +256,13 @@ func TestDIMMSteadyStateAllocFree(t *testing.T) {
 	now := sim.Time(0)
 	// Warm both tiers to capacity so inserts only recycle slots.
 	for i := 0; i < 3*4096; i++ {
-		now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
-		now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
+		now = d.Read(now, rng.Uint64())
+		now = d.Write(now, rng.Uint64())
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		now = d.Access(now, trace.Access{Op: trace.OpRead, Addr: rng.Uint64()})
-		now = d.Access(now, trace.Access{Op: trace.OpWrite, Addr: rng.Uint64()})
+		now = d.Read(now, rng.Uint64())
+		now = d.Write(now, rng.Uint64())
 		now = d.Read(now, rng.Uint64())
 	})
 	if allocs != 0 {

@@ -29,9 +29,7 @@ func (m *mceState) clone() mceState {
 // buffers, wear-leveler cursor, latency histograms, command-queue
 // occupancy, MCE bookkeeping, counters, and every PRAM device's
 // RNG/cooling state. The tracer is not carried over — a tracer records one
-// timeline, so the clone starts untraced (attach one with SetTracer). The
-// MCE handler is carried over as a pointer; re-install it if its closure
-// captured source-side state.
+// timeline, so the clone starts untraced (attach one with SetTracer).
 func (p *PSM) Clone() *PSM {
 	out := &PSM{
 		cfg:          p.cfg,
@@ -44,9 +42,8 @@ func (p *PSM) Clone() *PSM {
 		stats:        p.stats,
 		readLat:      p.readLat.Clone(),
 		writeAckLat:  p.writeAckLat.Clone(),
-		hold:         slices.Clone(p.hold),
+		hold:         p.hold,
 		mce:          p.mce.clone(),
-		mceHandler:   p.mceHandler,
 		drainScratch: make([]uint64, 0, cap(p.drainScratch)),
 		scrubLines:   p.scrubLines,
 	}

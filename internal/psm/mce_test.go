@@ -28,13 +28,11 @@ func TestMCEPolicyNames(t *testing.T) {
 
 func TestMCEResetPolicy(t *testing.T) {
 	p := New(corruptingConfig(MCEReset))
-	fired := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { fired++ })
 	// Leave buffered state so the reset is observable.
 	p.Read(0, 7)
 	resets, _, _ := p.MCECounters()
-	if fired != 1 || resets != 1 {
-		t.Fatalf("fired=%d resets=%d", fired, resets)
+	if mces := p.Stats().MCEs; mces != 1 || resets != 1 {
+		t.Fatalf("mces=%d resets=%d", mces, resets)
 	}
 }
 
@@ -47,8 +45,6 @@ func TestMCERetryPolicyClearsTransients(t *testing.T) {
 	cfg.MCE = MCERetry
 	cfg.Seed = 3
 	p := New(cfg)
-	mces := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { mces++ })
 	now := sim.Time(0)
 	for i := uint64(0); i < 400; i++ {
 		now = p.Read(now, i*977)
@@ -58,15 +54,13 @@ func TestMCERetryPolicyClearsTransients(t *testing.T) {
 		t.Fatal("no retries attempted")
 	}
 	// A retry clears ~half the corruptions, so MCEs < retries.
-	if mces >= int(retries) {
+	if mces := p.Stats().MCEs; mces >= retries {
 		t.Fatalf("retry policy never helped: mces=%d retries=%d", mces, retries)
 	}
 }
 
 func TestMCEPoisonPolicy(t *testing.T) {
 	p := New(corruptingConfig(MCEPoison))
-	mces := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { mces++ })
 	p.Read(0, 42)
 	if !p.Poisoned(42) {
 		t.Fatal("line not poisoned")
@@ -78,7 +72,7 @@ func TestMCEPoisonPolicy(t *testing.T) {
 	// media.
 	before := p.Stats().Reads
 	p.Read(sim.Time(sim.Millisecond), 42)
-	if mces != 2 {
+	if mces := p.Stats().MCEs; mces != 2 {
 		t.Fatalf("mces = %d, want 2", mces)
 	}
 	if p.Stats().Reads != before+1 {
@@ -103,10 +97,8 @@ func TestSymbolECCCoversXCCGaps(t *testing.T) {
 	cfg.SymbolECC = true
 	cfg.SymbolDecodeLatency = sim.FromNanoseconds(200)
 	p := New(cfg)
-	fired := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { fired++ })
 	done := p.Read(0, 5)
-	if fired != 0 {
+	if p.Stats().MCEs != 0 {
 		t.Fatal("symbol ECC should prevent the MCE")
 	}
 	s := p.Stats()

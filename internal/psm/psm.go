@@ -139,14 +139,13 @@ type PSM struct {
 	readLat     *sim.LatencyHistogram
 	writeAckLat *sim.LatencyHistogram
 
-	// hold[0] serializes the conventional controller's single in-order
+	// hold serializes the conventional controller's single in-order
 	// command queue at the memory port (only used when EarlyReturn is
 	// off): the queue head owns the port until its request fully
 	// completes.
-	hold []sim.Time
+	hold sim.Time
 
-	mce        mceState
-	mceHandler func(now sim.Time, line uint64)
+	mce mceState
 
 	// drainScratch is the reused window-drain buffer (≤ 64 lines per
 	// window): window closes and flushes are the write hot path.
@@ -190,7 +189,6 @@ func New(cfg Config) *PSM {
 		dc.Device.Seed = cfg.Seed*7919 + uint64(i)
 		p.dimms = append(p.dimms, nvdimm.New(dc))
 	}
-	p.hold = make([]sim.Time, cfg.DIMMs)
 	if cfg.WearLevelLines > 0 {
 		p.wl = NewStartGap(cfg.WearLevelLines, cfg.WearLevelThreshold, cfg.Seed)
 		p.wearLines = sim.NewDivisor(cfg.WearLevelLines)
@@ -206,10 +204,6 @@ func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimms }
 
 // WearLeveler exposes the Start-Gap state (nil when disabled).
 func (p *PSM) WearLeveler() *StartGap { return p.wl }
-
-// SetMCEHandler installs the machine-check callback raised when a corrupted
-// read cannot be reconstructed. The default handler only counts.
-func (p *PSM) SetMCEHandler(h func(now sim.Time, line uint64)) { p.mceHandler = h }
 
 // mapLine applies wear leveling and splits a physical line into its DIMM and
 // inner line.
@@ -243,7 +237,6 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	if p.Poisoned(line) {
 		// A previously poisoned line faults again until software repairs
 		// it (MCEPoison policy).
-		//lint:allow zeroalloc the machine-check path is cold; the handler owns its allocation budget
 		p.raiseMCE(start, line)
 		p.readLat.Add(start.Sub(now))
 		return start
@@ -258,8 +251,8 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 		}
 	}
 
-	d, di, inner := p.mapLine(line)
-	start = sim.Max(start, p.hold[0])
+	d, _, inner := p.mapLine(line)
+	start = sim.Max(start, p.hold)
 
 	if p.cfg.XCC && d.LineBusy(start, inner) {
 		if done, ok, corr := d.ReadReconstructed(start, inner); ok && !corr {
@@ -299,17 +292,17 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	// Reads have deterministic latency and pipeline through the in-order
 	// queue; only a program (cooling) holds the port, so reads do not
 	// extend the hold.
-	_ = di
 	p.readLat.Add(done.Sub(now))
 	return done
 }
 
+// raiseMCE counts and traces a machine check; the configured MCE policy
+// has already decided what happens to the line.
+//
+//lightpc:zeroalloc
 func (p *PSM) raiseMCE(now sim.Time, line uint64) {
 	p.stats.MCEs++
 	p.tr.InstantArg(now, p.trLane, "psm", "mce", "line", int64(line))
-	if p.mceHandler != nil {
-		p.mceHandler(now, line)
-	}
 }
 
 // program issues one media write for a line at time at, honoring the
@@ -317,9 +310,8 @@ func (p *PSM) raiseMCE(now sim.Time, line uint64) {
 //
 //lightpc:zeroalloc
 func (p *PSM) program(at sim.Time, line uint64) sim.Time {
-	d, di, inner := p.mapLine(line)
-	_ = di
-	at = sim.Max(at, p.hold[0])
+	d, _, inner := p.mapLine(line)
+	at = sim.Max(at, p.hold)
 	accept, complete := d.WriteLine(at, inner)
 	p.stats.MediaWrites++
 	if p.wl != nil && p.wl.RecordWrite() {
@@ -332,7 +324,7 @@ func (p *PSM) program(at sim.Time, line uint64) sim.Time {
 		// posted (acknowledged at accept); the damage lands on subsequent
 		// traffic, which is the head-of-line blocking Figure 16
 		// quantifies.
-		p.hold[0] = complete
+		p.hold = complete
 	}
 	return accept
 }
@@ -397,9 +389,7 @@ func (p *PSM) Flush(now sim.Time) sim.Time {
 	for _, d := range p.dimms {
 		end = sim.Max(end, d.Drain(at))
 	}
-	for i := range p.hold {
-		p.hold[i] = end
-	}
+	p.hold = end
 	p.tr.SpanArg(now, end, p.trLane, "psm", "flush", "drained_lines", drained)
 	return end
 }
@@ -410,9 +400,7 @@ func (p *PSM) Reset() {
 	for i := range p.buffers {
 		p.buffers[i] = rowBuffer{}
 	}
-	for i := range p.hold {
-		p.hold[i] = 0
-	}
+	p.hold = 0
 }
 
 // RemixWearSeed rotates the Start-Gap randomizer seed and performs the

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -149,18 +150,20 @@ func TestMCEOnUncontainedCorruption(t *testing.T) {
 	cfg := BaselineConfig() // no XCC: corruption cannot be contained
 	cfg.NVDIMM.Device.BitErrorPerRead = 1.0
 	p := New(cfg)
-	var mceLine uint64
-	fired := 0
-	p.SetMCEHandler(func(now sim.Time, line uint64) {
-		fired++
-		mceLine = line
-	})
+	tr := obs.NewTracer()
+	p.SetTracer(tr)
 	p.Read(0, 42)
-	if fired != 1 || mceLine != 42 {
-		t.Fatalf("MCE fired=%d line=%d", fired, mceLine)
-	}
 	if p.Stats().MCEs != 1 {
 		t.Fatal("MCE counter not bumped")
+	}
+	var lines []int64
+	for _, ev := range tr.Events() {
+		if ev.Name == "mce" {
+			lines = append(lines, ev.Arg)
+		}
+	}
+	if len(lines) != 1 || lines[0] != 42 {
+		t.Fatalf("MCE instants carry lines %v, want [42]", lines)
 	}
 }
 
@@ -171,8 +174,6 @@ func TestXCCContainsCorruption(t *testing.T) {
 	cfg.NVDIMM.Device.BitErrorPerRead = 0.2
 	cfg.Seed = 7
 	p := New(cfg)
-	fired := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { fired++ })
 	now := sim.Time(0)
 	for i := uint64(0); i < 500; i++ {
 		now = p.Read(now, i*1000)
@@ -181,9 +182,9 @@ func TestXCCContainsCorruption(t *testing.T) {
 	if s.ContainedErrors == 0 {
 		t.Fatalf("XCC never contained anything: %+v", s)
 	}
-	if uint64(fired) >= s.ContainedErrors {
-		t.Fatalf("containment weaker than escalation: fired=%d contained=%d",
-			fired, s.ContainedErrors)
+	if s.MCEs >= s.ContainedErrors {
+		t.Fatalf("containment weaker than escalation: mces=%d contained=%d",
+			s.MCEs, s.ContainedErrors)
 	}
 }
 
@@ -193,11 +194,9 @@ func TestXCCFailsWhenParityAlsoCorrupt(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NVDIMM.Device.BitErrorPerRead = 1.0
 	p := New(cfg)
-	fired := 0
-	p.SetMCEHandler(func(sim.Time, uint64) { fired++ })
 	p.Read(0, 42)
-	if fired != 1 {
-		t.Fatalf("expected escalation past XCC, fired=%d", fired)
+	if mces := p.Stats().MCEs; mces != 1 {
+		t.Fatalf("expected escalation past XCC, mces=%d", mces)
 	}
 }
 

@@ -97,36 +97,6 @@ func Threshold(p float64) uint64 {
 //lightpc:zeroalloc
 func (r *RNG) Below(t uint64) bool { return r.Uint64()>>11 < t }
 
-// Exp returns an exponentially distributed duration with the given mean.
-//
-//lightpc:zeroalloc
-func (r *RNG) Exp(mean Duration) Duration {
-	u := r.Float64()
-	// Avoid log(0).
-	if u >= 0.999999999 {
-		u = 0.999999999
-	}
-	return Duration(float64(mean) * negLog1m(u))
-}
-
-// negLog1m computes -ln(1-u) via a series-free call to math.Log would pull
-// in math; the simulation only needs modest accuracy, so use the identity
-// with the standard library once. (math is part of the stdlib and cheap.)
-//
-//lightpc:zeroalloc
-func negLog1m(u float64) float64 {
-	return -ln(1 - u)
-}
-
-// ln is a thin wrapper kept separate for testability.
-//
-//lightpc:zeroalloc
-func ln(x float64) float64 {
-	// Use math.Log via an indirection-free import in log.go to keep this
-	// file dependency-light for documentation purposes.
-	return mathLog(x)
-}
-
 // Norm returns a normally distributed value with the given mean and standard
 // deviation (Box–Muller, one value per call for simplicity).
 //
@@ -137,15 +107,8 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}
-	z := sqrt(-2*mathLog(u1)) * cos(2*pi*u2)
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
-}
-
-// Fork derives an independent RNG stream labeled by id. Distinct ids yield
-// decorrelated streams even under the same parent seed. Fork advances the
-// parent; when the derivation must not depend on call order, use Split.
-func (r *RNG) Fork(id uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (id * 0x9e3779b97f4a7c15))
 }
 
 // SubSeed derives a decorrelated child seed from a parent seed and a label

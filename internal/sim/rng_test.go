@@ -72,20 +72,6 @@ func TestRNGFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(13)
-	var sum Duration
-	const n = 50000
-	mean := 100 * Nanosecond
-	for i := 0; i < n; i++ {
-		sum += r.Exp(mean)
-	}
-	got := float64(sum) / n
-	if got < 0.95*float64(mean) || got > 1.05*float64(mean) {
-		t.Fatalf("Exp mean = %v, want ~%v", Duration(got), mean)
-	}
-}
-
 func TestRNGNorm(t *testing.T) {
 	r := NewRNG(17)
 	var sum, sq float64
@@ -102,21 +88,6 @@ func TestRNGNorm(t *testing.T) {
 	}
 	if variance < 3.6 || variance > 4.4 {
 		t.Fatalf("Norm variance = %v", variance)
-	}
-}
-
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(5)
-	c1 := parent.Fork(1)
-	c2 := parent.Fork(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked streams correlated: %d collisions", same)
 	}
 }
 

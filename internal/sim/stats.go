@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -81,7 +82,7 @@ func (h *Histogram) StdDev() Duration {
 		d := float64(s) - mean
 		acc += d * d
 	}
-	return Duration(sqrt(acc / float64(n)))
+	return Duration(math.Sqrt(acc / float64(n)))
 }
 
 // CoefficientOfVariation reports stddev/mean, a unitless spread measure used

@@ -571,8 +571,8 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 		rep.Energy = append(rep.Energy, pe)
 	}
 
-	// Phase 3: restore wear-leveler state, flush TLBs, requeue tasks
-	// (kernel threads first, then user), and schedule.
+	// Phase 3: restore wear-leveler state, charge the per-core TLB flush,
+	// requeue tasks (kernel threads first, then user), and schedule.
 	phase = t
 	phaseSpan = tr.Begin(phase, masterLane, "sng", "process-resume")
 	if s.P != nil {
@@ -581,7 +581,6 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 			wl.Restore(m[0], m[1], m[2], m[3])
 		}
 	}
-	k.FlushAllTLBs()
 	t = t.Add(sim.Duration(len(k.Cores)) * s.T.TLBFlush)
 	// Parallel requeue across cores: charge the slowest queue.
 	perCore := make([]sim.Duration, len(k.Cores))

@@ -397,31 +397,3 @@ func TestStopCounters(t *testing.T) {
 		t.Fatal("no peripherals saved")
 	}
 }
-
-func TestVMStateRidesTheEPCut(t *testing.T) {
-	// Page tables live in OC-PMEM (persistent); Go flushes the TLBs and
-	// the address spaces come back bit-identical — processes "restore the
-	// virtual memory space" exactly (Section IV-C).
-	k := busySystem(20)
-	k.AttachVM(16, 32)
-	// Warm a TLB.
-	k.Cores[0].TLB.Translate(k.Procs[0].PageTable, 0, 0)
-	want := k.VMChecksum()
-
-	s := New(k)
-	if rep := s.Stop(0, farDeadline); !rep.Completed {
-		t.Fatal("Stop incomplete")
-	}
-	k.PowerLoss()
-	if _, err := s.Go(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.VMChecksum() != want {
-		t.Fatal("address spaces diverged across the EP-cut")
-	}
-	for _, c := range k.Cores {
-		if c.TLB.Len() != 0 {
-			t.Fatal("Go did not flush the TLBs")
-		}
-	}
-}

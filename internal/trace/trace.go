@@ -39,9 +39,6 @@ type Access struct {
 // CacheLineSize is the system cacheline granule (Section II-A / V-B).
 const CacheLineSize = 64
 
-// Line returns the cacheline index of the access.
-func (a Access) Line() uint64 { return a.Addr / CacheLineSize }
-
 // Stats accumulates the Table II characterization counters for a workload
 // run: raw load/store counts, row-buffer behaviour at the memory device, and
 // D$ hit behaviour.

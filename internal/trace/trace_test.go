@@ -14,13 +14,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestAccessLine(t *testing.T) {
-	a := Access{Op: OpRead, Addr: 130, Size: 8}
-	if a.Line() != 2 {
-		t.Fatalf("Line = %d", a.Line())
-	}
-}
-
 func TestStatsRatios(t *testing.T) {
 	s := Stats{
 		Reads: 270, Writes: 10,

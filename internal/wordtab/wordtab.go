@@ -1,6 +1,6 @@
 // Package wordtab provides Table, the paged copy-on-write word table behind
-// the simulator's functional memory: the kernel's banks and page tables and
-// the WAL journal's volatile and home images.
+// the simulator's functional memory: the kernel's banks and the WAL
+// journal's volatile and home images.
 //
 // The crash adversary forks a built system for every power cut and digests
 // its banks in address order. In a Go map every fork would copy every
@@ -94,8 +94,8 @@ func (t *Table) stamp() uint64 {
 //
 // A directory with no gaps from its first page holds pi at position
 // pi - dir[0].index, so that guess is tried before the binary search: the
-// journal's keys and a page table's VPNs are dense, and replaying a log
-// into them then costs one probe per record instead of a search.
+// journal's keys are dense, and replaying a log into them then costs one
+// probe per record instead of a search.
 //
 //lightpc:zeroalloc
 func (t *Table) find(pi uint64) (int, bool) {

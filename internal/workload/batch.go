@@ -83,20 +83,6 @@ func (s *Stream) NextBatch(buf []Ref) int {
 	return n
 }
 
-// NextBatch decodes up to len(buf) records in one pass.
-func (rp *Replay) NextBatch(buf []Ref) int {
-	n := 0
-	for n < len(buf) {
-		r, ok := rp.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
-	}
-	return n
-}
-
 // Drain consumes the rest of the stream in batches, discarding the
 // references (generators accumulate Stats as a side effect — this is the
 // cheap way to characterize a stream).

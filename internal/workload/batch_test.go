@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
 	"unsafe"
 
@@ -89,22 +88,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	for _, c := range cases {
 		batchEquals(t, c.name, c.mk)
 	}
-}
-
-func TestReplayNextBatchMatchesNext(t *testing.T) {
-	var rec bytes.Buffer
-	if _, err := WriteTrace(&rec, NewSynthetic(mustSpecB(t, "gcc"), 2000, 3)); err != nil {
-		t.Fatal(err)
-	}
-	data := rec.Bytes()
-	mk := func() Generator {
-		rp, err := NewReplay("t", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rp
-	}
-	batchEquals(t, "replay", mk)
 }
 
 // FillBatch must behave the same whether or not the generator implements
