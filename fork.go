@@ -13,7 +13,9 @@ import (
 // fresh meters to the fork's devices, as New does, and copies each
 // source meter's state residency into them. The memory banks are copied on
 // write: the fork copies their page directories and shares their word
-// pages, and either side copies a page on its first write to it. The copy
+// pages, and either side copies a page on its first write to it. The data
+// store's line content is shared the same way, whole, until either side
+// writes a line. The copy
 // and the source then evolve independently: running, power-failing, or
 // recovering one is invisible to the other, and a forked run is
 // byte-identical to rebuilding the platform and replaying the same inputs
@@ -56,9 +58,9 @@ func (p *Platform) Fork() *Platform {
 
 // forkBytes approximates the mutable state one fork copies eagerly — the
 // dominant arenas, counted without walking them: the banks' page
-// directories (their word pages are shared until written), PCBs, and the
-// data store's line content. An observability estimate, not an exact
-// allocator tally.
+// directories (their word pages are shared until written) and PCBs. The
+// data store's line content is shared until written, so it does not
+// count. An observability estimate, not an exact allocator tally.
 func (p *Platform) forkBytes() uint64 {
 	var n uint64
 	n += p.kern.OCPMEM.CloneBytes()
@@ -66,8 +68,5 @@ func (p *Platform) forkBytes() uint64 {
 		n += p.kern.DRAM.CloneBytes()
 	}
 	n += 128 * uint64(len(p.kern.Procs))
-	if p.data != nil {
-		n += 64 * uint64(p.data.Lines())
-	}
 	return n
 }

@@ -2,6 +2,7 @@ package crashpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/kernel"
@@ -105,12 +106,12 @@ func CheckManager(seed uint64, rounds int) []Violation {
 		}
 		for i, sh := range ckptShapes {
 			want, alsoOK := committedAt(i, k)
-			if wordsEqual(got[i], want) || (alsoOK != nil && wordsEqual(got[i], alsoOK)) {
+			if slices.Equal(got[i], want) || (alsoOK != nil && slices.Equal(got[i], alsoOK)) {
 				continue
 			}
 			inv := InvTornCommit
 			detail := "restored values match no committed snapshot"
-			if wordsEqual(got[i], live[i]) {
+			if slices.Equal(got[i], live[i]) {
 				inv = InvResidue
 				detail = "restored values match uncommitted live state"
 			}

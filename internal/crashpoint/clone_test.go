@@ -1,6 +1,7 @@
 package crashpoint
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // capture are not copied at all: Build freezes them, and every fork shares
 // them read-only — their maps, slices, the checkpoint-region shadows and
 // the precomputed key orders (committedKeys with committedVals,
-// stagedKeys, lineKeys) included. TestFrozenShadowUntouchedByCuts pins
+// stagedKeys, lineKeys with lineVals) included. TestFrozenShadowUntouchedByCuts pins
 // that no cut writes them.
 func TestForkCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, System{},
@@ -24,7 +25,7 @@ func TestForkCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, regionShadow{}, "name", "live", "committed")
 	snapshot.CheckCovered(t, sysShadow{},
 		"jCommitted", "jStaged", "pool", "poolStaged", "poolOpen", "regions", "lines",
-		"committedKeys", "committedVals", "stagedKeys", "lineKeys")
+		"committedKeys", "committedVals", "stagedKeys", "lineKeys", "lineVals")
 	snapshot.CheckCovered(t, preState{},
 		"appChecksum", "coreMRegs", "devContext", "devMMIO", "aliveCount")
 }
@@ -103,9 +104,16 @@ func TestFrozenShadowUntouchedByCuts(t *testing.T) {
 			t.Fatalf("staged order holds %d, which a commit covers", k)
 		}
 	}
-	for _, k := range sh.lineKeys {
-		if _, ok := sh.lines[k]; !ok {
+	if len(sh.lineVals) != len(sh.lineKeys) {
+		t.Fatalf("%d line contents for %d lines", len(sh.lineVals), len(sh.lineKeys))
+	}
+	for i, k := range sh.lineKeys {
+		v, ok := sh.lines[k]
+		if !ok {
 			t.Fatalf("line order holds %d, which was never written", k)
+		}
+		if !bytes.Equal(sh.lineVals[i], v) {
+			t.Fatalf("frozen content of line %d differs from the line written", k)
 		}
 	}
 }

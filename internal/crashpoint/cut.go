@@ -1,7 +1,9 @@
 package crashpoint
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/journal"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/pmdk"
 	"repro/internal/sim"
 	"repro/internal/sng"
+	"repro/internal/trace"
 )
 
 // CutOutcome is the machine-readable result of one simulated power cut.
@@ -30,8 +33,10 @@ type CutOutcome struct {
 	Violations []Violation `json:"violations,omitempty"`
 }
 
-// report appends a violation to the outcome.
-func (o *CutOutcome) report(cut, invariant, format string, args ...any) {
+// report appends a violation to the outcome, labelled with the cut's
+// offset. Only a violation formats the label.
+func (o *CutOutcome) report(invariant, format string, args ...any) {
+	cut := "cut@" + sim.Duration(o.OffsetPs).String()
 	o.Violations = append(o.Violations, violationf(cut, invariant, format, args...))
 }
 
@@ -61,7 +66,6 @@ func (o *CutOutcome) report(cut, invariant, format string, args ...any) {
 func (s *System) CutAt(offset sim.Duration) CutOutcome {
 	p := s.Platform
 	k := p.Kernel()
-	label := "cut@" + offset.String()
 	out := CutOutcome{OffsetPs: int64(offset)}
 
 	rep := p.SnG().Stop(0, sim.Time(0).Add(offset))
@@ -72,11 +76,11 @@ func (s *System) CutAt(offset sim.Duration) CutOutcome {
 	out.OverrunPhase = rep.OverrunPhase
 
 	if out.Completed != out.HasCommit {
-		out.report(label, InvTornEPCut,
+		out.report(InvTornEPCut,
 			"Stop completed=%v but commit word present=%v", out.Completed, out.HasCommit)
 	}
 	if got := appRegionsChecksum(k.OCPMEM); got != s.pre.appChecksum {
-		out.report(label, InvPreCutState,
+		out.report(InvPreCutState,
 			"application regions changed across the cut: %#x != %#x", got, s.pre.appChecksum)
 	}
 
@@ -84,14 +88,14 @@ func (s *System) CutAt(offset sim.Duration) CutOutcome {
 		wantWear := k.Boot.WearMeta()
 		goRep, err := p.Recover(0)
 		if err != nil {
-			out.report(label, InvRestorable, "Go failed on a committed cut: %v", err)
+			out.report(InvRestorable, "Go failed on a committed cut: %v", err)
 			return out
 		}
 		out.Recovered = true
-		s.checkKernelRestored(label, &out, goRep, wantWear)
+		s.checkKernelRestored(&out, goRep, wantWear)
 	} else {
 		if _, err := p.Recover(0); !errors.Is(err, sng.ErrNoCommit) {
-			out.report(label, InvTornEPCut,
+			out.report(InvTornEPCut,
 				"Go on an uncommitted cut returned %v, want ErrNoCommit", err)
 		}
 		p.ColdBoot()
@@ -102,35 +106,35 @@ func (s *System) CutAt(offset sim.Duration) CutOutcome {
 		rep2 := p.SnG().Stop(0, sim.Time(1<<62))
 		k2.PowerLoss()
 		if !rep2.Completed {
-			out.report(label, InvWedged, "post-cold-boot Stop did not complete")
+			out.report(InvWedged, "post-cold-boot Stop did not complete")
 		} else if _, err := p.Recover(0); err != nil {
-			out.report(label, InvWedged, "post-cold-boot Go failed: %v", err)
+			out.report(InvWedged, "post-cold-boot Go failed: %v", err)
 		}
 	}
 
-	s.checkAppRecovered(label, &out)
+	s.checkAppRecovered(&out)
 	return out
 }
 
 // checkKernelRestored verifies the warm path restored the exact pre-cut
 // kernel image (I1).
-func (s *System) checkKernelRestored(label string, out *CutOutcome, rep sng.GoReport, wantWear [4]uint64) {
+func (s *System) checkKernelRestored(out *CutOutcome, rep sng.GoReport, wantWear [4]uint64) {
 	k := s.Platform.Kernel()
 	for i, c := range k.Cores {
 		if !c.Online {
-			out.report(label, InvRestorable, "core %d offline after Go", i)
+			out.report(InvRestorable, "core %d offline after Go", i)
 		}
 		if c.MRegs != s.pre.coreMRegs[i] {
-			out.report(label, InvRestorable,
+			out.report(InvRestorable,
 				"core %d machine registers %#x != pre-cut %#x", i, c.MRegs, s.pre.coreMRegs[i])
 		}
 	}
 	for i, d := range k.Devices {
 		if d.State != kernel.DevActive {
-			out.report(label, InvRestorable, "device %s not active after Go", d.Name)
+			out.report(InvRestorable, "device %s not active after Go", d.Name)
 		}
 		if d.Context != s.pre.devContext[i] || d.MMIO != s.pre.devMMIO[i] {
-			out.report(label, InvRestorable,
+			out.report(InvRestorable,
 				"device %s context %#x/%#x != pre-cut %#x/%#x",
 				d.Name, d.Context, d.MMIO, s.pre.devContext[i], s.pre.devMMIO[i])
 		}
@@ -139,44 +143,44 @@ func (s *System) checkKernelRestored(label string, out *CutOutcome, rep sng.GoRe
 		if wl := psmDev.WearLeveler(); wl != nil {
 			a, b, c, d := wl.Metadata()
 			if [4]uint64{a, b, c, d} != wantWear {
-				out.report(label, InvRestorable,
+				out.report(InvRestorable,
 					"wear-leveler metadata %v != committed %v", [4]uint64{a, b, c, d}, wantWear)
 			}
 		}
 	}
 	if rep.ResumedTasks != s.pre.aliveCount {
-		out.report(label, InvRestorable,
+		out.report(InvRestorable,
 			"resumed %d tasks, %d were alive at the cut", rep.ResumedTasks, s.pre.aliveCount)
 	}
 	if k.Boot.HasCommit() {
-		out.report(label, InvRestorable, "EP-cut commit not consumed by Go")
+		out.report(InvRestorable, "EP-cut commit not consumed by Go")
 	}
 	k.Tick(1)
 }
 
 // checkAppRecovered runs every application-level recovery path and compares
 // against the shadow (both warm and cold paths).
-func (s *System) checkAppRecovered(label string, out *CutOutcome) {
+func (s *System) checkAppRecovered(out *CutOutcome) {
 	// WAL store: replay must surface exactly the committed map.
 	s.journal.Crash()
 	s.journal.RecoverState()
 	if got, want := s.journal.Len(), len(s.shadow.jCommitted); got != want {
-		out.report(label, InvTornCommit, "journal recovered %d keys, committed %d", got, want)
+		out.report(InvTornCommit, "journal recovered %d keys, committed %d", got, want)
 	}
 	for i, key := range s.shadow.committedKeys {
 		v, err := s.journal.Get(key)
 		if err != nil {
-			out.report(label, InvLostCommit, "committed journal key %d lost: %v", key, err)
+			out.report(InvLostCommit, "committed journal key %d lost: %v", key, err)
 			continue
 		}
 		if want := s.shadow.committedVals[i]; v != want {
-			out.report(label, InvTornCommit,
+			out.report(InvTornCommit,
 				"journal key %d = %d, committed %d", key, v, want)
 		}
 	}
 	for _, key := range s.shadow.stagedKeys {
 		if v, err := s.journal.Get(key); !errors.Is(err, journal.ErrNotFound) {
-			out.report(label, InvResidue, "staged journal key %d readable (= %d)", key, v)
+			out.report(InvResidue, "staged journal key %d readable (= %d)", key, v)
 		}
 	}
 
@@ -185,16 +189,16 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 	bank := s.Platform.Kernel().OCPMEM
 	p2 := pmdk.Open(bank)
 	if p2.InTx() {
-		out.report(label, InvWedged, "pool transaction still open after recovery")
+		out.report(InvWedged, "pool transaction still open after recovery")
 	} else if root := p2.Root(); root == pmdk.NilOID {
-		out.report(label, InvLostCommit, "pool root object lost")
+		out.report(InvLostCommit, "pool root object lost")
 	} else {
 		got := make([]uint64, poolObjWords)
 		for i := range got {
 			got[i] = p2.Get(root, i)
 		}
-		if !wordsEqual(got, s.shadow.pool) {
-			out.report(label, InvResidue,
+		if !slices.Equal(got, s.shadow.pool) {
+			out.report(InvResidue,
 				"pool object %v != last committed %v", got, s.shadow.pool)
 		}
 	}
@@ -210,45 +214,32 @@ func (s *System) checkAppRecovered(label string, out *CutOutcome) {
 		}
 		reg2 := m2.Register(r.name, ptrs...)
 		if err := reg2.Restore(); err != nil {
-			out.report(label, InvWedged, "checkpoint region %s restore: %v", r.name, err)
+			out.report(InvWedged, "checkpoint region %s restore: %v", r.name, err)
 			continue
 		}
-		if !wordsEqual(got, r.committed) {
+		if !slices.Equal(got, r.committed) {
 			inv := InvTornCommit
 			detail := "matches no committed snapshot"
-			if wordsEqual(got, r.live) {
+			if slices.Equal(got, r.live) {
 				inv = InvResidue
 				detail = "matches uncommitted live values"
 			}
-			out.report(label, inv, "checkpoint region %s: restored %v %s (committed %v)",
+			out.report(inv, "checkpoint region %s: restored %v %s (committed %v)",
 				r.name, got, detail, r.committed)
 		}
 	}
 
 	// PSM datastore: every written line must read back byte-identical.
 	if ds := s.Platform.DataStore(); ds != nil {
-		for _, line := range s.shadow.lineKeys {
-			data, _, err := ds.ReadData(0, line)
-			if err != nil {
-				out.report(label, InvLostCommit, "datastore line %d unreadable: %v", line, err)
+		var buf [trace.CacheLineSize]byte
+		for i, line := range s.shadow.lineKeys {
+			if _, err := ds.ReadInto(0, line, buf[:]); err != nil {
+				out.report(InvLostCommit, "datastore line %d unreadable: %v", line, err)
 				continue
 			}
-			if !bytesEqual(data, s.shadow.lines[line]) {
-				out.report(label, InvTornCommit, "datastore line %d content mismatch", line)
+			if !bytes.Equal(buf[:], s.shadow.lineVals[i]) {
+				out.report(InvTornCommit, "datastore line %d content mismatch", line)
 			}
 		}
 	}
-}
-
-// bytesEqual reports whether two byte slices hold the same content.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

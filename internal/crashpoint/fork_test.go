@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
@@ -159,6 +160,38 @@ func TestConcurrentForksOfOneBase(t *testing.T) {
 			if i >= len(got[g]) || got[g][i] != want[i] {
 				t.Fatalf("goroutine %d, offset %v: concurrent fork's cut differs from a serial fork's", g, offsets[i])
 			}
+		}
+	}
+}
+
+// TestForkCutAllocations pins what one Fork().CutAt allocates on the bench
+// cell, on the cold path (a cut at offset 0 leaves no commit, so the cut
+// cold-boots a kernel) and on the warm path (a full hold-up window, so
+// Stop commits and Go resumes). Forks and cold boots take each kind of
+// kernel and PRAM object from one slab, and the recovery check reads the
+// data store into one buffer; a change that goes back to one allocation
+// per object crosses these ceilings.
+func TestForkCutAllocations(t *testing.T) {
+	base, err := Build(benchScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		offset  sim.Duration
+		ceiling float64
+	}{
+		{"cold boot", 0, 320},
+		{"completed", base.Window, 280},
+	} {
+		var out CutOutcome
+		n := testing.AllocsPerRun(20, func() { out = base.Fork().CutAt(tc.offset) })
+		if out.ColdBooted != (tc.offset == 0) || len(out.Violations) != 0 {
+			t.Fatalf("%s cut: cold-booted %v, violations %v", tc.name, out.ColdBooted, out.Violations)
+		}
+		t.Logf("%s cut: %.0f allocations", tc.name, n)
+		if n > tc.ceiling {
+			t.Errorf("%s cut makes %.0f allocations, ceiling %.0f", tc.name, n, tc.ceiling)
 		}
 	}
 }

@@ -71,16 +71,3 @@ func (v Violation) String() string {
 func violationf(cut, invariant, format string, args ...any) Violation {
 	return Violation{Cut: cut, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 }
-
-// wordsEqual compares two equal-length word snapshots.
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -2,6 +2,7 @@ package crashpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/pmdk"
@@ -97,12 +98,12 @@ func CheckPool(seed uint64, txs, setsPerTx int) []Violation {
 		}
 		inCommit := c < len(commitBegin) && commitBegin[c] <= k
 		switch {
-		case wordsEqual(got, snaps[c]):
+		case slices.Equal(got, snaps[c]):
 			// The last durable boundary: always correct.
-		case inCommit && wordsEqual(got, snaps[c+1]):
+		case inCommit && slices.Equal(got, snaps[c+1]):
 			// Inside TxCommit's own writes the cut may land on either
 			// side of the boundary — but only on a boundary.
-		case c+1 < len(snaps) && wordsEqual(got, snaps[c+1]):
+		case c+1 < len(snaps) && slices.Equal(got, snaps[c+1]):
 			out = append(out, violationf(cut, InvResidue,
 				"uncommitted transaction %d visible after recovery", c+1))
 		default:

@@ -118,11 +118,12 @@ type sysShadow struct {
 
 	// The ascending orders CutAt walks, computed once by freeze: the
 	// committed journal keys with their values, the staged journal keys no
-	// commit covers, and the written datastore lines.
+	// commit covers, and the written datastore lines with their content.
 	committedKeys []uint64
 	committedVals []uint64
 	stagedKeys    []uint64
 	lineKeys      []uint64
+	lineVals      [][]byte
 }
 
 // freeze computes the shadow's key orders. Build calls it last; nothing
@@ -139,6 +140,10 @@ func (sh *sysShadow) freeze() {
 		}
 	}
 	sh.lineKeys = sortedKeys(sh.lines)
+	sh.lineVals = make([][]byte, len(sh.lineKeys))
+	for i, line := range sh.lineKeys {
+		sh.lineVals[i] = sh.lines[line]
+	}
 }
 
 // preState captures the kernel image before Stop begins, for the

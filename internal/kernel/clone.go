@@ -10,6 +10,12 @@ package kernel
 // writes one (see Bank). Bank write observers are not carried over
 // (Bank.Clone drops them): an observer belongs to whoever installed it on
 // the source.
+//
+// The copies of each kind live in one slab: one allocation holds every
+// Process, one every Core, one every Device and one every WaitQueue, and
+// one backing array holds every run queue and waiter list, each capped at
+// its own length so that an append moves it out rather than into its
+// neighbour.
 func (k *Kernel) Clone() *Kernel {
 	out := &Kernel{
 		cfg:           k.cfg,
@@ -23,13 +29,15 @@ func (k *Kernel) Clone() *Kernel {
 	// Banks first: the kernel's two plus whatever a PCB points at (after a
 	// cold boot a process bank can differ from both), identity-remapped so
 	// shared banks stay shared in the clone.
-	banks := map[*Bank]*Bank{nil: nil}
+	banks := [][2]*Bank{{nil, nil}}
 	bankOf := func(b *Bank) *Bank {
-		if c, ok := banks[b]; ok {
-			return c
+		for _, m := range banks {
+			if m[0] == b {
+				return m[1]
+			}
 		}
 		c := b.Clone()
-		banks[b] = c
+		banks = append(banks, [2]*Bank{b, c})
 		return c
 	}
 	out.DRAM = bankOf(k.DRAM)
@@ -38,48 +46,78 @@ func (k *Kernel) Clone() *Kernel {
 
 	// Processes: value-copy each PCB and remap its bank; wait-queue links
 	// are rewired below once every clone exists.
-	procs := map[*Process]*Process{nil: nil}
+	procs := make([]Process, len(k.Procs))
 	out.Procs = make([]*Process, len(k.Procs))
 	for i, p := range k.Procs {
-		c := new(Process)
+		c := &procs[i]
 		*c = *p
 		c.bank = bankOf(p.bank)
 		out.Procs[i] = c
-		procs[p] = c
+	}
+	// procOf maps a source PCB to its copy (nil for nil). PIDs run 1..n in
+	// Procs order, so the PID names the slot; a scan covers any other order.
+	procOf := func(p *Process) *Process {
+		if p == nil {
+			return nil
+		}
+		if i := p.PID - 1; i >= 0 && i < len(k.Procs) && k.Procs[i] == p {
+			return &procs[i]
+		}
+		for i, q := range k.Procs {
+			if q == p {
+				return &procs[i]
+			}
+		}
+		return nil
 	}
 
+	links := 0
+	for _, q := range k.queues {
+		links += len(q.waiters)
+	}
+	for _, c := range k.Cores {
+		links += len(c.RunQueue)
+	}
+	backing := make([]*Process, links)
+	carve := func(from []*Process) []*Process {
+		n := len(from)
+		s := backing[:n:n]
+		backing = backing[n:]
+		for j, p := range from {
+			s[j] = procOf(p)
+		}
+		return s
+	}
+
+	queues := make([]WaitQueue, len(k.queues))
 	out.queues = make([]*WaitQueue, len(k.queues))
 	for i, q := range k.queues {
-		nq := &WaitQueue{Name: q.Name}
-		nq.waiters = make([]*Process, len(q.waiters))
-		for j, w := range q.waiters {
-			nq.waiters[j] = procs[w]
-		}
+		nq := &queues[i]
+		nq.Name = q.Name
+		nq.waiters = carve(q.waiters)
 		out.queues[i] = nq
-		for _, p := range k.Procs {
+		for j, p := range k.Procs {
 			if p.wq == q {
-				procs[p].wq = nq
+				procs[j].wq = nq
 			}
 		}
 	}
 
+	cores := make([]Core, len(k.Cores))
 	out.Cores = make([]*Core, len(k.Cores))
 	for i, c := range k.Cores {
-		nc := new(Core)
+		nc := &cores[i]
 		*nc = *c
-		nc.Current = procs[c.Current]
-		nc.RunQueue = make([]*Process, len(c.RunQueue))
-		for j, p := range c.RunQueue {
-			nc.RunQueue[j] = procs[p]
-		}
+		nc.Current = procOf(c.Current)
+		nc.RunQueue = carve(c.RunQueue)
 		out.Cores[i] = nc
 	}
 
+	devices := make([]Device, len(k.Devices))
 	out.Devices = make([]*Device, len(k.Devices))
 	for i, d := range k.Devices {
-		nd := new(Device)
-		*nd = *d
-		out.Devices[i] = nd
+		devices[i] = *d
+		out.Devices[i] = &devices[i]
 	}
 	return out
 }

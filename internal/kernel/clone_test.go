@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -69,5 +71,54 @@ func TestKernelCloneIndependence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCloneQueuesGrowApart checks the clone's run queues and waiter lists,
+// which share one backing array: growing or shrinking one list must leave
+// every other list, and the source's, as it was.
+func TestCloneQueuesGrowApart(t *testing.T) {
+	k := New(Config{Cores: 4, UserProcs: 12, KernelProcs: 8, Devices: 2, SleepFraction: 0.4, Seed: 3})
+	c := k.Clone()
+	snapshot := func(k *Kernel) [][]int {
+		var out [][]int
+		for _, core := range k.Cores {
+			var pids []int
+			for _, p := range core.RunQueue {
+				pids = append(pids, p.PID)
+			}
+			out = append(out, pids)
+		}
+		for _, q := range k.queues {
+			var pids []int
+			for _, p := range q.waiters {
+				pids = append(pids, p.PID)
+			}
+			out = append(out, pids)
+		}
+		return out
+	}
+	srcBefore := snapshot(k)
+	want := snapshot(c)
+	woken := 0
+	for i, p := range c.Procs {
+		if p.State != TaskSleeping {
+			continue
+		}
+		core := i % len(c.Cores)
+		q := len(c.Cores) + slices.Index(c.queues, p.wq)
+		want[q] = slices.DeleteFunc(want[q], func(pid int) bool { return pid == p.PID })
+		c.WakeToCore(p, core)
+		want[core] = append(want[core], p.PID)
+		woken++
+	}
+	if woken < 2 {
+		t.Fatalf("only %d sleepers to wake", woken)
+	}
+	if got := snapshot(c); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("clone queues after waking %v, want %v", got, want)
+	}
+	if got := snapshot(k); fmt.Sprint(got) != fmt.Sprint(srcBefore) {
+		t.Fatalf("source queues changed to %v, were %v", got, srcBefore)
 	}
 }

@@ -144,24 +144,33 @@ func NewWithBank(cfg Config, ocpmem *Bank) *Kernel {
 		procBank = k.DRAM
 	}
 	k.Boot = NewBootloader(k.OCPMEM)
-	for _, name := range []string{"io", "timer", "net", "futex"} {
-		k.queues = append(k.queues, &WaitQueue{Name: name})
+	// Each kind of object comes from one slab, as in Clone.
+	queues := make([]WaitQueue, len(queueNames))
+	k.queues = make([]*WaitQueue, len(queueNames))
+	for i, name := range queueNames {
+		queues[i].Name = name
+		k.queues[i] = &queues[i]
 	}
 
-	for i := 0; i < cfg.Cores; i++ {
-		c := &Core{ID: i, Online: true}
+	cores := make([]Core, cfg.Cores)
+	k.Cores = make([]*Core, cfg.Cores)
+	for i := range cores {
+		c := &cores[i]
+		c.ID, c.Online = i, true
 		for j := range c.MRegs {
 			c.MRegs[j] = k.rng.Uint64()
 		}
 		c.DirtyLines = k.rng.Intn(cfg.CacheLinesPerCore + 1)
-		k.Cores = append(k.Cores, c)
+		k.Cores[i] = c
 	}
+	procs := make([]Process, max(cfg.UserProcs, 0)+max(cfg.KernelProcs, 0))
+	k.Procs = make([]*Process, 0, len(procs))
 	for i := 0; i < cfg.UserProcs; i++ {
-		p := k.spawn(fmt.Sprintf("user%02d", i), false, procBank)
+		p := k.spawn(&procs[len(k.Procs)], userNames.at(i), false, procBank)
 		p.Nice = k.rng.Intn(16) - 5 // -5..10
 	}
 	for i := 0; i < cfg.KernelProcs; i++ {
-		p := k.spawn(fmt.Sprintf("kthread%02d", i), true, procBank)
+		p := k.spawn(&procs[len(k.Procs)], kthreadNames.at(i), true, procBank)
 		p.Nice = -10
 	}
 	// Distribute: some asleep on wait queues, the rest runnable across
@@ -183,10 +192,49 @@ func NewWithBank(cfg Config, ocpmem *Bank) *Kernel {
 	for _, c := range k.Cores {
 		k.scheduleNext(c)
 	}
-	for i := 0; i < cfg.Devices; i++ {
-		k.Devices = append(k.Devices, newDevice(i, k.rng))
+	devices := make([]Device, max(cfg.Devices, 0))
+	k.Devices = make([]*Device, len(devices))
+	for i := range devices {
+		devices[i].init(i, k.rng)
+		k.Devices[i] = &devices[i]
 	}
 	return k
+}
+
+// queueNames are the kernel's wait queues, in order.
+var queueNames = [...]string{"io", "timer", "net", "futex"}
+
+// names is one kind of process or device name, formatted at start-up for
+// the first nameCap indexes and shared by every boot.
+type names struct {
+	format string
+	list   []string
+}
+
+// nameCap covers every configured system (the busy default has 250
+// devices); a higher index is formatted when it is needed.
+const nameCap = 256
+
+var (
+	userNames    = newNames("user%02d")
+	kthreadNames = newNames("kthread%02d")
+	deviceNames  = newNames("dev%03d")
+)
+
+func newNames(format string) names {
+	n := names{format: format, list: make([]string, nameCap)}
+	for i := range n.list {
+		n.list[i] = fmt.Sprintf(format, i)
+	}
+	return n
+}
+
+// at returns the name for index i.
+func (n *names) at(i int) string {
+	if i < len(n.list) {
+		return n.list[i]
+	}
+	return fmt.Sprintf(n.format, i)
 }
 
 // Config reports the system configuration.
@@ -200,9 +248,10 @@ func (k *Kernel) ProcBank() *Bank {
 	return k.OCPMEM
 }
 
-func (k *Kernel) spawn(name string, kernelThread bool, bank *Bank) *Process {
+// spawn fills p as the next PCB and appends it to Procs.
+func (k *Kernel) spawn(p *Process, name string, kernelThread bool, bank *Bank) *Process {
 	k.nextPID++
-	p := newProcess(k.nextPID, name, kernelThread, bank)
+	*p = *newProcess(k.nextPID, name, kernelThread, bank)
 	k.Procs = append(k.Procs, p)
 	return p
 }

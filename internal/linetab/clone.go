@@ -66,12 +66,11 @@ func (s *Slab) Clone() *Slab {
 }
 
 // Clone returns a deep copy of the in-flight set. Flight is embedded by
-// value in device structs, so Clone returns a value too. The scratch slices
-// are working storage for rebuild and start empty in the copy.
+// value in device structs, so Clone returns a value too. The scratch slice
+// is working storage for rebuild and starts empty in the copy.
 func (f *Flight) Clone() Flight {
 	return Flight{
-		keys:   slices.Clone(f.keys),
-		ends:   slices.Clone(f.ends),
+		slots:  slices.Clone(f.slots),
 		live:   f.live,
 		shift:  f.shift,
 		maxEnd: f.maxEnd,

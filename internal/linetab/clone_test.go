@@ -20,7 +20,7 @@ func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, Slab{},
 		"rec", "refs", "arena")
 	snapshot.CheckCovered(t, Flight{},
-		"keys", "ends", "live", "shift", "maxEnd", "scratchK", "scratchE")
+		"slots", "live", "shift", "maxEnd", "scratch")
 }
 
 // TestCloneIndependence mutates clones and sources and checks neither sees

@@ -19,19 +19,33 @@ import "repro/internal/sim"
 // End times must be non-negative (sim.Time zero is the start of simulated
 // time); keys are arbitrary.
 type Flight struct {
-	keys  []uint64
-	ends  []int64 // end+1; 0 = empty slot
+	slots []flightSlot
 	live  int
 	shift uint
 
 	maxEnd sim.Time // latest end ever recorded; never decreases
 
-	scratchK []uint64
-	scratchE []int64
+	scratch []flightSlot
+}
+
+// flightSlot is one arena slot. Keys and ends share the slot, so the arena
+// is one allocation.
+type flightSlot struct {
+	key uint64
+	end int64 // end+1; 0 = empty slot
 }
 
 // flightMinSlots is the initial arena size: 64 slots carries twice the
 // prune threshold the map-based device used.
+//
+// Changing it changes simulated results, not just memory. rebuild prunes
+// every entry that ends at or before the inserting write's now, but a PRAM
+// write is stamped with its write-slot start, which can be later than the
+// next read the PSM issues; a window pruned that way still covers that
+// read, and Busy reports the row idle. When the arena fills therefore
+// decides which cooling windows are forgotten early. A 32-slot first arena
+// leaves every golden byte-identical but moves full-size LightPC results
+// (TestFullSizePSMResultsPinned at the repository root).
 const flightMinSlots = 64
 
 // Quiet reports that nothing can be in flight at now: every end time ever
@@ -49,14 +63,14 @@ func (f *Flight) End(key uint64) (sim.Time, bool) {
 	if f.live == 0 {
 		return 0, false
 	}
-	mask := uint64(len(f.keys) - 1)
+	mask := uint64(len(f.slots) - 1)
 	for i := hash64(key) >> f.shift; ; i = (i + 1) & mask {
-		stored := f.ends[i]
-		if stored == 0 {
+		sl := &f.slots[i]
+		if sl.end == 0 {
 			return 0, false
 		}
-		if f.keys[i] == key {
-			return sim.Time(stored - 1), true
+		if sl.key == key {
+			return sim.Time(sl.end - 1), true
 		}
 	}
 }
@@ -89,39 +103,36 @@ func (f *Flight) Set(now sim.Time, key uint64, end sim.Time) {
 	if end > f.maxEnd {
 		f.maxEnd = end
 	}
-	if f.keys == nil {
+	if f.slots == nil {
 		//lint:allow zeroalloc one-time lazy arena init on the first in-flight op
-		f.keys = make([]uint64, flightMinSlots)
-		//lint:allow zeroalloc one-time lazy arena init on the first in-flight op
-		f.ends = make([]int64, flightMinSlots)
+		f.slots = make([]flightSlot, flightMinSlots)
 		f.shift = 64 - 6
 	}
-	mask := uint64(len(f.keys) - 1)
+	mask := uint64(len(f.slots) - 1)
 	for i := hash64(key) >> f.shift; ; i = (i + 1) & mask {
-		if f.ends[i] == 0 {
-			if (f.live+1)*2 > len(f.keys) {
+		if f.slots[i].end == 0 {
+			if (f.live+1)*2 > len(f.slots) {
 				//lint:allow zeroalloc prune/grow is amortized; steady state stays at fixed capacity
 				f.rebuild(now)
-				mask = uint64(len(f.keys) - 1)
+				mask = uint64(len(f.slots) - 1)
 				// Re-probe: the arena was rewritten under us.
 				for j := hash64(key) >> f.shift; ; j = (j + 1) & mask {
-					if f.ends[j] == 0 {
+					if f.slots[j].end == 0 {
 						i = j
 						break
 					}
-					if f.keys[j] == key {
-						f.ends[j] = int64(end) + 1
+					if f.slots[j].key == key {
+						f.slots[j].end = int64(end) + 1
 						return
 					}
 				}
 			}
-			f.keys[i] = key
-			f.ends[i] = int64(end) + 1
+			f.slots[i] = flightSlot{key: key, end: int64(end) + 1}
 			f.live++
 			return
 		}
-		if f.keys[i] == key {
-			f.ends[i] = int64(end) + 1
+		if f.slots[i].key == key {
+			f.slots[i].end = int64(end) + 1
 			return
 		}
 	}
@@ -130,41 +141,35 @@ func (f *Flight) Set(now sim.Time, key uint64, end sim.Time) {
 // rebuild prunes expired entries in place and, when the survivors still
 // crowd the arena, doubles it.
 func (f *Flight) rebuild(now sim.Time) {
-	f.scratchK = f.scratchK[:0]
-	f.scratchE = f.scratchE[:0]
-	for i, stored := range f.ends {
-		if stored != 0 && sim.Time(stored-1) > now {
-			f.scratchK = append(f.scratchK, f.keys[i])
-			f.scratchE = append(f.scratchE, stored)
+	f.scratch = f.scratch[:0]
+	for _, sl := range f.slots {
+		if sl.end != 0 && sim.Time(sl.end-1) > now {
+			f.scratch = append(f.scratch, sl)
 		}
 	}
-	size := len(f.keys)
-	for (len(f.scratchK)+1)*2 > size {
+	size := len(f.slots)
+	for (len(f.scratch)+1)*2 > size {
 		size *= 2
 	}
-	if size != len(f.keys) {
-		f.keys = make([]uint64, size)
-		f.ends = make([]int64, size)
+	if size != len(f.slots) {
+		f.slots = make([]flightSlot, size)
 		shift := uint(64)
 		for s := size; s > 1; s >>= 1 {
 			shift--
 		}
 		f.shift = shift
 	} else {
-		for i := range f.ends {
-			f.ends[i] = 0
-		}
+		clear(f.slots)
 	}
 	mask := uint64(size - 1)
-	for j, k := range f.scratchK {
-		i := hash64(k) >> f.shift
-		for f.ends[i] != 0 {
+	for _, sl := range f.scratch {
+		i := hash64(sl.key) >> f.shift
+		for f.slots[i].end != 0 {
 			i = (i + 1) & mask
 		}
-		f.keys[i] = k
-		f.ends[i] = f.scratchE[j]
+		f.slots[i] = sl
 	}
-	f.live = len(f.scratchK)
+	f.live = len(f.scratch)
 }
 
 // Len reports the number of entries currently held (live plus not yet
@@ -172,4 +177,4 @@ func (f *Flight) rebuild(now sim.Time) {
 func (f *Flight) Len() int { return f.live }
 
 // Cap reports the arena size in slots — the bounded-memory observable.
-func (f *Flight) Cap() int { return len(f.keys) }
+func (f *Flight) Cap() int { return len(f.slots) }

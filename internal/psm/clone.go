@@ -54,9 +54,11 @@ func (p *PSM) Clone() *PSM {
 	return out
 }
 
-// CloneFor returns a deep copy of the data store attached to the given
-// cloned PSM (content slabs, RS codewords, dead-device set). The RS coder
-// is shared — it is stateless after construction.
+// CloneFor returns a copy of the data store attached to the given cloned
+// PSM. The dead-device set is copied; the content slabs and RS codewords
+// are shared copy-on-write: both stores are marked, and whichever writes
+// first copies them. The RS coder is shared — it is stateless after
+// construction.
 func (ds *DataStore) CloneFor(p *PSM) *DataStore {
 	if ds == nil {
 		return nil
@@ -65,13 +67,16 @@ func (ds *DataStore) CloneFor(p *PSM) *DataStore {
 	for k, v := range ds.deadDevs {
 		dead[k] = v
 	}
-	return &DataStore{
+	ds.slabsShared.Store(true)
+	out := &DataStore{
 		psm:             p,
-		lines:           ds.lines.Clone(),
-		rsWords:         ds.rsWords.Clone(),
+		lines:           ds.lines,
+		rsWords:         ds.rsWords,
 		rs:              ds.rs,
 		deadDevs:        dead,
 		reconstructions: ds.reconstructions,
 		symbolRepairs:   ds.symbolRepairs,
 	}
+	out.slabsShared.Store(true)
+	return out
 }

@@ -17,7 +17,7 @@ func TestCloneCompleteness(t *testing.T) {
 		"wl", "stats", "readLat", "writeAckLat",
 		"hold", "mce", "drainScratch", "scrubLines", "tr", "trLane")
 	snapshot.CheckCovered(t, DataStore{},
-		"psm", "lines", "rsWords", "rs", "deadDevs",
+		"psm", "lines", "rsWords", "rs", "deadDevs", "slabsShared",
 		"reconstructions", "symbolRepairs")
 	snapshot.CheckCovered(t, StartGap{},
 		"lines", "start", "gap", "mult", "add", "writes", "threshold", "moves")

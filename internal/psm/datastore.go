@@ -3,6 +3,7 @@ package psm
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ecc"
 	"repro/internal/linetab"
@@ -26,6 +27,12 @@ type DataStore struct {
 	rsWords  *linetab.Slab // line -> RS codeword (when hybrid on)
 	rs       *ecc.RS
 	deadDevs map[devKey]bool
+
+	// slabsShared marks lines and rsWords as shared with a clone or with
+	// the store this one was cloned from: the next write copies them
+	// first. CloneFor sets it on its source with an atomic store, so
+	// several goroutines may clone one store at once.
+	slabsShared atomic.Bool
 
 	reconstructions uint64 // XCC byte-level rebuilds served
 	symbolRepairs   uint64 // RS byte-level rebuilds served
@@ -95,6 +102,11 @@ func (ds *DataStore) WriteData(now sim.Time, line uint64, data []byte) sim.Time 
 	if len(data) != trace.CacheLineSize {
 		panic(fmt.Sprintf("psm: WriteData needs 64 B, got %d", len(data)))
 	}
+	if ds.slabsShared.Load() {
+		ds.lines = ds.lines.Clone()
+		ds.rsWords = ds.rsWords.Clone()
+		ds.slabsShared.Store(false)
+	}
 	ds.lines.Put(line, data)
 	if ds.rs != nil {
 		ds.rsWords.Put(line, ds.rs.Encode(data))
@@ -108,11 +120,27 @@ func (ds *DataStore) WriteData(now sim.Time, line uint64, data []byte) sim.Time 
 // codeword is decoded when available. The timing cost of the recovery path
 // rides the PSM's model (reconstruction reads / symbol decode latency).
 func (ds *DataStore) ReadData(now sim.Time, line uint64) ([]byte, sim.Time, error) {
+	out := make([]byte, trace.CacheLineSize)
+	done, err := ds.ReadInto(now, line, out)
+	if err != nil {
+		return nil, done, err
+	}
+	return out, done, nil
+}
+
+// ReadInto is ReadData filling the caller's 64 B buf instead of returning a
+// new slice; a read of a line no device lost allocates nothing. buf holds
+// no line when the error is non-nil.
+func (ds *DataStore) ReadInto(now sim.Time, line uint64, buf []byte) (sim.Time, error) {
+	if len(buf) != trace.CacheLineSize {
+		panic(fmt.Sprintf("psm: ReadInto needs 64 B, got %d", len(buf)))
+	}
 	done := ds.psm.Read(now, line)
 	stored, ok := ds.lines.Get(line)
 	if !ok {
 		// Never written: PRAM reads back zeroes.
-		return make([]byte, trace.CacheLineSize), done, nil
+		clear(buf)
+		return done, nil
 	}
 	dimm, dataFirst, parityFirst := ds.location(line)
 	loDead := ds.dead(dimm, dataFirst)
@@ -121,22 +149,22 @@ func (ds *DataStore) ReadData(now sim.Time, line uint64) ([]byte, sim.Time, erro
 
 	switch {
 	case !loDead && !hiDead:
-		out := make([]byte, trace.CacheLineSize)
-		copy(out, stored)
-		return out, done, nil
+		copy(buf, stored)
+		return done, nil
 	case (loDead != hiDead) && !parityDead && ds.psm.cfg.XCC:
 		// Exactly one half dead: rebuild it from sibling ⊕ parity — the
 		// real XOR, not a flag.
 		lo, hi := stored[:ecc.HalfSize], stored[ecc.HalfSize:]
 		parity := ecc.XCCParity(lo, hi) // what the parity devices hold
-		var rebuilt []byte
 		if loDead {
-			rebuilt = append(ecc.XCCReconstruct(hi, parity), hi...)
+			copy(buf, ecc.XCCReconstruct(hi, parity))
+			copy(buf[ecc.HalfSize:], hi)
 		} else {
-			rebuilt = append(append([]byte{}, lo...), ecc.XCCReconstruct(lo, parity)...)
+			copy(buf, lo)
+			copy(buf[ecc.HalfSize:], ecc.XCCReconstruct(lo, parity))
 		}
 		ds.reconstructions++
-		return rebuilt, done, nil
+		return done, nil
 	case ds.rs != nil:
 		// Two or more granule sets dead: the Section VIII symbol code.
 		rw, _ := ds.rsWords.Get(line)
@@ -155,14 +183,13 @@ func (ds *DataStore) ReadData(now sim.Time, line uint64) ([]byte, sim.Time, erro
 		}
 		data, err := ds.rs.Decode(word)
 		if err != nil {
-			return nil, done, ErrDataLoss
+			return done, ErrDataLoss
 		}
 		ds.symbolRepairs++
-		out := make([]byte, trace.CacheLineSize)
-		copy(out, data)
-		return out, done.Add(ds.psm.cfg.SymbolDecodeLatency), nil
+		copy(buf, data)
+		return done.Add(ds.psm.cfg.SymbolDecodeLatency), nil
 	default:
-		return nil, done, ErrDataLoss
+		return done, ErrDataLoss
 	}
 }
 
@@ -173,9 +200,10 @@ func (ds *DataStore) Scrub(now sim.Time) sim.Time {
 	t := now
 	lines := make([]uint64, 0, ds.lines.Len())
 	ds.lines.ForEach(func(line uint64, _ []byte) { lines = append(lines, line) })
+	buf := make([]byte, trace.CacheLineSize)
 	for _, line := range lines {
-		out, _, err := ds.ReadData(t, line)
-		if err != nil {
+		out := buf
+		if _, err := ds.ReadInto(t, line, buf); err != nil {
 			// Unrecoverable lines keep their stored content (the caller
 			// decided to scrub anyway); refresh the codes.
 			out, _ = ds.lines.Get(line)

@@ -231,3 +231,71 @@ func TestDataStoreSingleFaultProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDataStoreReadIntoAllocFree pins the buffer read: it returns what
+// ReadData returns, zeroes for a line never written, and allocates nothing
+// on a line no device lost.
+func TestDataStoreReadIntoAllocFree(t *testing.T) {
+	ds := NewDataStore(New(DefaultConfig()))
+	now := ds.WriteData(0, 42, lineBytes(3))
+	buf := bytes.Repeat([]byte{0xEE}, trace.CacheLineSize)
+	if _, err := ds.ReadInto(now, 7, buf); err != nil || !bytes.Equal(buf, make([]byte, trace.CacheLineSize)) {
+		t.Fatalf("unwritten line read %x, %v; want zeroes", buf, err)
+	}
+	want, wantDone, _ := ds.ReadData(now, 42)
+	if done, err := ds.ReadInto(now, 42, buf); err != nil || !bytes.Equal(buf, want) || done != wantDone {
+		t.Fatalf("ReadInto = %x at %v, %v; ReadData gave %x at %v", buf, done, err, want, wantDone)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		now, _ = ds.ReadInto(now, 42, buf)
+	}); n != 0 {
+		t.Fatalf("ReadInto allocates %.1f times per read", n)
+	}
+}
+
+// TestDataStoreCloneSharesUntilWrite checks the copy-on-write content: a
+// clone reads its source's lines and RS codewords, and a write or a scrub
+// on either side afterwards stays on that side.
+func TestDataStoreCloneSharesUntilWrite(t *testing.T) {
+	p := New(hybridConfig())
+	src := NewDataStore(p)
+	now := sim.Time(0)
+	for i := uint64(0); i < 8; i++ {
+		now = src.WriteData(now, i, lineBytes(byte(i)))
+	}
+	c := src.CloneFor(p.Clone())
+	if c.lines != src.lines || c.rsWords != src.rsWords {
+		t.Fatal("CloneFor copied the content slabs")
+	}
+	now = src.WriteData(now, 1, lineBytes(100))
+	c.WriteData(now, 2, lineBytes(200))
+	c2 := c.CloneFor(p.Clone())
+	c2.Scrub(now)
+	// With both devices of a line's data pair dead, only its RS codeword
+	// brings it back: kill the pair of a line the other side rewrote, on
+	// each side, so a codeword write that reached the other side shows.
+	for _, kill := range []struct {
+		ds   *DataStore
+		line uint64
+	}{{c, 1}, {src, 2}} {
+		dimm, first, _ := kill.ds.Locate(kill.line)
+		kill.ds.KillDevice(dimm, first)
+		kill.ds.KillDevice(dimm, first+1)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *DataStore
+		want [4]byte // content seeds of lines 0..3
+	}{
+		{"source", src, [4]byte{0, 100, 2, 3}},
+		{"clone", c, [4]byte{0, 1, 200, 3}},
+		{"clone of clone", c2, [4]byte{0, 1, 200, 3}},
+	} {
+		for line, seed := range tc.want {
+			got, _, err := tc.ds.ReadData(now, uint64(line))
+			if err != nil || !bytes.Equal(got, lineBytes(seed)) {
+				t.Fatalf("%s line %d = %x, %v; want seed %d", tc.name, line, got, err, seed)
+			}
+		}
+	}
+}

@@ -239,8 +239,13 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 	workers := make([]sim.Duration, len(k.Cores))
 	// The master walks every alive PCB; sleepers are woken round-robin
 	// across cores (balanced), user tasks get the fake-signal treatment.
+	// Waking stops no task, so walking Procs live and skipping the stopped
+	// ones visits what a snapshot of the alive list would.
 	nextCore := 0
-	for _, p := range k.Alive() {
+	for _, p := range k.Procs {
+		if p.State == kernel.TaskStopped {
+			continue
+		}
 		if !run.spend(s.T.PCBVisit) {
 			break
 		}
@@ -276,7 +281,7 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 		}
 		// Apply the parking: every running/runnable task goes
 		// TASK_UNINTERRUPTIBLE; each core ends on its idle task.
-		for _, p := range k.Alive() {
+		for _, p := range k.Procs {
 			if p.State == kernel.TaskRunning || p.State == kernel.TaskRunnable {
 				k.Park(p)
 				rep.ParkedTasks++

@@ -10,9 +10,10 @@
 //   - a presence bit per word keeps a stored zero distinct from an absent
 //     word;
 //   - keys are arbitrary uint64 values; the directory is sparse, so keys far
-//     apart cost one page each, and a lookup binary-searches it unless the
-//     directory is gap-free, when the page's position follows from its
-//     index;
+//     apart cost one page each. A lookup first tries the directory position
+//     of the last page it found (a process's save area is ten consecutive
+//     words of one page), then binary-searches the directory unless it is
+//     gap-free, when the page's position follows from its index;
 //   - Range visits keys in ascending order straight off the pages, with no
 //     key collection, no sort and no allocation;
 //   - Clone copies only the directory. Both tables then share every page,
@@ -33,7 +34,7 @@
 // Concurrency: Clone only reads its source, apart from one atomic store
 // that clears the source's stamp, so any number of goroutines may clone one
 // table at once provided none of them writes it. Every other method needs
-// the table to itself.
+// the table to itself: Get, Set, Delete and Range all move the lookup hint.
 package wordtab
 
 import (
@@ -72,6 +73,7 @@ type entry struct {
 type Table struct {
 	dir   []entry       // ascending by index
 	n     int           // present words
+	hint  int           // directory position of the last page found; checked before use
 	owner atomic.Uint64 // this table's stamp (0: none); pages carrying it are its own
 }
 
@@ -90,20 +92,28 @@ func (t *Table) stamp() uint64 {
 }
 
 // find returns the directory position of page index pi and whether that
-// page is present; when it is not, the position is where it would go.
+// page is present; when it is not, the position is where it would go. A
+// page found becomes the hint.
 //
-// A directory with no gaps from its first page holds pi at position
-// pi - dir[0].index, so that guess is tried before the binary search: the
-// journal's keys are dense, and replaying a log into them then costs one
-// probe per record instead of a search.
+// The hint is tried first: consecutive keys mostly share a page. It is only
+// a position, and an insert shifts the entries after it, so its index is
+// checked before it is trusted; a stale hint costs one compare. A directory
+// with no gaps from its first page holds pi at position pi - dir[0].index,
+// so that guess comes next, before the binary search: the journal's keys
+// are dense, and replaying a log into them then costs one probe per record
+// instead of a search.
 //
 //lightpc:zeroalloc
 func (t *Table) find(pi uint64) (int, bool) {
 	d := t.dir
+	if h := t.hint; h < len(d) && d[h].index == pi {
+		return h, true
+	}
 	if len(d) == 0 {
 		return 0, false
 	}
 	if g := pi - d[0].index; g < uint64(len(d)) && d[g].index == pi {
+		t.hint = int(g)
 		return int(g), true
 	}
 	lo, n := 0, len(d)
@@ -116,7 +126,11 @@ func (t *Table) find(pi uint64) (int, bool) {
 			n = half
 		}
 	}
-	return lo, lo < len(d) && d[lo].index == pi
+	if lo < len(d) && d[lo].index == pi {
+		t.hint = lo
+		return lo, true
+	}
+	return lo, false
 }
 
 // Get returns the word at k and whether one is present (an absent word reads
@@ -179,10 +193,12 @@ func (t *Table) Delete(k uint64) {
 	t.n--
 }
 
-// insert puts a new, empty page for page index pi at directory position i.
+// insert puts a new, empty page for page index pi at directory position i,
+// which becomes the hint.
 func (t *Table) insert(i int, pi uint64) *page {
 	p := &page{owner: t.stamp()}
 	t.dir = slices.Insert(t.dir, i, entry{index: pi, page: p})
+	t.hint = i
 	return p
 }
 

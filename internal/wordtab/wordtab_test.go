@@ -2,6 +2,7 @@ package wordtab
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -140,6 +141,97 @@ func TestOwnedPageReadWriteAllocFree(t *testing.T) {
 	}
 }
 
+// checkModel compares a table with its model in full: every model key
+// reads back through Get, Len agrees, and a walk matches.
+func checkModel(t *testing.T, name string, tb *Table, m map[uint64]uint64) {
+	t.Helper()
+	for k, v := range m {
+		if got, ok := tb.Get(k); !ok || got != v {
+			t.Fatalf("%s: Get(%#x) = %d, %v; model %d", name, k, got, ok, v)
+		}
+	}
+	if tb.Len() != len(m) {
+		t.Fatalf("%s: Len %d, model %d", name, tb.Len(), len(m))
+	}
+	if got, want := walk(tb, 0, math.MaxUint64), modelWalk(m, 0, math.MaxUint64); !slices.Equal(got, want) {
+		t.Fatalf("%s: holds %v, model %v", name, got, want)
+	}
+}
+
+// TestLookupHintAgainstModel drives the directory hint through each way it
+// can go stale, checking the table against a map after every step: a page
+// inserted before the hinted one shifts it, Delete and Reset empty it,
+// and a Clone starts both sides from one directory and lets each move its
+// own hint.
+func TestLookupHintAgainstModel(t *testing.T) {
+	var tb Table
+	m := map[uint64]uint64{}
+	set := func(tb *Table, m map[uint64]uint64, k, v uint64) {
+		tb.Set(k, v)
+		m[k] = v
+	}
+	// A save area: ten consecutive words of one page, the hint's case.
+	for k := uint64(0x1000); k < 0x100A; k++ {
+		set(&tb, m, k, k*3)
+	}
+	hinted := uint64(0x1000) >> pageBits
+	if tb.dir[tb.hint].index != hinted {
+		t.Fatalf("hint at page %#x, want %#x", tb.dir[tb.hint].index, hinted)
+	}
+	// Insert pages before the hinted one: its position moves, and the
+	// next lookup there must still land on the right page.
+	set(&tb, m, 0x10, 1)
+	set(&tb, m, 0x20, 2)
+	if tb.dir[tb.hint].index == hinted {
+		t.Fatal("inserting a page left the hint on the old page")
+	}
+	for k := uint64(0x1000); k < 0x100A; k++ {
+		set(&tb, m, k, k*5)
+	}
+	if tb.hint != 2 || tb.dir[tb.hint].index != hinted {
+		t.Fatalf("hint at position %d, want the shifted page at 2", tb.hint)
+	}
+	checkModel(t, "after inserts before the hint", &tb, m)
+	// Delete through the hint, then write the emptied slot again.
+	tb.Delete(0x1003)
+	delete(m, 0x1003)
+	tb.Delete(0x1004)
+	delete(m, 0x1004)
+	checkModel(t, "after deletes", &tb, m)
+	set(&tb, m, 0x1003, 7)
+	checkModel(t, "after rewriting a deleted word", &tb, m)
+	// Clone, then let each side move its own hint and write pages the
+	// other still shares. The clone's hint starts at position 0, on a
+	// page other than the one the source last found.
+	c := tb.Clone()
+	cm := maps.Clone(m)
+	if c.dir[c.hint].index == hinted {
+		t.Fatal("the clone's first lookup would not test a stale hint")
+	}
+	set(&c, cm, 0x1001, 11)
+	set(&tb, m, 0x0011, 12)
+	set(&c, cm, 0x0005, 13) // a new page before every other
+	set(&tb, m, 0x1002, 14)
+	if _, ok := c.Get(0x1001); !ok {
+		t.Fatal("clone lost a word")
+	}
+	checkModel(t, "source after clone", &tb, m)
+	checkModel(t, "clone", &c, cm)
+	// Reset leaves a hint past the end of the emptied directory.
+	tb.Reset()
+	clear(m)
+	if tb.hint < len(tb.dir) {
+		t.Fatal("Reset left the hint inside the directory")
+	}
+	if _, ok := tb.Get(0x1001); ok {
+		t.Fatal("word present after Reset")
+	}
+	set(&tb, m, 0x1001, 15)
+	set(&tb, m, 0x0001, 16)
+	checkModel(t, "after reset", &tb, m)
+	checkModel(t, "clone after source reset", &c, cm)
+}
+
 // fuzzKey shapes 8 raw bytes into a key near one of the boundaries the
 // table's users hit: dense low keys across page edges, the 2^61 line where a
 // bank's rotated word-aligned addresses end and unaligned ones begin, bank
@@ -163,7 +255,9 @@ func fuzzKey(mode byte, raw uint64) uint64 {
 // FuzzTable runs an op stream over up to four tables, each in lockstep with
 // the map it replaced. Clones join the set, so writes, deletes and resets on
 // one side of a clone are checked against the other side's model too; after
-// every op every table is compared in full.
+// every op every table is compared in full. Op 7 writes ten consecutive
+// words, a process save area, so runs of lookups go through the
+// directory hint between the other ops that move or stale it.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{})
 	seed := make([]byte, 0, 11*12)
@@ -186,7 +280,7 @@ func FuzzTable(f *testing.F) {
 		tabs := []*Table{new(Table)}
 		models := []map[uint64]uint64{{}}
 		for len(data) >= 11 {
-			op, sel, mode := data[0]%7, int(data[1]), data[2]
+			op, sel, mode := data[0]%8, int(data[1]), data[2]
 			raw := binary.LittleEndian.Uint64(data[3:11])
 			data = data[11:]
 			w := sel % len(tabs)
@@ -235,6 +329,11 @@ func FuzzTable(f *testing.F) {
 					delete(m, p.k)
 				}
 				tb.Range(k, hi, func(key, _ uint64) { tb.Delete(key) })
+			case 7:
+				for j := uint64(0); j < 10; j++ {
+					tb.Set(k+j, raw+j)
+					m[k+j] = raw + j
+				}
 			}
 
 			for i, tb := range tabs {
