@@ -20,12 +20,12 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
-# lightpc-lint: the repo's own go/analysis suite (epcutorder, simtime,
-# hotpath, plus the fact-based interprocedural passes determinism,
-# zeroalloc, persistorder; cmd/lightpc-lint registers them) run through
-# go vet's -vettool hook over the whole module — internal/, cmd/, and
-# examples/ alike. The wall time is printed so CI logs track
-# the cost of the suite as it grows.
+# lightpc-lint: the repo's own go/analysis suite, run through go vet's
+# -vettool hook over the whole module — internal/, cmd/, and examples/
+# alike. cmd/lightpc-lint registers these analyzers:
+#   determinism persistorder zeroalloc simtime hotpath
+# The wall time is printed so CI logs track the cost of the suite as it
+# grows.
 $(LINT): FORCE
 	$(GO) build -o $(LINT) ./cmd/lightpc-lint
 FORCE:
@@ -64,15 +64,18 @@ perfdiff: | $(BIN)
 # fuzz-smoke: a short native-fuzzing pass over the line-table, LRU-index,
 # word-table and latency-histogram differential models, the
 # divisor-vs-hardware-divide check, and the crash-cut fuzzers (the
-# checked-in corpora also replay as plain seeds in `make test`).
+# checked-in corpora also replay as plain seeds in `make test`). FUZZTIME
+# is each target's budget; CI passes a longer one.
+FUZZTIME ?= 2s
+
 fuzz-smoke:
-	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=2s
-	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=2s
-	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=2s
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=2s
-	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=2s
-	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=2s
+	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzLineTab -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)
 
 # obs-smoke: run one instrumented SnG scenario and a 4-seed sweep through
 # lightpc-obs, then re-validate every artifact with the built-in schema

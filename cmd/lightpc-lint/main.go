@@ -14,12 +14,13 @@
 //	              that feeds output or sim time unsorted anywhere; no map
 //	              range at all in internal/obs, energy and snapshot,
 //	              tests included
-//	epcutorder    in internal/sng and internal/checkpoint, the EP-cut
-//	              commit is dominated by flush/sync, nothing persistent
-//	              moves after the commit, and spend() deadlines are checked
-//	persistorder  in journal/pmdk/psm, every persistent mutation in a
-//	              logging function follows the journal append, and nothing
-//	              persistent moves after a //lightpc:commitpoint
+//	persistorder  in sng, checkpoint, journal, pmdk and psm, nothing
+//	              persistent moves after a //lightpc:commitpoint (the
+//	              EP-cut's BCB commit word among them); in sng and
+//	              checkpoint each commit is dominated by a flush or sync
+//	              and spend() deadlines are checked; in journal, pmdk and
+//	              psm every persistent mutation in a logging function
+//	              follows the journal append
 //	zeroalloc     functions annotated //lightpc:zeroalloc (and the pinned
 //	              hot set behind BENCH_SEED.json's 0 allocs/op benches)
 //	              contain no allocation sites and only call functions that
@@ -42,7 +43,6 @@ package main
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/determinism"
-	"repro/internal/lint/epcutorder"
 	"repro/internal/lint/hotpath"
 	"repro/internal/lint/persistorder"
 	"repro/internal/lint/simtime"
@@ -51,10 +51,10 @@ import (
 )
 
 // analyzers is the suite, in the order findings are gathered. The package
-// doc and README's "Static analysis" table must name exactly these.
+// doc, README's "Static analysis" table and the Makefile's lint comment
+// must name exactly these; registry_test.go checks all three.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	epcutorder.Analyzer,
 	persistorder.Analyzer,
 	zeroalloc.Analyzer,
 	simtime.Analyzer,

@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// TestDocsNameRegisteredAnalyzers keeps the registry and its two
-// descriptions in agreement: the package doc's analyzer list and README's
-// "Static analysis" table must name exactly the registered analyzers, so
-// adding, merging or retiring one cannot leave a stale row behind.
+// TestDocsNameRegisteredAnalyzers keeps the registry and its three
+// descriptions in agreement: the package doc's analyzer list, README's
+// "Static analysis" table and the Makefile's lint comment must name
+// exactly the registered analyzers, so adding, merging or retiring one
+// cannot leave a stale row behind.
 func TestDocsNameRegisteredAnalyzers(t *testing.T) {
 	var want []string
 	for _, a := range analyzers {
@@ -45,6 +46,18 @@ func TestDocsNameRegisteredAnalyzers(t *testing.T) {
 	}
 	tableRows := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(section, -1)
 	check(t, `README.md "Static analysis" table`, tableRows, want)
+
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The lint comment lists the analyzers on the line after it says
+	// cmd/lightpc-lint registers them.
+	list := regexp.MustCompile(`registers these analyzers:\n#(.*)\n`).FindSubmatch(makefile)
+	if list == nil {
+		t.Fatal("Makefile's lint comment no longer lists the registered analyzers")
+	}
+	check(t, "Makefile lint comment", regexp.MustCompile(`([a-z]+)`).FindAllStringSubmatch(string(list[1]), -1), want)
 }
 
 func check(t *testing.T, where string, rows [][]string, want []string) {

@@ -86,6 +86,8 @@ func (r *Region) slotAddr(s uint64, i int) uint64 {
 // anywhere before that store leaves the previous snapshot fully intact; a
 // cut after it exposes the new snapshot in full. No cut can surface a
 // partial commit.
+//
+//lightpc:commitpoint
 func (r *Region) Commit() int {
 	r.mgr.commits++
 	hdr := r.mgr.bank.Read(r.base)

@@ -181,8 +181,8 @@ func TestForkCutAllocations(t *testing.T) {
 		offset  sim.Duration
 		ceiling float64
 	}{
-		{"cold boot", 0, 320},
-		{"completed", base.Window, 280},
+		{"cold boot", 0, 300},
+		{"completed", base.Window, 260},
 	} {
 		var out CutOutcome
 		n := testing.AllocsPerRun(20, func() { out = base.Fork().CutAt(tc.offset) })

@@ -155,17 +155,6 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 	return done
 }
 
-// Drain reports when all banks go idle.
-func (d *DIMM) Drain(now sim.Time) sim.Time {
-	t := now
-	for i := range d.banks {
-		if d.banks[i].busyUntil > t {
-			t = d.banks[i].busyUntil
-		}
-	}
-	return t
-}
-
 // Stats reports cumulative counters: reads, writes, row-buffer hits, and
 // refreshes performed.
 func (d *DIMM) Stats() (reads, writes, rowHits, refreshes uint64) {

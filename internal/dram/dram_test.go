@@ -89,17 +89,6 @@ func TestRefreshCountGrowsWithTime(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	d := New(noRefresh())
-	done := d.Read(0, 0)
-	if got := d.Drain(0); got != done {
-		t.Fatalf("Drain = %v, want %v", got, done)
-	}
-	if got := d.Drain(done.Add(sim.Microsecond)); got != done.Add(sim.Microsecond) {
-		t.Fatalf("idle Drain = %v", got)
-	}
-}
-
 // Property: completion time never precedes request time and never exceeds
 // request + refresh + rowmiss for an idle bank.
 func TestLatencyBoundsProperty(t *testing.T) {

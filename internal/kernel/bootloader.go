@@ -71,6 +71,8 @@ func (b *Bootloader) WearMeta() [4]uint64 {
 }
 
 // Commit writes the EP-cut commit word — the very last store of Stop.
+//
+//lightpc:commitpoint
 func (b *Bootloader) Commit() { b.ocpmem.Write(bcbBase+bcbCommitOff, commitMagic) }
 
 // HasCommit reports whether a committed EP-cut exists (Go's first check).

@@ -450,7 +450,8 @@ func (k *Kernel) PowerLoss() {
 		c.Online = false
 		c.Idle = false
 		c.Current = nil
-		c.RunQueue = nil
+		// Emptied, not dropped: Go's Unpark refills it in place.
+		c.RunQueue = c.RunQueue[:0]
 		for j := range c.MRegs {
 			c.MRegs[j] = 0
 		}

@@ -93,16 +93,6 @@ func (k *Kernel) WakeOne(wq *WaitQueue, coreID int) *Process {
 	return p
 }
 
-// WakeAll drains the queue round-robin across cores.
-func (k *Kernel) WakeAll(wq *WaitQueue) int {
-	n := 0
-	for len(wq.waiters) > 0 {
-		k.WakeOne(wq, n%len(k.Cores))
-		n++
-	}
-	return n
-}
-
 // minVruntime reports the smallest vruntime among the core's tasks (0 for
 // an empty core).
 func (k *Kernel) minVruntime(coreID int) uint64 {

@@ -108,26 +108,6 @@ func TestWaitOnWakeOneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWakeAllDrainsQueue(t *testing.T) {
-	k := New(DefaultConfig())
-	total := 0
-	for _, wq := range k.Queues() {
-		total += wq.Waiters()
-	}
-	if total == 0 {
-		t.Fatal("no initial waiters")
-	}
-	for _, wq := range k.Queues() {
-		k.WakeAll(wq)
-		if wq.Waiters() != 0 {
-			t.Fatalf("queue %s not drained", wq.Name)
-		}
-	}
-	if len(k.Sleepers()) != 0 {
-		t.Fatal("sleepers remain after draining all queues")
-	}
-}
-
 func TestWakeOneEmptyQueue(t *testing.T) {
 	k := New(DefaultConfig())
 	wq := &WaitQueue{Name: "empty"}

@@ -2,10 +2,10 @@
 // just hand-written fixtures: each test copies a live package closure out
 // of the repository into a scratch GOPATH tree, seeds the exact regression
 // the analyzer exists to catch — an allocation in the core-interleave
-// loop, a datastore write hoisted above its undo-log append, an
-// environment read feeding simulation code, a map ranged while exporting
-// metrics — and asserts the analyzer fires on the seeded line (and nowhere
-// else).
+// loop, a datastore write hoisted above its undo-log append, an EP-cut
+// commit written before the flush, an environment read feeding simulation
+// code, a map ranged while exporting metrics — and asserts the analyzer
+// fires on the seeded lines (and nowhere else).
 package acceptance_test
 
 import (
@@ -43,6 +43,24 @@ var pmdkClosure = []string{
 	"internal/wordtab",
 	"internal/kernel",
 	"internal/pmdk",
+}
+
+// sngClosure is the dependency closure of internal/sng, whose Stop writes
+// the EP-cut commit word.
+var sngClosure = []string{
+	"internal/sim",
+	"internal/trace",
+	"internal/obs",
+	"internal/power",
+	"internal/energy",
+	"internal/wordtab",
+	"internal/kernel",
+	"internal/ecc",
+	"internal/linetab",
+	"internal/pram",
+	"internal/nvdimm",
+	"internal/psm",
+	"internal/sng",
 }
 
 // obsClosure is the dependency closure of internal/obs, the exporter
@@ -132,6 +150,38 @@ func TestPersistorderCatchesReorderedUndoLog(t *testing.T) {
 			"\t\tp.logUndo(addr)\n"+
 			"\t}\n")
 	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/pmdk")
+}
+
+// TestPersistorderCatchesEarlyEPCutCommit writes Stop's commit word right
+// after the master's register dump, before its cache flush and the memory
+// sync, and asserts persistorder reports the undominated commit and each
+// EP-cut store it now precedes. The commit is recognised only through
+// kernel.Bootloader.Commit's //lightpc:commitpoint, so losing that
+// annotation fails this test.
+func TestPersistorderCatchesEarlyEPCutCommit(t *testing.T) {
+	root := scratchTree(t, sngClosure)
+	sng := filepath.Join(root, "src", "repro", "internal", "sng", "sng.go")
+	for _, m := range [][2]string{
+		{"\t\t\t\t\t\tk.Boot.Commit()\n", ""},
+		{"k.Boot.SaveCoreRegisters(master)\n",
+			"k.Boot.SaveCoreRegisters(master)\n" +
+				"\t\t\tk.Boot.Commit() // want `kernel.Bootloader.Commit is not dominated by a cache/row-buffer flush`\n"},
+		{"master.DirtyLines = 0\n", "master.DirtyLines = 0 // want `\\(kernel.Core.DirtyLines\\) after the commit point`\n"},
+		{"k.Boot.SaveWearMeta([4]uint64{a, b, c, d})\n", "k.Boot.SaveWearMeta([4]uint64{a, b, c, d}) // want `\\(kernel.Bootloader.SaveWearMeta\\) after`\n"},
+		{"k.Boot.SetMEPC(epCutPC)\n", "k.Boot.SetMEPC(epCutPC) // want `\\(kernel.Bootloader.SetMEPC\\) after`\n"},
+		{"k.PersistFlag = false\n", "k.PersistFlag = false // want `\\(kernel.Kernel.PersistFlag\\) after`\n"},
+	} {
+		mutate(t, sng, m[0], m[1])
+	}
+	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/sng")
+}
+
+// TestRealSnGIsClean runs persistorder over the unmodified sng closure:
+// Stop's real commit must be dominated by the flush and followed by no
+// persistent store, and linttest fails on any diagnostic without a want.
+func TestRealSnGIsClean(t *testing.T) {
+	root := scratchTree(t, sngClosure)
+	linttest.Run(t, root, persistorder.Analyzer, "repro/internal/sng")
 }
 
 // TestDeterminismCatchesEnvReadInSimCode adds a helper that samples the

@@ -190,10 +190,11 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 
 // annotationPrefix introduces the repository's function-contract markers:
 //
-//	//lightpc:zeroalloc   this function must not allocate (zeroalloc)
-//	//lightpc:pure        trusted determinism assertion (determinism)
-//	//lightpc:journalappend   this function IS the journal append (persistorder)
-//	//lightpc:commitpoint     this function IS the commit point (persistorder)
+//	//lightpc:zeroalloc       this function must not allocate (zeroalloc)
+//	//lightpc:pure            trusted determinism assertion (determinism)
+//	//lightpc:journalappend   this function IS a journal append (persistorder)
+//	//lightpc:commitpoint     this function IS a commit point, the EP-cut's
+//	                          BCB commit word among them (persistorder)
 const annotationPrefix = "lightpc:"
 
 // HasAnnotation reports whether the function declaration's doc comment

@@ -1,39 +1,71 @@
-// Package persistorder enforces the journal-order discipline behind
-// LightPC's crash consistency, interprocedurally, in the persistence
-// packages (journal, pmdk, psm).
+// Package persistorder enforces the store orderings behind LightPC's crash
+// consistency and its journaling and PMDK baselines, interprocedurally.
 //
-// Two rules, checked positionally within each function body:
+// The EP-cut is sound only if the BCB commit word is the last persistent
+// store of Stop, written after every dirty cache line and row buffer is
+// flushed and memory is synchronized (DESIGN.md "EP-cut soundness",
+// internal/sng/sng.go). The journal and the undo-logged pool rest on the
+// same seal plus "log before you mutate". A reordering bug here is
+// invisible to tests unless a power failure lands in the reordered window —
+// exactly the class of persistent memory bug that survives testing.
 //
-//  1. journal-before-datastore: in a function that both appends to a
-//     journal/undo log and mutates persistent state, every mutation must
-//     come after the first append. Logging after the damage is done is
-//     exactly the write-ordering bug class the PM literature shows
-//     surviving testing.
-//  2. nothing moves after commit: once a function calls a commit point,
-//     no persistent mutation and no journal append may follow. The commit
-//     marks the EP-cut; anything after it escapes the cut's atomicity.
+// Which rules apply depends on a strictness table keyed by the import
+// path's last element, so lint fixtures can model the packages:
+//
+//	sng checkpoint journal pmdk psm   after a call to a commit point, no
+//	                                  persistent mutation and no journal
+//	                                  append; a function named Commit or
+//	                                  TxCommit carries //lightpc:commitpoint
+//	sng checkpoint                    + a commit-point call is dominated by
+//	                                  a flush or sync, and no spend(...)
+//	                                  deadline verdict is discarded
+//	journal pmdk psm                  + in a function that appends to a
+//	                                  log, no persistent mutation precedes
+//	                                  the first append
+//
+// A flush is a call whose callee name, or an identifier in its arguments,
+// mentions flush or sync (s.P.Flush(...), run.spend(flush),
+// run.spend(sync), memSync()). Dominance is structural: the flush must run
+// on every path that reaches the commit, so a flush in a loop body, in a
+// branch or case that does not enclose the commit, or in a function
+// literal does not count. Their commit primitives flush inside, as PMDK's
+// TX_END does, so the journaling packages are not held to it. spend
+// returns false once the PSU hold-up window has expired; discarding that
+// result keeps mutating state after the rails dropped (`_ =` discards it
+// explicitly, for a verdict that provably only times).
 //
 // The anchors are declared in source:
 //
 //	//lightpc:journalappend  — this function IS the append primitive
 //	//lightpc:commitpoint    — this function IS the commit primitive
 //
-// Both export facts, so pmdk calling journal's commit across a package
-// boundary is still seen. Annotated primitives are exempt inside (their
-// interior is the mechanics of the append/commit itself). As a rot guard,
-// any method named Commit or TxCommit in the scoped packages must carry
-// the commitpoint annotation.
+// Both export facts, so sng writing the kernel's commit word
+// (kernel.Bootloader.Commit, the EP-cut seal) or pmdk calling across a
+// package boundary is still seen. Annotated primitives are exempt inside:
+// their interior is the mechanics of the append or commit itself.
 //
-// Persistent mutations are recognized by their ultimate sinks — writes to
-// the simulated persistent media — and by a MutatesPersistent fact
-// propagated through the call graph, so wrapping a sink in a helper does
-// not hide it.
+// A persistent mutation is a call to a sink that writes the simulated
+// persistent media, a store to a field the EP-cut captures (both matched
+// by their owning type, not by name), a write to the journal's checkpoint
+// image, or a call to a function carrying the MutatesPersistent fact,
+// which propagates through the call graph within and across packages, so
+// wrapping a sink in a helper does not hide it.
+//
+// Each body is walked once. A function literal is walked where it is
+// written: its stores are its enclosing function's, ordered at the
+// literal, but as it may run never, or later, a flush inside it dominates
+// nothing outside it.
+//
+// Escape hatch, for code the rules misread:
+//
+//	b.Commit() //lint:allow persistorder commit word lives in an uncached bank
 package persistorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -42,12 +74,12 @@ import (
 // Analyzer is the persistorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "persistorder",
-	Doc:  "journal appends must precede persistent mutations; nothing persistent moves after a commit point",
+	Doc:  "nothing persistent moves after a commit point; EP-cut commits follow a flush; journal appends precede persistent mutations",
 	Run:  run,
 }
 
 // MutatesPersistent marks a function that (transitively) writes the
-// simulated persistent media.
+// simulated persistent media or the EP-cut state.
 type MutatesPersistent struct{}
 
 // AFact marks MutatesPersistent as a fact type.
@@ -65,65 +97,93 @@ type CommitPoint struct{}
 // AFact marks CommitPoint as a fact type.
 func (*CommitPoint) AFact() {}
 
-// sinks are the persistent-media write primitives, keyed by receiver
-// package (import path's last element), receiver type, and method.
-type sinkKey struct{ pkg, typ, method string }
+// row is a line of the strictness table. Every row other than outside
+// forbids mutations and appends after a commit point.
+type row int
 
-var sinks = map[sinkKey]string{
-	{"kernel", "Bank", "Write"}:                 "kernel.Bank.Write",
-	{"pmemdimm", "SectorDevice", "WriteSector"}: "pmemdimm.SectorDevice.WriteSector",
-	{"linetab", "Slab", "Put"}:                  "linetab.Slab.Put",
-	{"psm", "DataStore", "WriteData"}:           "psm.DataStore.WriteData",
-	{"psm", "PSM", "Write"}:                     "psm.PSM.Write",
+const (
+	outside row = iota
+	epCut       // + commits follow a flush; spend verdicts are checked
+	logged      // + log appends precede mutations
+)
+
+var rows = map[string]row{
+	"sng": epCut, "checkpoint": epCut,
+	"journal": logged, "pmdk": logged, "psm": logged,
 }
 
-// scoped reports whether diagnostics apply in this package: the
-// persistence stack, matched by the import path's last element so lint
-// fixtures can model it.
-func scoped(path string) bool {
-	switch path[strings.LastIndex(path, "/")+1:] {
-	case "journal", "pmdk", "psm":
-		return true
-	}
-	return false
+// member names a method or field by its owner's package (import path's
+// last element), the owning type, and its own name.
+type member struct{ pkg, typ, name string }
+
+// sinks are the persistent stores: the media write primitives, and the
+// kernel fields the EP-cut captures (storing one after the commit tears
+// the cut).
+var sinks = map[member]bool{
+	{"kernel", "Bank", "Write"}:                 true,
+	{"pmemdimm", "SectorDevice", "WriteSector"}: true,
+	{"linetab", "Slab", "Put"}:                  true,
+	{"psm", "DataStore", "WriteData"}:           true,
+	{"psm", "PSM", "Write"}:                     true,
+
+	{"kernel", "Kernel", "PersistFlag"}: true,
+	{"kernel", "Core", "KTaskPtr"}:      true,
+	{"kernel", "Core", "KStackPtr"}:     true,
+	{"kernel", "Core", "DirtyLines"}:    true,
+	{"kernel", "Core", "MRegs"}:         true,
 }
 
 type eventKind int
 
 const (
-	evAppend eventKind = iota
+	evStore eventKind = iota // a sink, or a call that may mutate
+	evFlush
+	evAppend
 	evCommit
-	evMutate
 )
 
 type event struct {
-	kind eventKind
-	pos  token.Pos
-	desc string
+	kind   eventKind
+	pos    token.Pos
+	desc   string
+	mut    bool      // a sink, the home image, or an imported MutatesPersistent function
+	callee *funcInfo // a local callee, which mutates once the fixpoint says so
 }
+
+func (e event) mutates() bool { return e.mut || e.callee != nil && e.callee.mutates }
+
+// isMutation reports whether e is a persistent mutation for the ordering
+// rules; calls to the append and commit primitives are their own events.
+func (e event) isMutation() bool { return e.kind != evAppend && e.kind != evCommit && e.mutates() }
 
 type funcInfo struct {
 	decl    *ast.FuncDecl
 	obj     *types.Func
-	events  []event
-	mutates bool // contains a sink or calls a mutator (fixpoint)
-	calls   []*types.Func
 	appendP bool // //lightpc:journalappend
 	commitP bool // //lightpc:commitpoint
-	isTest  bool
+	events  []event
+	// regions are the nodes that may run other than exactly once where
+	// they are written: branch, case and loop bodies, and function
+	// literals.
+	regions []ast.Node
+	mutates bool // contains a mutation (fixpoint over local calls)
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
+	path := pass.Pkg.Path()
+	r := rows[path[strings.LastIndex(path, "/")+1:]]
+
+	// Annotations first, so intra-package calls to the primitives
+	// classify correctly regardless of declaration order.
 	var infos []*funcInfo
 	byObj := make(map[*types.Func]*funcInfo)
-
-	// Pass 1: annotations first, so intra-package calls to the primitives
-	// classify correctly regardless of declaration order.
 	for _, f := range pass.Files {
-		isTest := pass.IsTestFile(f.Pos())
+		if pass.IsTestFile(f.Pos()) {
+			continue
+		}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -135,81 +195,157 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				obj:     obj,
 				appendP: analysis.HasAnnotation(fd, "journalappend"),
 				commitP: analysis.HasAnnotation(fd, "commitpoint"),
-				isTest:  isTest,
 			}
 			infos = append(infos, in)
 			byObj[obj] = in
-			if !isTest {
-				if in.appendP {
-					pass.ExportObjectFact(obj, &JournalAppend{})
-				}
-				if in.commitP {
-					pass.ExportObjectFact(obj, &CommitPoint{})
-				}
+			if in.appendP {
+				pass.ExportObjectFact(obj, &JournalAppend{})
+			}
+			if in.commitP {
+				pass.ExportObjectFact(obj, &CommitPoint{})
 			}
 		}
 	}
 
-	// Pass 2: collect events and the local call graph.
 	for _, in := range infos {
-		if in.decl.Body == nil {
-			continue
-		}
-		collect(pass, byObj, in)
+		walk(pass, byObj, in, r == epCut)
 	}
 
 	// Fixpoint: mutators propagate through local static calls.
 	for changed := true; changed; {
 		changed = false
 		for _, in := range infos {
-			if in.mutates {
-				continue
-			}
-			for _, callee := range in.calls {
-				if li, ok := byObj[callee]; ok && li.mutates {
-					in.mutates = true
-					changed = true
-					break
-				}
+			if !in.mutates && slices.ContainsFunc(in.events, event.mutates) {
+				in.mutates, changed = true, true
 			}
 		}
 	}
 	for _, in := range infos {
-		if in.mutates && !in.isTest {
+		if in.mutates {
 			pass.ExportObjectFact(in.obj, &MutatesPersistent{})
 		}
 	}
 
-	if !scoped(pass.Pkg.Path()) {
+	if r == outside {
 		return nil, nil
 	}
 	for _, in := range infos {
-		if in.isTest || in.decl.Body == nil {
-			continue
-		}
 		// Rot guard: commit-shaped names must be annotated commit points.
 		if name := in.decl.Name.Name; (name == "Commit" || name == "TxCommit") && !in.commitP {
 			pass.Reportf(in.decl.Pos(), "%s looks like a commit point but lacks //lightpc:commitpoint; annotate it so callers are checked against the EP-cut", name)
 		}
-		check(pass, in)
+		check(pass, in, r)
 	}
 	return nil, nil
 }
 
-// collect walks one body recording append/commit/mutation events in
-// source order, plus outgoing local calls for the mutator fixpoint.
-func collect(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo) {
+// walk records one body's events in source order and its regions. A
+// discarded spend verdict is reported on the spot where checkSpend holds.
+func walk(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo, checkSpend bool) {
 	ast.Inspect(in.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			classifyCall(pass, byObj, in, n)
-			if homeWrite(pass, n) {
-				in.mutates = true
-				in.events = append(in.events, event{evMutate, n.Pos(), "write to the checkpoint image (home)"})
+		case *ast.IfStmt:
+			in.regions = append(in.regions, n.Body)
+			if n.Else != nil {
+				in.regions = append(in.regions, n.Else)
 			}
+		case *ast.ForStmt:
+			in.regions = append(in.regions, n.Body)
+			if n.Post != nil {
+				in.regions = append(in.regions, n.Post)
+			}
+		case *ast.RangeStmt:
+			in.regions = append(in.regions, n.Body)
+		case *ast.CaseClause, *ast.CommClause:
+			in.regions = append(in.regions, n)
+		case *ast.FuncLit:
+			in.regions = append(in.regions, n.Body)
+		case *ast.ExprStmt:
+			if call, ok := n.X.(*ast.CallExpr); ok && checkSpend {
+				if name := calleeName(call); name == "spend" || name == "Spend" {
+					pass.Reportf(call.Pos(), "result of %s(...) discarded: spend reports whether the PSU hold-up deadline still holds, and ignoring it mutates state after the rails dropped", name)
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				in.fieldStore(pass, lhs)
+			}
+		case *ast.IncDecStmt:
+			in.fieldStore(pass, n.X)
+		case *ast.CallExpr:
+			in.call(pass, byObj, n)
 		}
 		return true
 	})
+}
+
+// fieldStore records an assignment to a field in the sink table.
+func (in *funcInfo) fieldStore(pass *analysis.Pass, lhs ast.Expr) {
+	target := lhs
+	if idx, ok := target.(*ast.IndexExpr); ok {
+		target = idx.X
+	}
+	sel, ok := target.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		if desc, ok := sink(s.Recv(), sel.Sel.Name); ok {
+			in.events = append(in.events, event{kind: evStore, pos: lhs.Pos(), desc: desc, mut: true})
+		}
+	}
+}
+
+// call records a flush, a call to a primitive, or a call that may mutate.
+func (in *funcInfo) call(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, call *ast.CallExpr) {
+	e := event{kind: evStore, pos: call.Pos()}
+	if flushes(call) {
+		e.kind = evFlush
+	}
+	if fn := analysis.StaticCallee(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
+		e.desc = analysis.FuncLabel(fn)
+		if local := byObj[fn]; local != nil {
+			e.callee = local
+			switch {
+			case local.appendP:
+				e.kind = evAppend
+			case local.commitP:
+				e.kind = evCommit
+			}
+		} else {
+			switch {
+			case pass.ImportObjectFact(fn, &JournalAppend{}):
+				e.kind = evAppend
+			case pass.ImportObjectFact(fn, &CommitPoint{}):
+				e.kind = evCommit
+			}
+			e.mut = pass.ImportObjectFact(fn, &MutatesPersistent{})
+		}
+		if sig := fn.Type().(*types.Signature); sig.Recv() != nil {
+			_, isSink := sink(sig.Recv().Type(), fn.Name())
+			e.mut = e.mut || isSink
+		}
+	}
+	if homeWrite(pass, call) {
+		e.mut, e.desc = true, "write to the checkpoint image (home)"
+	}
+	if e.kind != evStore || e.mut || e.callee != nil {
+		in.events = append(in.events, e)
+	}
+}
+
+// sink looks a member of t up in the sink table.
+func sink(t types.Type, name string) (string, bool) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	path := named.Obj().Pkg().Path()
+	m := member{path[strings.LastIndex(path, "/")+1:], named.Obj().Name(), name}
+	return m.pkg + "." + m.typ + "." + m.name, sinks[m]
 }
 
 // homeWrite reports whether call writes the journal's checkpointed image:
@@ -232,113 +368,77 @@ func homeWrite(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return path[strings.LastIndex(path, "/")+1:] == "wordtab"
 }
 
-func classifyCall(pass *analysis.Pass, byObj map[*types.Func]*funcInfo, in *funcInfo, call *ast.CallExpr) {
-	fn := analysis.StaticCallee(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
+// flushes reports whether call is a flush or sync barrier: its callee's
+// name, or an identifier in its arguments, says so. The arguments cover
+// run.spend(flush) and run.spend(sync), where the barrier's charge is
+// spent on the deadline clock.
+func flushes(call *ast.CallExpr) bool {
+	found := barrier(calleeName(call))
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && barrier(id.Name) {
+				found = true
+			}
+			_, lit := n.(*ast.FuncLit)
+			return !found && !lit
+		})
 	}
-
-	label := analysis.FuncLabel(fn)
-
-	// The append/commit primitives, local or imported.
-	if li, local := byObj[fn]; local {
-		in.calls = append(in.calls, fn)
-		switch {
-		case li.appendP:
-			in.events = append(in.events, event{evAppend, call.Pos(), label})
-			return
-		case li.commitP:
-			in.events = append(in.events, event{evCommit, call.Pos(), label})
-			return
-		}
-	} else {
-		if pass.ImportObjectFact(fn, &JournalAppend{}) {
-			in.events = append(in.events, event{evAppend, call.Pos(), label})
-			return
-		}
-		if pass.ImportObjectFact(fn, &CommitPoint{}) {
-			in.events = append(in.events, event{evCommit, call.Pos(), label})
-			return
-		}
-	}
-
-	// Sink primitives, by receiver.
-	if key, ok := sinkFor(fn); ok {
-		in.mutates = true
-		in.events = append(in.events, event{evMutate, call.Pos(), key})
-		return
-	}
-
-	// Calls to known mutators (local handled by fixpoint; imported by fact).
-	if _, local := byObj[fn]; !local {
-		if pass.ImportObjectFact(fn, &MutatesPersistent{}) {
-			in.mutates = true
-			in.events = append(in.events, event{evMutate, call.Pos(), label})
-		}
-	}
+	return found
 }
 
-// sinkFor matches fn against the sink table.
-func sinkFor(fn *types.Func) (string, bool) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	path := named.Obj().Pkg().Path()
-	key := sinkKey{path[strings.LastIndex(path, "/")+1:], named.Obj().Name(), fn.Name()}
-	desc, ok := sinks[key]
-	return desc, ok
+func barrier(name string) bool {
+	name = strings.ToLower(name)
+	return strings.Contains(name, "flush") || strings.Contains(name, "sync")
 }
 
-// check applies the two ordering rules to one function's event stream.
-func check(pass *analysis.Pass, in *funcInfo) {
-	var firstAppend, commitAt token.Pos
-	var commitDesc string
-	hasAppend, hasCommit := false, false
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
+// check applies row r's ordering rules to one function's events, at most
+// one finding per event. The commit rules are exempt inside the commit
+// primitive and the append rule inside the append primitive: their
+// interiors are the mechanics of the commit or append itself.
+func check(pass *analysis.Pass, in *funcInfo, r row) {
+	var commit, firstAppend *event
+	for i := range in.events {
+		e := &in.events[i]
+		if e.kind == evCommit && commit == nil && !in.commitP {
+			commit = e
+		}
+		if e.kind == evAppend && firstAppend == nil && !in.appendP {
+			firstAppend = e
+		}
+	}
 	for _, e := range in.events {
-		switch e.kind {
-		case evAppend:
-			if !hasAppend {
-				firstAppend, hasAppend = e.pos, true
-			}
-		case evCommit:
-			if !hasCommit {
-				commitAt, hasCommit, commitDesc = e.pos, true, e.desc
-			}
+		switch {
+		case e.kind == evCommit && r == epCut && !in.commitP && !in.flushed(e.pos):
+			pass.Reportf(e.pos, "EP-cut ordering: %s is not dominated by a cache/row-buffer flush or memory sync; the commit word must be the last store after a full flush", e.desc)
+		case commit != nil && e.pos > commit.pos && e.isMutation():
+			pass.Reportf(e.pos, "persistent mutation (%s) after the commit point (%s); the EP-cut is sealed at commit, move this before it", e.desc, commit.desc)
+		case commit != nil && e.pos > commit.pos && e.kind == evAppend:
+			pass.Reportf(e.pos, "journal append (%s) after the commit point (%s); the transaction is already sealed", e.desc, commit.desc)
+		case r == logged && firstAppend != nil && e.pos < firstAppend.pos && e.isMutation():
+			pass.Reportf(e.pos, "persistent mutation (%s) precedes the journal append in %s; log first, then mutate, or crash recovery replays a hole", e.desc, in.decl.Name.Name)
 		}
 	}
+}
 
-	// Rule 1: journal-before-datastore. Exempt inside the append
-	// primitive itself: its interior is the append mechanics.
-	if hasAppend && !in.appendP {
-		for _, e := range in.events {
-			if e.kind == evMutate && e.pos < firstAppend {
-				pass.Reportf(e.pos, "persistent mutation (%s) precedes the journal append in %s; log first, then mutate, or crash recovery replays a hole", e.desc, in.decl.Name.Name)
-			}
+// flushed reports whether a flush runs on every path to pos: one comes
+// first, and no region holds it without also holding pos.
+func (in *funcInfo) flushed(pos token.Pos) bool {
+	for _, f := range in.events {
+		if f.kind == evFlush && f.pos < pos && !slices.ContainsFunc(in.regions, func(r ast.Node) bool {
+			return r.Pos() <= f.pos && f.pos < r.End() && !(r.Pos() <= pos && pos < r.End())
+		}) {
+			return true
 		}
 	}
-
-	// Rule 2: nothing moves after the commit point. Exempt inside the
-	// commit primitive itself.
-	if hasCommit && !in.commitP {
-		for _, e := range in.events {
-			if e.pos <= commitAt {
-				continue
-			}
-			switch e.kind {
-			case evMutate:
-				pass.Reportf(e.pos, "persistent mutation (%s) after the commit point (%s); the EP-cut is sealed at commit, move this before it", e.desc, commitDesc)
-			case evAppend:
-				pass.Reportf(e.pos, "journal append (%s) after the commit point (%s); the transaction is already sealed", e.desc, commitDesc)
-			}
-		}
-	}
+	return false
 }

@@ -8,5 +8,6 @@ import (
 )
 
 func TestPersistorder(t *testing.T) {
-	linttest.Run(t, "testdata", persistorder.Analyzer, "kernel", "journal", "pmdk")
+	linttest.Run(t, "testdata", persistorder.Analyzer,
+		"kernel", "journal", "pmdk", "sng", "checkpoint", "elsewhere")
 }

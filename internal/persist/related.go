@@ -99,9 +99,3 @@ func (w *WSP) Run(p Profile) Outcome {
 // is fatal for WSP (the ultracapacitor recharge). SnG has no such window:
 // the EP-cut commits within the hold-up time, every time.
 func (w *WSP) VulnerableWindow() sim.Duration { return w.Recharge }
-
-// SurvivesConsecutiveFailures reports whether a second power failure
-// `gap` after the first is survivable.
-func (w *WSP) SurvivesConsecutiveFailures(gap sim.Duration) bool {
-	return gap >= w.Recharge
-}

@@ -43,11 +43,9 @@ func TestWSPConsecutiveFailureWindow(t *testing.T) {
 	// fatal for WSP. SnG recommits an EP-cut inside every hold-up window,
 	// so it has no such vulnerability.
 	w := NewWSP()
-	if w.SurvivesConsecutiveFailures(w.VulnerableWindow() / 2) {
-		t.Fatal("failure inside the recharge window must be fatal")
-	}
-	if !w.SurvivesConsecutiveFailures(w.VulnerableWindow()) {
-		t.Fatal("failure after recharge must be survivable")
+	if w.VulnerableWindow() <= 0 || w.VulnerableWindow() != w.Recharge {
+		t.Fatalf("WSP's vulnerable window = %v, want the %v ultracapacitor recharge",
+			w.VulnerableWindow(), w.Recharge)
 	}
 	light := NewLightPC().Run(typicalProfile())
 	if light.FlushAtPowerDown > sim.Duration(power.ATX().SpecHoldUp) {

@@ -178,14 +178,5 @@ func (p *Pool) TxCommit() error {
 	return nil
 }
 
-// TxAbort rolls the transaction back via the undo log.
-func (p *Pool) TxAbort() error {
-	if p.bank.Read(poolTxAddr) != txActive {
-		return ErrNoTx
-	}
-	p.recover()
-	return nil
-}
-
 // InTx reports whether a transaction is open.
 func (p *Pool) InTx() bool { return p.bank.Read(poolTxAddr) == txActive }

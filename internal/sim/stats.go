@@ -111,20 +111,7 @@ type Counter struct {
 //lightpc:zeroalloc
 func (c *Counter) Inc() { c.n++ }
 
-// Addn adds n.
-//
-//lightpc:zeroalloc
-func (c *Counter) Addn(n uint64) { c.n += n }
-
 // Value reports the tally.
 //
 //lightpc:zeroalloc
 func (c *Counter) Value() uint64 { return c.n }
-
-// Ratio reports c / total, or 0 when total is zero.
-func Ratio(c, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(c) / float64(total)
-}

@@ -82,16 +82,11 @@ func TestHistogramCoV(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Addn(9)
+	for i := 0; i < 10; i++ {
+		c.Inc()
+	}
 	if c.Value() != 10 {
 		t.Fatalf("Counter = %d", c.Value())
-	}
-	if Ratio(5, 10) != 0.5 {
-		t.Fatal("Ratio broken")
-	}
-	if Ratio(5, 0) != 0 {
-		t.Fatal("Ratio with zero total should be 0")
 	}
 }
 

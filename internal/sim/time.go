@@ -56,16 +56,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-//
-//lightpc:zeroalloc
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Milliseconds reports d as floating-point milliseconds.
 //
 //lightpc:zeroalloc

@@ -23,8 +23,8 @@ func TestTimeArithmetic(t *testing.T) {
 	if !t0.Before(t1) || !t1.After(t0) {
 		t.Fatal("ordering broken")
 	}
-	if Max(t0, t1) != t1 || Min(t0, t1) != t0 {
-		t.Fatal("Max/Min broken")
+	if Max(t0, t1) != t1 || Max(t1, t0) != t1 {
+		t.Fatal("Max broken")
 	}
 }
 
