@@ -62,7 +62,7 @@ perfdiff: | $(BIN)
 	$(GO) run ./cmd/lightpc-perfdiff -old BENCH_SEED.json -new $(BIN)/bench-new.json $(PERFDIFF_FLAGS)
 
 # fuzz-smoke: a short native-fuzzing pass over the line-table, LRU-index,
-# word-table and latency-histogram differential models, the
+# word-table, latency-histogram and PRAM die-group differential models, the
 # divisor-vs-hardware-divide check, and the crash-cut fuzzers (the
 # checked-in corpora also replay as plain seeds in `make test`). FUZZTIME
 # is each target's budget; CI passes a longer one.
@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pmemdimm -run='^$$' -fuzz=FuzzLRU -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wordtab -run='^$$' -fuzz=FuzzTable -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pram -run='^$$' -fuzz=FuzzDieGroup -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)

@@ -181,8 +181,8 @@ func TestForkCutAllocations(t *testing.T) {
 		offset  sim.Duration
 		ceiling float64
 	}{
-		{"cold boot", 0, 300},
-		{"completed", base.Window, 260},
+		{"cold boot", 0, 276},
+		{"completed", base.Window, 236},
 	} {
 		var out CutOutcome
 		n := testing.AllocsPerRun(20, func() { out = base.Fork().CutAt(tc.offset) })

@@ -5,12 +5,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Clone returns a deep copy of the DIMM: every PRAM device is cloned, the
-// write-power slots and counters are copied. The device copies live in one
-// slab and their RNGs in another.
+// Clone returns a deep copy of the DIMM: every chip-enable group's PRAM
+// device is cloned, the write-power slots and counters are copied. The
+// device copies live in one slab and their dies' RNGs in another.
 func (d *DIMM) Clone() *DIMM {
 	out := &DIMM{
 		cfg:            d.cfg,
+		shift:          d.shift,
 		groups:         d.groups,
 		slots:          d.slots,
 		reads:          d.reads,
@@ -20,10 +21,10 @@ func (d *DIMM) Clone() *DIMM {
 		containedCorru: d.containedCorru,
 	}
 	devs := make([]pram.Device, len(d.devices))
-	rngs := make([]sim.RNG, len(d.devices))
+	rngs := make([]sim.RNG, d.cfg.DevicesPerDIMM)
 	out.devices = make([]*pram.Device, len(d.devices))
 	for i, dev := range d.devices {
-		dev.CloneInto(&devs[i], &rngs[i])
+		rngs = dev.CloneInto(&devs[i], rngs)
 		out.devices[i] = &devs[i]
 	}
 	return out

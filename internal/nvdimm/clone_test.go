@@ -10,6 +10,6 @@ import (
 // mutable field fails here until the clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, DIMM{},
-		"cfg", "devices", "groups", "slots",
+		"cfg", "devices", "shift", "groups", "slots",
 		"reads", "writes", "reconstructs", "rmwOps", "containedCorru")
 }

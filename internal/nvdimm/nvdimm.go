@@ -69,12 +69,17 @@ func DefaultConfig() Config {
 // write-heavy kernels fall furthest behind DRAM in Figure 17).
 const writeSlots = 2
 
-// DIMM is one Bare-NVDIMM: a set of PRAM devices behind chip-enable groups.
+// DIMM is one Bare-NVDIMM: its PRAM dies behind chip-enable groups, each
+// group modelled once because every command reaches all of its dies.
 type DIMM struct {
-	cfg     Config
+	cfg Config
+	// devices holds one pram.Device per chip-enable group: a pair each for
+	// DualChannel, the whole rank for DRAMLike.
 	devices []*pram.Device
-	// groups divides by the chip-enable group count (pairs for
-	// DualChannel, 1 for DRAMLike).
+	// shift turns a cacheline index into an access-granule index: 0 for
+	// the pair's 64 B granule, 2 for the rank's 256 B one.
+	shift uint
+	// groups divides a granule index by the chip-enable group count.
 	groups sim.Divisor
 
 	// slots tracks the write-power budget.
@@ -87,29 +92,31 @@ type DIMM struct {
 	containedCorru sim.Counter
 }
 
-// New builds a DIMM. Device seeds are derived per device for decorrelated
-// error injection.
+// New builds a DIMM. Die i draws its error injection from seed
+// Device.Seed*1000003+i, decorrelating the dies.
 func New(cfg Config) *DIMM {
 	if cfg.DevicesPerDIMM <= 0 {
 		cfg.DevicesPerDIMM = 8
 	}
-	if cfg.Layout == DualChannel && cfg.DevicesPerDIMM%2 != 0 {
-		panic("nvdimm: dual-channel layout needs an even device count")
-	}
 	d := &DIMM{cfg: cfg}
-	for i := 0; i < cfg.DevicesPerDIMM; i++ {
-		dc := cfg.Device
-		dc.Seed = cfg.Device.Seed*1000003 + uint64(i)
-		d.devices = append(d.devices, pram.NewDevice(dc))
-	}
+	perGroup := cfg.DevicesPerDIMM
 	switch cfg.Layout {
 	case DualChannel:
-		d.groups = sim.NewDivisor(uint64(cfg.DevicesPerDIMM / 2))
+		if cfg.DevicesPerDIMM%2 != 0 {
+			panic("nvdimm: dual-channel layout needs an even device count")
+		}
+		perGroup = 2
 	case DRAMLike:
-		d.groups = sim.NewDivisor(1)
+		d.shift = 2
 	default:
 		panic(fmt.Sprintf("nvdimm: unknown layout %v", cfg.Layout))
 	}
+	for first := 0; first < cfg.DevicesPerDIMM; first += perGroup {
+		dc := cfg.Device
+		dc.Seed = cfg.Device.Seed*1000003 + uint64(first)
+		d.devices = append(d.devices, pram.NewGroup(dc, perGroup))
+	}
+	d.groups = sim.NewDivisor(uint64(len(d.devices)))
 	return d
 }
 
@@ -117,32 +124,42 @@ func New(cfg Config) *DIMM {
 func (d *DIMM) Config() Config { return d.cfg }
 
 // Groups reports the number of independent chip-enable groups.
-func (d *DIMM) Groups() int { return int(d.groups.N()) }
+func (d *DIMM) Groups() int { return len(d.devices) }
 
-// Devices exposes the underlying PRAM devices (wear inspection, energy
-// metering).
+// Devices exposes the PRAM devices, one per chip-enable group (wear
+// inspection, energy metering; their counters are die totals).
 func (d *DIMM) Devices() []*pram.Device { return d.devices }
 
-// pairFor maps a cacheline index to its chip-enable pair and the device row
-// within each member (DualChannel).
+// group maps a cacheline index to its chip-enable group and the granule
+// row within it: lines interleave across the pairs, while a rank serves
+// four consecutive lines from one 256 B row.
 //
 //lightpc:zeroalloc
-func (d *DIMM) pairFor(line uint64) (first int, row uint64) {
-	row, g := d.groups.DivMod(line)
-	return int(g) * 2, row
+func (d *DIMM) group(line uint64) (g int, row uint64) {
+	row, gi := d.groups.DivMod(line >> d.shift)
+	return int(gi), row
 }
 
-// PairFor exposes the line→pair mapping (the functional data store uses it
-// to locate which devices hold a line's granules and its parity).
-func (d *DIMM) PairFor(line uint64) (firstDevice int, row uint64) {
-	return d.pairFor(line)
-}
-
-// rankRow maps a cacheline index to the 256 B rank row (DRAMLike): four
-// cachelines per 256 B block.
+// parityGroup is the group holding the XCC parity of group g's lines: the
+// next one, wrapping.
 //
 //lightpc:zeroalloc
-func rankRow(line uint64) uint64 { return line / 4 }
+func (d *DIMM) parityGroup(g int) int {
+	if g+1 == len(d.devices) {
+		return 0
+	}
+	return g + 1
+}
+
+// Locate maps a line to the first die of the group holding its two 32 B
+// halves and the first die of the group holding its XCC parity (the
+// functional data store's fault-injection targets). A rank is its own next
+// group, so on DRAMLike the parity shares the data's dies.
+func (d *DIMM) Locate(line uint64) (dataFirst, parityFirst int) {
+	g, _ := d.group(line)
+	per := d.cfg.DevicesPerDIMM / len(d.devices)
+	return g * per, d.parityGroup(g) * per
+}
 
 // LineBusy reports whether serving a read of line would collide with an
 // in-flight program (the PSM consults this before choosing the
@@ -150,19 +167,8 @@ func rankRow(line uint64) uint64 { return line / 4 }
 //
 //lightpc:zeroalloc
 func (d *DIMM) LineBusy(now sim.Time, line uint64) bool {
-	switch d.cfg.Layout {
-	case DualChannel:
-		first, row := d.pairFor(line)
-		return d.devices[first].Busy(now, row) || d.devices[first+1].Busy(now, row)
-	default:
-		row := rankRow(line)
-		for _, dev := range d.devices {
-			if dev.Busy(now, row) {
-				return true
-			}
-		}
-		return false
-	}
+	g, row := d.group(line)
+	return d.devices[g].Busy(now, row)
 }
 
 // ReadLine performs a blocking 64 B read: if the target granules are inside
@@ -173,24 +179,8 @@ func (d *DIMM) LineBusy(now sim.Time, line uint64) bool {
 //lightpc:zeroalloc
 func (d *DIMM) ReadLine(now sim.Time, line uint64) (done sim.Time, conflicted, corrupted bool) {
 	d.reads.Inc()
-	switch d.cfg.Layout {
-	case DualChannel:
-		first, row := d.pairFor(line)
-		for i := first; i < first+2; i++ {
-			t, c, corr := d.devices[i].Read(now, row)
-			done = sim.Max(done, t)
-			conflicted = conflicted || c
-			corrupted = corrupted || corr
-		}
-	default:
-		row := rankRow(line)
-		for _, dev := range d.devices {
-			t, c, corr := dev.Read(now, row)
-			done = sim.Max(done, t)
-			conflicted = conflicted || c
-			corrupted = corrupted || corr
-		}
-	}
+	g, row := d.group(line)
+	done, conflicted, corrupted = d.devices[g].Read(now, row)
 	if corrupted {
 		d.containedCorru.Inc()
 	}
@@ -222,33 +212,15 @@ func (d *DIMM) reserveSlot(at sim.Time) sim.Time {
 //lightpc:zeroalloc
 func (d *DIMM) WriteLine(now sim.Time, line uint64) (accept, complete sim.Time) {
 	d.writes.Inc()
-	switch d.cfg.Layout {
-	case DualChannel:
-		start := d.reserveSlot(now)
-		first, row := d.pairFor(line)
-		for i := first; i < first+2; i++ {
-			a, c := d.devices[i].Write(start, row)
-			accept = sim.Max(accept, a)
-			complete = sim.Max(complete, c)
-		}
-	default:
-		// Read-modify-write: sense the whole 256 B block first, then
-		// program every device.
+	g, row := d.group(line)
+	dev := d.devices[g]
+	start := now
+	if d.cfg.Layout == DRAMLike {
+		// Read-modify-write: sense the whole 256 B block first.
 		d.rmwOps.Inc()
-		row := rankRow(line)
-		readDone := now
-		for _, dev := range d.devices {
-			t, _, _ := dev.Read(now, row)
-			readDone = sim.Max(readDone, t)
-		}
-		start := d.reserveSlot(readDone)
-		for _, dev := range d.devices {
-			a, c := dev.Write(start, row)
-			accept = sim.Max(accept, a)
-			complete = sim.Max(complete, c)
-		}
+		start, _, _ = dev.Read(now, row)
 	}
-	return accept, complete
+	return dev.Write(d.reserveSlot(start), row)
 }
 
 // ReadReconstructed serves a read of a line whose pair is mid-programming by
@@ -265,18 +237,13 @@ func (d *DIMM) ReadReconstructed(now sim.Time, line uint64) (done sim.Time, ok, 
 	if d.cfg.Layout != DualChannel {
 		return 0, false, false
 	}
-	first, row := d.pairFor(line)
-	parityFirst := (first + 2) % len(d.devices)
-	if d.devices[parityFirst].Busy(now, row) || d.devices[parityFirst+1].Busy(now, row) {
+	g, row := d.group(line)
+	parity := d.devices[d.parityGroup(g)]
+	if parity.Busy(now, row) {
 		return 0, false, false
 	}
 	d.reconstructs.Inc()
-	done = now
-	for i := parityFirst; i < parityFirst+2; i++ {
-		t, _, corr := d.devices[i].Read(now, row)
-		done = sim.Max(done, t)
-		corrupted = corrupted || corr
-	}
+	done, _, corrupted = parity.Read(now, row)
 	// The XOR network is fully combinational — one cycle, negligible at
 	// this time base (Section V-A).
 	return done, true, corrupted

@@ -25,6 +25,30 @@ func TestLayoutString(t *testing.T) {
 	}
 }
 
+// Each chip-enable group is one pram.Device: a pair for DualChannel, the
+// whole rank for DRAMLike.
+func TestOneDevicePerGroup(t *testing.T) {
+	for _, tc := range []struct {
+		d      *DIMM
+		groups int
+	}{{dual(), 4}, {dramLike(), 1}} {
+		if got := len(tc.d.Devices()); got != tc.d.Groups() || got != tc.groups {
+			t.Errorf("%v: %d devices, %d groups, want %d", tc.d.Config().Layout, got, tc.d.Groups(), tc.groups)
+		}
+	}
+}
+
+// The XCC parity of a pair's lines lives on the next pair, wrapping.
+func TestLocateParityOnNextPair(t *testing.T) {
+	d := dual()
+	for line := uint64(0); line < 8; line++ {
+		data, parity := d.Locate(line)
+		if want := int(line%4) * 2; data != want || parity != (want+2)%8 {
+			t.Fatalf("Locate(%d) = (%d, %d), want (%d, %d)", line, data, parity, want, (want+2)%8)
+		}
+	}
+}
+
 func TestDualChannelReadLatency(t *testing.T) {
 	d := dual()
 	done, conflicted, corrupted := d.ReadLine(0, 0)

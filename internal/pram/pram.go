@@ -12,8 +12,6 @@
 package pram
 
 import (
-	"fmt"
-
 	"repro/internal/linetab"
 	"repro/internal/sim"
 )
@@ -29,9 +27,6 @@ type DeviceConfig struct {
 	// WriteLatency is the time to program one granule, including the
 	// thermal cooling window; the row must not be touched until it passes.
 	WriteLatency sim.Duration
-	// Rows is the number of addressable granule rows. Zero means "large"
-	// (addressing is not bounds-checked).
-	Rows uint64
 	// TrackWear enables per-row write counters (used by the wear-leveling
 	// experiments; costs memory proportional to touched rows).
 	TrackWear bool
@@ -60,10 +55,14 @@ func DefaultConfig() DeviceConfig {
 	}
 }
 
-// Device is one PRAM die behind a Bare-NVDIMM chip-enable line.
+// Device is the PRAM dies behind one Bare-NVDIMM chip enable. Every
+// command reaches each die of the group with the same row at the same
+// instant, so the dies share one command-interface clock, one set of
+// cooling windows and one wear table; only error injection is per die.
+// Stats and TouchedRows report die totals.
 type Device struct {
-	cfg DeviceConfig
-	rng *sim.RNG
+	cfg  DeviceConfig
+	rngs []sim.RNG // one error-injection stream per die
 
 	// busyUntil serializes the device command interface.
 	busyUntil sim.Time
@@ -74,17 +73,21 @@ type Device struct {
 	inFlight linetab.Flight
 
 	wear        *linetab.Counters
-	reads       sim.Counter
+	reads       sim.Counter // group commands; each reached every die
 	writes      sim.Counter
 	conflicts   sim.Counter // reads that found the target row programming
-	errInjected sim.Counter
+	errInjected sim.Counter // per die
 }
 
-// NewDevice builds a device from the config.
-func NewDevice(cfg DeviceConfig) *Device {
-	d := &Device{
-		cfg: cfg,
-		rng: sim.NewRNG(cfg.Seed),
+// NewDevice builds a single die from the config.
+func NewDevice(cfg DeviceConfig) *Device { return NewGroup(cfg, 1) }
+
+// NewGroup builds the dies (at least one) that share a chip enable; die i
+// seeds its error injection with cfg.Seed+i.
+func NewGroup(cfg DeviceConfig, dies int) *Device {
+	d := &Device{cfg: cfg, rngs: make([]sim.RNG, dies)}
+	for i := range d.rngs {
+		d.rngs[i] = *sim.NewRNG(cfg.Seed + uint64(i))
 	}
 	if cfg.TrackWear {
 		d.wear = linetab.NewCounters()
@@ -95,13 +98,6 @@ func NewDevice(cfg DeviceConfig) *Device {
 // Config reports the device configuration.
 func (d *Device) Config() DeviceConfig { return d.cfg }
 
-//lightpc:zeroalloc
-func (d *Device) checkRow(row uint64) {
-	if d.cfg.Rows != 0 && row >= d.cfg.Rows {
-		panic(fmt.Sprintf("pram: row %d out of range (rows=%d)", row, d.cfg.Rows))
-	}
-}
-
 // Busy reports whether the row is inside a programming/cooling window at
 // time now (the read-after-write hazard the PSM's XCC resolves).
 //
@@ -110,18 +106,17 @@ func (d *Device) Busy(now sim.Time, row uint64) bool {
 	return d.inFlight.Busy(now, row)
 }
 
-// Read senses one granule at row. It returns the completion time, whether
-// the read collided with an in-flight program of the same row (in which
-// case the returned time already includes waiting for the program to
-// finish — a LightPC-B-style blocking service), and whether the data came
-// back corrupted.
+// Read senses one granule at row on every die. It returns the completion
+// time, whether the read collided with an in-flight program of the same
+// row (in which case the returned time already includes waiting for the
+// program to finish — a LightPC-B-style blocking service), and whether any
+// die's data came back corrupted.
 //
 // Callers that can reconstruct from ECC (LightPC's PSM) should call Busy
 // first and avoid the blocking read entirely.
 //
 //lightpc:zeroalloc
 func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corrupted bool) {
-	d.checkRow(row)
 	d.reads.Inc()
 	start := sim.Max(now, d.busyUntil)
 	if !d.inFlight.Quiet(start) {
@@ -134,31 +129,41 @@ func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corr
 	}
 	done = start.Add(d.cfg.ReadLatency)
 	d.busyUntil = done
-	if d.cfg.BitErrorPerRead > 0 && d.rng.Bool(d.cfg.BitErrorPerRead) {
-		corrupted = true
-		d.errInjected.Inc()
+	if d.cfg.BitErrorPerRead > 0 {
+		for i := range d.rngs {
+			if d.rngs[i].Bool(d.cfg.BitErrorPerRead) {
+				corrupted = true
+				d.errInjected.Inc()
+			}
+		}
 	}
-	if d.cfg.EnduranceCycles > 0 && d.wear != nil && d.wear.Get(row) > d.cfg.EnduranceCycles {
-		// The cell is worn out: set/reset switching no longer sticks.
+	if d.WornOut(row) {
+		// The cells are worn out: set/reset switching no longer sticks on
+		// any die.
 		corrupted = true
-		d.errInjected.Inc()
+		for range d.rngs {
+			d.errInjected.Inc()
+		}
 	}
 	return done, conflicted, corrupted
 }
 
-// WornOut reports whether a row has exceeded its endurance budget.
+// WornOut reports whether a row has exceeded its endurance budget (the
+// dies wear alike).
+//
+//lightpc:zeroalloc
 func (d *Device) WornOut(row uint64) bool {
 	return d.cfg.EnduranceCycles > 0 && d.wear != nil && d.wear.Get(row) > d.cfg.EnduranceCycles
 }
 
-// Write programs one granule at row. The device accepts the command as soon
-// as its interface frees up (accept) and completes programming, including
-// the cooling window, at complete. An early-return memory controller may
-// acknowledge the host at accept; a strict one waits for complete.
+// Write programs one granule at row on every die. The device accepts the
+// command as soon as its interface frees up (accept) and completes
+// programming, including the cooling window, at complete. An early-return
+// memory controller may acknowledge the host at accept; a strict one waits
+// for complete.
 //
 //lightpc:zeroalloc
 func (d *Device) Write(now sim.Time, row uint64) (accept, complete sim.Time) {
-	d.checkRow(row)
 	d.writes.Inc()
 	accept = sim.Max(now, d.busyUntil)
 	if !d.inFlight.Quiet(accept) {
@@ -185,7 +190,8 @@ func (d *Device) Drain(now sim.Time) sim.Time {
 	return d.inFlight.Drain(now)
 }
 
-// WearCount reports the writes recorded against row (0 unless TrackWear).
+// WearCount reports the writes recorded against row on each die (0 unless
+// TrackWear).
 func (d *Device) WearCount(row uint64) uint64 {
 	if d.wear == nil {
 		return 0
@@ -193,7 +199,7 @@ func (d *Device) WearCount(row uint64) uint64 {
 	return d.wear.Get(row)
 }
 
-// MaxWear reports the highest per-row write count and its row.
+// MaxWear reports the highest per-row write count of any die and its row.
 func (d *Device) MaxWear() (row, count uint64) {
 	if d.wear == nil {
 		return 0, 0
@@ -201,15 +207,17 @@ func (d *Device) MaxWear() (row, count uint64) {
 	return d.wear.Max()
 }
 
-// TouchedRows reports how many distinct rows have been written (TrackWear).
+// TouchedRows reports how many distinct rows have been written, summed
+// over the dies (TrackWear).
 func (d *Device) TouchedRows() int {
 	if d.wear == nil {
 		return 0
 	}
-	return d.wear.Touched()
+	return len(d.rngs) * d.wear.Touched()
 }
 
-// Stats reports cumulative counters.
+// Stats reports cumulative counters summed over the dies.
 func (d *Device) Stats() (reads, writes, conflicts, errors uint64) {
-	return d.reads.Value(), d.writes.Value(), d.conflicts.Value(), d.errInjected.Value()
+	n := uint64(len(d.rngs))
+	return n * d.reads.Value(), n * d.writes.Value(), n * d.conflicts.Value(), d.errInjected.Value()
 }

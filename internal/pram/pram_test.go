@@ -166,18 +166,6 @@ func TestBitErrorInjection(t *testing.T) {
 	}
 }
 
-func TestRowBoundsChecked(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rows = 10
-	d := NewDevice(cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range row")
-		}
-	}()
-	d.Read(0, 10)
-}
-
 func TestStatsCounters(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	d.Write(0, 1)

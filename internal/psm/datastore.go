@@ -82,15 +82,9 @@ func (ds *DataStore) ReviveDevice(dimm, dev int) {
 // Locate resolves a line to the DIMM and first device index of its data
 // pair and parity pair (fault-injection targets).
 func (ds *DataStore) Locate(line uint64) (dimm, dataFirst, parityFirst int) {
-	return ds.location(line)
-}
-
-// location resolves a line to its data devices and parity devices.
-func (ds *DataStore) location(line uint64) (dimm int, dataFirst, parityFirst int) {
-	d, di, inner := ds.psm.mapLine(line)
-	first, _ := d.PairFor(inner)
-	pFirst := (first + 2) % ds.psm.cfg.NVDIMM.DevicesPerDIMM
-	return di, first, pFirst
+	d, dimm, inner := ds.psm.mapLine(line)
+	dataFirst, parityFirst = d.Locate(inner)
+	return dimm, dataFirst, parityFirst
 }
 
 func (ds *DataStore) dead(dimm, dev int) bool { return ds.deadDevs[devKey{dimm, dev}] }
@@ -142,7 +136,7 @@ func (ds *DataStore) ReadInto(now sim.Time, line uint64, buf []byte) (sim.Time, 
 		clear(buf)
 		return done, nil
 	}
-	dimm, dataFirst, parityFirst := ds.location(line)
+	dimm, dataFirst, parityFirst := ds.Locate(line)
 	loDead := ds.dead(dimm, dataFirst)
 	hiDead := ds.dead(dimm, dataFirst+1)
 	parityDead := ds.dead(dimm, parityFirst) || ds.dead(dimm, parityFirst+1)

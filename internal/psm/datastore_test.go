@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/nvdimm"
+	"repro/internal/pram"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -64,7 +66,7 @@ func TestDataStoreXCCRecoversDeadDevice(t *testing.T) {
 	line := uint64(42)
 	now := ds.WriteData(0, line, want)
 
-	dimm, dataFirst, _ := ds.location(line)
+	dimm, dataFirst, _ := ds.Locate(line)
 	ds.KillDevice(dimm, dataFirst) // low half gone
 	got, _, err := ds.ReadData(now, line)
 	if err != nil {
@@ -94,7 +96,7 @@ func TestDataStoreSymbolCodeCoversDoubleFault(t *testing.T) {
 	line := uint64(42)
 	now := ds.WriteData(0, line, want)
 
-	dimm, dataFirst, _ := ds.location(line)
+	dimm, dataFirst, _ := ds.Locate(line)
 	ds.KillDevice(dimm, dataFirst)
 	ds.KillDevice(dimm, dataFirst+1) // both halves dead: beyond XCC
 	got, done, err := ds.ReadData(now, line)
@@ -119,7 +121,7 @@ func TestDataStoreDoubleFaultWithoutSymbolCodeLosesData(t *testing.T) {
 	ds := NewDataStore(p)
 	line := uint64(42)
 	now := ds.WriteData(0, line, lineBytes(1))
-	dimm, dataFirst, _ := ds.location(line)
+	dimm, dataFirst, _ := ds.Locate(line)
 	ds.KillDevice(dimm, dataFirst)
 	ds.KillDevice(dimm, dataFirst+1)
 	if _, _, err := ds.ReadData(now, line); err != ErrDataLoss {
@@ -132,7 +134,7 @@ func TestDataStoreParityDeadTooLosesData(t *testing.T) {
 	ds := NewDataStore(p)
 	line := uint64(42)
 	now := ds.WriteData(0, line, lineBytes(5))
-	dimm, dataFirst, parityFirst := ds.location(line)
+	dimm, dataFirst, parityFirst := ds.Locate(line)
 	ds.KillDevice(dimm, dataFirst)
 	ds.KillDevice(dimm, parityFirst) // sibling AND parity dead
 	if _, _, err := ds.ReadData(now, line); err != ErrDataLoss {
@@ -188,6 +190,29 @@ func TestDataStoreKillDeviceBounds(t *testing.T) {
 		}
 	}()
 	ds.KillDevice(99, 0)
+}
+
+// A zero NVDIMM.DevicesPerDIMM means the default eight devices to the row
+// buffers, the DIMMs and the data store alike.
+func TestZeroDevicesPerDIMMMeansEight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DIMMs = 2
+	cfg.NVDIMM = nvdimm.Config{Layout: nvdimm.DualChannel, Device: pram.DefaultConfig()}
+	p := New(cfg)
+	if got := p.Config().Buffers; got != 16 {
+		t.Fatalf("Buffers = %d, want 2 DIMMs × 8 devices", got)
+	}
+	ds := NewDataStore(p)
+	want := lineBytes(4)
+	line := uint64(5)
+	now := ds.WriteData(0, line, want)
+	dimm, dataFirst, _ := ds.Locate(line)
+	ds.KillDevice(dimm, dataFirst)
+	ds.KillDevice(1-dimm, 7)
+	got := make([]byte, trace.CacheLineSize)
+	if _, err := ds.ReadInto(now, line, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("XCC round trip: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
 }
 
 func TestDataStoreWriteSizeChecked(t *testing.T) {

@@ -168,11 +168,11 @@ func New(cfg Config) *PSM {
 	if cfg.WindowLines == 0 || cfg.WindowLines > 64 {
 		cfg.WindowLines = 64
 	}
+	if cfg.NVDIMM.DevicesPerDIMM <= 0 {
+		cfg.NVDIMM.DevicesPerDIMM = 8
+	}
 	if cfg.Buffers <= 0 {
 		cfg.Buffers = cfg.DIMMs * cfg.NVDIMM.DevicesPerDIMM
-		if cfg.Buffers <= 0 {
-			cfg.Buffers = 48
-		}
 	}
 	p := &PSM{
 		cfg:          cfg,
