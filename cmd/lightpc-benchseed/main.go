@@ -1,7 +1,10 @@
 // Command lightpc-benchseed snapshots the benchmark suite into
 // BENCH_SEED.json: it times the quick experiment suite serially and through
-// the parallel runner (-j, independent experiments fanned out), times one
-// crash-sweep cell rebuilt per cut and forked per cut, then runs every
+// the parallel runner (-j, independent experiments fanned out), times the
+// full-fidelity suite that lightpc-bench prints by default at -j 1 and at
+// -j NumCPU (one warm-up run, then the median and min–max range of
+// fullRuns timed runs), times one crash-sweep cell rebuilt per cut and
+// forked per cut, then runs every
 // `go test -bench` benchmark once with -benchmem and captures each bench's
 // ns/op, B/op, allocs/op, plus its custom paper metrics. A benchmark that
 // reads 0 or 1 allocs/op in that single iteration runs again at
@@ -64,6 +67,14 @@ type seed struct {
 	ParallelMs float64 `json:"suite_parallel_ms"`
 	SpeedupX   float64 `json:"runner_speedup_x"`
 
+	// The full-fidelity suite (experiments.DefaultOptions, what
+	// lightpc-bench prints by default) at -j 1 and at -j NumCPU: the
+	// median of fullRuns timed runs and their [min, max].
+	FullSerialMs        float64    `json:"full_serial_ms"`
+	FullSerialRangeMs   [2]float64 `json:"full_serial_range_ms"`
+	FullParallelMs      float64    `json:"full_parallel_ms"`
+	FullParallelRangeMs [2]float64 `json:"full_parallel_range_ms"`
+
 	// The snapshot axis: one crash-sweep cell with a fresh Build per cut
 	// (the historical cell) vs one Build forked per cut (the shipping
 	// cell). Orthogonal to -j: this is single-cell wall time, the win
@@ -85,6 +96,31 @@ func timeSuite(jobs int) (float64, string) {
 	start := time.Now()
 	out := experiments.Render(experiments.RunAll(o))
 	return float64(time.Since(start).Microseconds()) / 1000, out
+}
+
+// fullRuns is how many timed runs of the full-fidelity suite each worker
+// count gets, after one untimed warm-up run.
+const fullRuns = 3
+
+// timeFull runs the full-fidelity suite at the given worker count once to
+// warm up and then fullRuns times, and returns the median wall-clock, the
+// [min, max] range, and the rendered output. Every run must render the
+// same bytes.
+func timeFull(jobs int) (median float64, span [2]float64, out string, err error) {
+	o := experiments.DefaultOptions()
+	o.Jobs = jobs
+	out = experiments.Render(experiments.RunAll(o))
+	ms := make([]float64, fullRuns)
+	for i := range ms {
+		start := time.Now()
+		got := experiments.Render(experiments.RunAll(o))
+		ms[i] = float64(time.Since(start).Microseconds()) / 1000
+		if got != out {
+			return 0, span, "", fmt.Errorf("full suite at -j %d: run %d rendered differently from the warm-up", jobs, i+1)
+		}
+	}
+	slices.Sort(ms)
+	return ms[len(ms)/2], [2]float64{ms[0], ms[len(ms)-1]}, out, nil
 }
 
 // timeSweep runs one crash-sweep cell both ways — a fresh Build for every
@@ -234,6 +270,21 @@ func main() {
 		os.Exit(1)
 	}
 
+	fullSerialMs, fullSerialRange, fullSerialOut, err := timeFull(1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lightpc-benchseed: %v\n", err)
+		os.Exit(1)
+	}
+	fullParallelMs, fullParallelRange, fullParallelOut, err := timeFull(runtime.NumCPU())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lightpc-benchseed: %v\n", err)
+		os.Exit(1)
+	}
+	if fullSerialOut != fullParallelOut {
+		fmt.Fprintln(os.Stderr, "lightpc-benchseed: serial and parallel full-fidelity outputs diverged")
+		os.Exit(1)
+	}
+
 	sweepRebuildMs, sweepForkMs, sweepRebuildOut, sweepForkOut, err := timeSweep()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightpc-benchseed: sweep cell: %v\n", err)
@@ -245,12 +296,18 @@ func main() {
 	}
 
 	s := seed{
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		SerialMs:       serialMs,
-		ParallelMs:     parallelMs,
-		SpeedupX:       serialMs / parallelMs,
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		SerialMs:   serialMs,
+		ParallelMs: parallelMs,
+		SpeedupX:   serialMs / parallelMs,
+
+		FullSerialMs:        fullSerialMs,
+		FullSerialRangeMs:   fullSerialRange,
+		FullParallelMs:      fullParallelMs,
+		FullParallelRangeMs: fullParallelRange,
+
 		SweepRebuildMs: sweepRebuildMs,
 		SweepForkMs:    sweepForkMs,
 		SweepSpeedupX:  sweepRebuildMs / sweepForkMs,
@@ -305,8 +362,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lightpc-benchseed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s: %d benches on %d CPU(s), suite %.0fms serial / %.0fms at -j %d (%.2fx), sweep cell %.0fms rebuilt / %.0fms forked (%.2fx)\n",
+	fmt.Printf("wrote %s: %d benches on %d CPU(s), suite %.0fms serial / %.0fms at -j %d (%.2fx), full fidelity %.0fms serial / %.0fms at -j %d, sweep cell %.0fms rebuilt / %.0fms forked (%.2fx)\n",
 		*out, len(s.Benches), s.NumCPU, s.SerialMs, s.ParallelMs, s.GOMAXPROCS, s.SpeedupX,
+		s.FullSerialMs, s.FullParallelMs, s.NumCPU,
 		s.SweepRebuildMs, s.SweepForkMs, s.SweepSpeedupX)
 	if s.NumCPU < 2 {
 		fmt.Println("note: single-CPU host — the -j speedup above is nominal, not evidence of scaling")

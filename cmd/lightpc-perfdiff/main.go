@@ -1,7 +1,9 @@
 // Command lightpc-perfdiff compares two BENCH_SEED.json snapshots (see
 // cmd/lightpc-benchseed) benchstat-style: one row per benchmark with the
 // old/new ns/op and allocs/op and their deltas, flagging any benchmark whose
-// time or allocation count regressed by more than a threshold.
+// time or allocation count regressed by more than a threshold. Below the
+// rows it prints the quick suite's and the full-fidelity suite's wall-clock,
+// old -> new, for each one both snapshots recorded.
 //
 // The snapshots are single-iteration runs, so the comparison is a smoke
 // gate, not a statistics engine: CI runs it with time deltas report-only,
@@ -42,13 +44,20 @@ type benchLine struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// seed mirrors the snapshot fields the comparison reads. Snapshots from
+// before the full-fidelity timings existed decode with zero full_*_ms, and
+// the summary then leaves that line out.
 type seed struct {
-	GoVersion  string      `json:"go_version"`
-	NumCPU     int         `json:"num_cpu"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	SerialMs   float64     `json:"suite_serial_ms"`
-	ParallelMs float64     `json:"suite_parallel_ms"`
-	Benches    []benchLine `json:"benches"`
+	GoVersion           string      `json:"go_version"`
+	NumCPU              int         `json:"num_cpu"`
+	GOMAXPROCS          int         `json:"gomaxprocs"`
+	SerialMs            float64     `json:"suite_serial_ms"`
+	ParallelMs          float64     `json:"suite_parallel_ms"`
+	FullSerialMs        float64     `json:"full_serial_ms"`
+	FullSerialRangeMs   [2]float64  `json:"full_serial_range_ms"`
+	FullParallelMs      float64     `json:"full_parallel_ms"`
+	FullParallelRangeMs [2]float64  `json:"full_parallel_range_ms"`
+	Benches             []benchLine `json:"benches"`
 }
 
 func load(path string) (seed, error) {
@@ -109,16 +118,7 @@ func main() {
 	}
 
 	regressions, zeroAllocBroken := compare(os.Stdout, oldSeed, newSeed, *threshold)
-
-	if oldSeed.SerialMs > 0 && newSeed.SerialMs > 0 {
-		fmt.Printf("\nsuite serial: %.0fms -> %.0fms (%s)   parallel (-j): %.0fms -> %.0fms (%s)\n",
-			oldSeed.SerialMs, newSeed.SerialMs, fmtDelta(oldSeed.SerialMs, newSeed.SerialMs),
-			oldSeed.ParallelMs, newSeed.ParallelMs, fmtDelta(oldSeed.ParallelMs, newSeed.ParallelMs))
-	}
-	if oldSeed.NumCPU != 0 && newSeed.NumCPU != 0 && oldSeed.NumCPU != newSeed.NumCPU {
-		fmt.Printf("note: snapshots ran on different core counts (%d vs %d) — wall-clock deltas are not comparable\n",
-			oldSeed.NumCPU, newSeed.NumCPU)
-	}
+	suites(os.Stdout, oldSeed, newSeed)
 
 	fail := false
 	sort.Strings(zeroAllocBroken)
@@ -151,6 +151,32 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// suites writes the whole-suite wall-clock lines: the quick suite, and the
+// full-fidelity suite when both snapshots recorded it.
+func suites(w io.Writer, oldSeed, newSeed seed) {
+	if oldSeed.SerialMs > 0 && newSeed.SerialMs > 0 {
+		fmt.Fprintf(w, "\nsuite serial: %.0fms -> %.0fms (%s)   parallel (-j): %.0fms -> %.0fms (%s)\n",
+			oldSeed.SerialMs, newSeed.SerialMs, fmtDelta(oldSeed.SerialMs, newSeed.SerialMs),
+			oldSeed.ParallelMs, newSeed.ParallelMs, fmtDelta(oldSeed.ParallelMs, newSeed.ParallelMs))
+	}
+	if oldSeed.FullSerialMs > 0 && newSeed.FullSerialMs > 0 {
+		fmt.Fprintf(w, "full fidelity serial: %s -> %s (%s)   parallel (-j): %s -> %s (%s)\n",
+			fmtRun(oldSeed.FullSerialMs, oldSeed.FullSerialRangeMs), fmtRun(newSeed.FullSerialMs, newSeed.FullSerialRangeMs),
+			fmtDelta(oldSeed.FullSerialMs, newSeed.FullSerialMs),
+			fmtRun(oldSeed.FullParallelMs, oldSeed.FullParallelRangeMs), fmtRun(newSeed.FullParallelMs, newSeed.FullParallelRangeMs),
+			fmtDelta(oldSeed.FullParallelMs, newSeed.FullParallelMs))
+	}
+	if oldSeed.NumCPU != 0 && newSeed.NumCPU != 0 && oldSeed.NumCPU != newSeed.NumCPU {
+		fmt.Fprintf(w, "note: snapshots ran on different core counts (%d vs %d) — wall-clock deltas are not comparable\n",
+			oldSeed.NumCPU, newSeed.NumCPU)
+	}
+}
+
+// fmtRun shows a median with its [min, max] range.
+func fmtRun(median float64, span [2]float64) string {
+	return fmt.Sprintf("%.0fms [%.0f, %.0f]", median, span[0], span[1])
 }
 
 // compare writes one row per benchmark to w and returns the time/alloc

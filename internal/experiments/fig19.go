@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"slices"
+	"sync"
+
 	lightpc "repro"
 	"repro/internal/persist"
 	"repro/internal/power"
@@ -28,8 +31,7 @@ type Fig19Result struct {
 // runs scaled to the full Table II reference counts. Instruction counts are
 // derived from the benchmark's own reference count and compute gap (the
 // ambient kernel-thread traffic must not inflate the checkpoint frequency).
-// One runner cell per workload; Fig19Persistence and Fig20Flush both call
-// this with the same options, so they see identical profiles.
+// One runner cell per workload.
 func profiles(o Options) []persist.Profile {
 	return runner.Map(o.pool(), specs(o),
 		func(_ int, s workload.Spec) string { return "fig19/profiles/" + s.Name + "/LightPC" },
@@ -49,13 +51,62 @@ func profiles(o Options) []persist.Profile {
 		})
 }
 
+// profileKey is every Options field a profile set depends on: all of them
+// but the progress hooks and the unused Par. Jobs is in it although
+// profiles are identical at any Jobs, so a -j N suite still runs its own.
+type profileKey struct {
+	SampleOps uint64
+	Seed      uint64
+	Quick     bool
+	Jobs      int
+	Energy    bool
+}
+
+func (o Options) profileKey() profileKey {
+	return profileKey{SampleOps: o.SampleOps, Seed: o.Seed, Quick: o.Quick, Jobs: o.Jobs, Energy: o.Energy}
+}
+
+// shared holds the one profile set Fig 19 ran last, for Figs 20, 21 and 21a
+// to reuse. It holds a single set and Fig 19 always replaces it, so every
+// suite pass pays for its profiles once and no pass reuses an earlier
+// pass's.
+var shared struct {
+	mu    sync.Mutex
+	key   profileKey
+	profs []persist.Profile // nil until a harness stores a set
+}
+
+// ownProfiles runs the profiles and makes them the shared set. Fig 19
+// owns the set, so it always calls this.
+func ownProfiles(o Options) []persist.Profile {
+	profs := profiles(o)
+	shared.mu.Lock()
+	shared.key, shared.profs = o.profileKey(), profs
+	shared.mu.Unlock()
+	return slices.Clone(profs)
+}
+
+// sharedProfiles returns a copy of the shared set when it was run with
+// o's key, and otherwise runs the profiles itself and keeps them.
+func sharedProfiles(o Options) []persist.Profile {
+	shared.mu.Lock()
+	if shared.profs != nil && shared.key == o.profileKey() {
+		profs := slices.Clone(shared.profs)
+		shared.mu.Unlock()
+		return profs
+	}
+	shared.mu.Unlock()
+	return ownProfiles(o)
+}
+
 // Fig19Persistence reproduces Figures 19a–c: execution cycles (benchmark +
 // persistence control) for SysPC, A-CheckPC, and S-CheckPC, normalized to
-// LightPC, across the suite with one power cycle.
+// LightPC, across the suite with one power cycle. It always runs the
+// profiles and leaves them as the set Figs 20, 21 and 21a reuse.
 func Fig19Persistence(o Options) (Fig19Result, *report.Table) {
 	res := Fig19Result{MeanRatio: map[string]float64{}}
 	mechs := persist.All()
-	profs := profiles(o)
+	profs := ownProfiles(o)
 
 	totals := map[string]sim.Duration{}
 	lightTotals := map[string]sim.Duration{}
@@ -112,9 +163,9 @@ type Fig20Row struct {
 }
 
 // Fig20Flush reproduces Figure 20: flush latency at power-down vs the
-// measured PSU hold-up times.
+// measured PSU hold-up times, over Fig 19's profiles when o matches.
 func Fig20Flush(o Options) ([]Fig20Row, *report.Table) {
-	profs := profiles(o)
+	profs := sharedProfiles(o)
 	atx := power.ATX().HoldUp(18.9)
 	srv := power.Server().HoldUp(18.9)
 

@@ -26,12 +26,10 @@ type Fig21Row struct {
 	ColdReboot bool
 }
 
-// Fig21Timeline reproduces Figures 21a/21b: the consistency-control
-// timeline (cycles) and dynamic power/energy across power-down and
-// power-up for the four mechanisms, on a representative profile.
-func Fig21Timeline(o Options) ([]Fig21Row, *report.Table) {
-	profs := profiles(o)
-	// Use the mean profile as the representative benchmark.
+// meanProfile is the representative benchmark of Figures 21a/21b: the mean
+// of Fig 19's profiles (shared when o matches).
+func meanProfile(o Options) persist.Profile {
+	profs := sharedProfiles(o)
 	var rep persist.Profile
 	for _, p := range profs {
 		rep.ExecTime += p.ExecTime
@@ -44,7 +42,14 @@ func Fig21Timeline(o Options) ([]Fig21Row, *report.Table) {
 	rep.Instructions /= n
 	rep.FootprintBytes /= n
 	rep.DirtyFraction = 0.5
+	return rep
+}
 
+// Fig21Timeline reproduces Figures 21a/21b: the consistency-control
+// timeline (cycles) and dynamic power/energy across power-down and
+// power-up for the four mechanisms, on a representative profile.
+func Fig21Timeline(o Options) ([]Fig21Row, *report.Table) {
+	rep := meanProfile(o)
 	var rows []Fig21Row
 	for _, m := range persist.All() {
 		out := m.Run(rep)
@@ -90,20 +95,7 @@ type TimelineSegment struct {
 // show memory-bound IPC collapses in their windows; SnG's windows are
 // short, CPU-bound kernel work.
 func Fig21Series(o Options) ([]TimelineSegment, *report.Table) {
-	profs := profiles(o)
-	var rep persist.Profile
-	for _, p := range profs {
-		rep.ExecTime += p.ExecTime
-		rep.Instructions += p.Instructions
-		rep.FootprintBytes += p.FootprintBytes
-	}
-	n := uint64(len(profs))
-	rep.Name = "mean"
-	rep.ExecTime /= sim.Duration(n)
-	rep.Instructions /= n
-	rep.FootprintBytes /= n
-	rep.DirtyFraction = 0.5
-
+	rep := meanProfile(o)
 	runIPC := float64(rep.Instructions) / float64(rep.ExecTime.ToCycles(asicHz))
 
 	// dumpIPC estimates the window's IPC from the data-movement

@@ -95,7 +95,7 @@ var required = map[string][]string{
 	"memctrl":  {"PSMBackend.Read", "PSMBackend.Write", "PMEMBackend.Read", "PMEMBackend.Write", "NMEM.access"},
 	"nvdimm":   {"DIMM.ReadLine", "DIMM.WriteLine", "DIMM.LineBusy"},
 	"dram":     {"DIMM.Read", "DIMM.Write"},
-	"pmemdimm": {"DIMM.Read", "DIMM.Write", "lru.touch", "lru.insert"},
+	"pmemdimm": {"DIMM.Read", "DIMM.Write", "lru.find", "lru.refresh", "lru.add"},
 	"wordtab":  {"Table.Get", "Table.Set"},
 }
 

@@ -7,21 +7,23 @@ import (
 )
 
 // BenchmarkLRUSteadyState drives a warm DRAM-tier-sized LRU with a
-// touch-then-insert stream over twice its capacity, so about half the
-// lookups miss and evict. BENCH_SEED.json pins it at 0 allocs/op.
+// find-then-refresh-or-add stream over twice its capacity, so about half
+// the lookups miss and evict. BENCH_SEED.json pins it at 0 allocs/op.
 func BenchmarkLRUSteadyState(b *testing.B) {
 	const capacity = 4096
 	l := newLRU(capacity)
 	rng := sim.NewRNG(1)
 	for i := 0; i < 2*capacity; i++ {
-		l.insert(rng.Uint64n(2*capacity), i%2 == 0)
+		access(l, rng.Uint64n(2*capacity), i%2 == 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := rng.Uint64n(2 * capacity)
-		if _, ok := l.touch(key); !ok {
-			l.insert(key, i%2 == 0)
+		if s, n := l.find(key); n >= 0 {
+			l.refresh(n)
+		} else {
+			l.add(s, key, i%2 == 0)
 		}
 	}
 }

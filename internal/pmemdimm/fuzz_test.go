@@ -64,8 +64,9 @@ func (r *refLRU) clone() *refLRU {
 }
 
 // checkLRU asserts l holds exactly the model's blocks, in the model's
-// recency order, with its dirty bits and dirty count, and that every key
-// is reachable through the index while the evicted ones are not.
+// recency order, with its dirty bits and dirty count; that find reaches
+// every key at the slot its node records; and that find of every absent key
+// returns the empty slot that ends its probe chain, the slot add fills.
 func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 	t.Helper()
 	if l.len() != len(r.entries) {
@@ -82,8 +83,13 @@ func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 			t.Fatalf("step %d: recency position %d holds key %d dirty=%v, model key %d dirty=%v",
 				step, k, n.key, l.isDirty(i), e.key, e.dirty)
 		}
-		if got := l.index[l.slot(e.key)] - 1; got != i {
-			t.Fatalf("step %d: index finds key %d at node %d, list has it at %d", step, e.key, got, i)
+		if l.index[n.slot]-1 != i {
+			t.Fatalf("step %d: node %d (key %d) records slot %d, which holds node %d",
+				step, i, n.key, n.slot, l.index[n.slot]-1)
+		}
+		if s, got := l.find(e.key); got != i || s != n.slot {
+			t.Fatalf("step %d: find(%d) = slot %d node %d, list has it at node %d slot %d",
+				step, e.key, s, got, i, n.slot)
 		}
 		if e.dirty {
 			dirty++
@@ -105,9 +111,19 @@ func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 	if used != l.len() {
 		t.Fatalf("step %d: index holds %d entries for %d blocks", step, used, l.len())
 	}
+	mask := uint64(len(l.index) - 1)
 	for key := uint64(0); key < fuzzKeys; key++ {
-		if r.find(key) < 0 && l.index[l.slot(key)] != 0 {
-			t.Fatalf("step %d: absent key %d still indexed", step, key)
+		if r.find(key) >= 0 {
+			continue
+		}
+		s, got := l.find(key)
+		if got >= 0 || l.index[s] != 0 {
+			t.Fatalf("step %d: absent key %d found at slot %d node %d", step, key, s, got)
+		}
+		for j := hash64(key) >> l.shift; j != s; j = (j + 1) & mask {
+			if l.index[j] == 0 {
+				t.Fatalf("step %d: find(%d) = slot %d, but its chain ends at empty slot %d", step, key, s, j)
+			}
 		}
 	}
 }
@@ -116,14 +132,18 @@ func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 // every probe chain collides.
 const fuzzKeys = 32
 
-// FuzzLRU runs random touch / insert / flushAll / clone streams through
+// FuzzLRU runs random lookup / access / flushAll / clone streams through
 // the indexed LRU at capacities 1–8 (index tables of 2–16 slots, so chains
 // collide and backward shifts wrap around the table) in lockstep with the
-// recency-ordered reference model. Each op's results — hits, victims and
-// their dirtiness, flushed counts — must match, and after each op the full
-// tier state must too. A clone continues the stream in place of its source
-// or beside it; the copy left behind must still match the model as of the
-// clone, whatever happened to the other.
+// recency-ordered reference model. A lookup is find plus refresh on a hit,
+// as DIMM.Read's SRAM probe does; an access also adds a missing block in
+// the slot find returned, as DIMM.Read fills a tier it missed, and dirties
+// a hit block on a write, as DIMM.Write's DRAM-hit branch does. Each op's
+// results — hits, victims and their dirtiness, flushed counts — must
+// match, and after each op the full tier state must too. A clone continues
+// the stream in place of its source or beside it; the copy left behind
+// must still match the model as of the clone, whatever happened to the
+// other.
 func FuzzLRU(f *testing.F) {
 	f.Add(uint8(0), []byte{0x01, 0x09, 0x11, 0x08, 0x02, 0x03})
 	f.Add(uint8(3), []byte{0x02, 0x0a, 0x12, 0x1a, 0x22, 0x2a, 0x00, 0x0c, 0x04, 0x32, 0x03, 0x0b})
@@ -142,31 +162,26 @@ func FuzzLRU(f *testing.F) {
 		for step, b := range ops {
 			key := uint64(b>>3) % fuzzKeys
 			switch b & 7 {
-			case 0:
-				i, ok := l.touch(key)
-				if want := r.touch(key); ok != want || ok != (i >= 0) {
-					t.Fatalf("step %d: touch(%d) = %d,%v, model hit=%v", step, key, i, ok, want)
+			case 0, 4:
+				i, ok := hit(l, key)
+				if want := r.touch(key); ok != want {
+					t.Fatalf("step %d: find(%d) = node %d, model hit=%v", step, key, i, want)
+				}
+				if ok && b&7 == 4 {
+					l.markDirty(i)
+					r.entries[0].dirty = true
 				}
 			case 1, 2, 7:
 				dirty := b&7 == 2
-				gotD, gotE := l.insert(key, dirty)
+				gotD, gotE := access(l, key, dirty)
 				wantD, wantE := r.insert(key, dirty)
 				if gotD != wantD || gotE != wantE {
-					t.Fatalf("step %d: insert(%d, %v) evicted=%v dirty=%v, model evicted=%v dirty=%v",
+					t.Fatalf("step %d: access(%d, %v) evicted=%v dirty=%v, model evicted=%v dirty=%v",
 						step, key, dirty, gotE, gotD, wantE, wantD)
 				}
 			case 3:
 				if got, want := l.flushAll(), r.flushAll(); got != want {
 					t.Fatalf("step %d: flushAll = %d, model %d", step, got, want)
-				}
-			case 4:
-				i, ok := l.touch(key)
-				if want := r.touch(key); ok != want {
-					t.Fatalf("step %d: touch(%d) hit=%v, model %v", step, key, ok, want)
-				}
-				if ok {
-					l.markDirty(i)
-					r.entries[0].dirty = true
 				}
 			case 5:
 				// Continue on the clone; the source is left behind.

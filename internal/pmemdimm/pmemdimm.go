@@ -72,6 +72,13 @@ func DefaultConfig() Config {
 // chain stays exactly as long as the keys it holds. Both the arena and the
 // table are flat slices, so a clone is two copies.
 //
+// Each access probes the index once. find returns the key's slot and node
+// on a hit, or the empty slot that ends its chain on a miss; refresh and
+// markDirty act on the node, and add fills the miss's slot. Every node
+// records the slot that holds it (the backward shift updates it for each
+// entry it moves), so an eviction frees the victim's slot without
+// searching for it.
+//
 // Dirtiness is epoch-stamped rather than stored as a bool: a node is dirty
 // iff its dirtyStamp is newer than the tier's last flush epoch. Clearing
 // every dirty bit (Flush) is then a single epoch increment, and the tier
@@ -91,6 +98,7 @@ type lru struct {
 type lruNode struct {
 	key        uint64
 	dirtyStamp uint64
+	slot       uint64 // the index slot holding this node
 	prev, next int32
 }
 
@@ -115,35 +123,41 @@ func newLRU(capacity int) *lru {
 //lightpc:zeroalloc
 func hash64(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
 
-// slot returns the table slot holding key, or the empty slot that ends its
-// probe chain. The table is never full (it has at least twice as many
-// slots as nodes), so the probe always terminates.
+// find probes for key once. On a hit it returns the slot holding key and
+// its node; on a miss, the empty slot that ends key's probe chain and -1.
+// The table is never full (it has at least twice as many slots as nodes),
+// so the probe always terminates.
 //
 //lightpc:zeroalloc
-func (l *lru) slot(key uint64) uint64 {
+func (l *lru) find(key uint64) (uint64, int32) {
 	mask := uint64(len(l.index) - 1)
-	i := hash64(key) >> l.shift
-	for l.index[i] != 0 && l.nodes[l.index[i]-1].key != key {
-		i = (i + 1) & mask
+	for s := hash64(key) >> l.shift; ; s = (s + 1) & mask {
+		v := l.index[s]
+		if v == 0 || l.nodes[v-1].key == key {
+			return s, v - 1
+		}
 	}
-	return i
 }
 
 // remove deletes the slot's entry by backward shift: each later entry of
 // the chain moves into the hole unless its home slot lies cyclically
 // after the hole, so lookups never cross an empty slot they should not.
+// It returns the final hole, the only slot the shift leaves empty.
 //
 //lightpc:zeroalloc
-func (l *lru) remove(hole uint64) {
+func (l *lru) remove(hole uint64) uint64 {
 	mask := uint64(len(l.index) - 1)
 	for j := (hole + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
-		home := hash64(l.nodes[l.index[j]-1].key) >> l.shift
+		n := &l.nodes[l.index[j]-1]
+		home := hash64(n.key) >> l.shift
 		if (j-home)&mask >= (j-hole)&mask {
 			l.index[hole] = l.index[j]
+			n.slot = hole
 			hole = j
 		}
 	}
 	l.index[hole] = 0
+	return hole
 }
 
 //lightpc:zeroalloc
@@ -189,36 +203,27 @@ func (l *lru) markDirty(i int32) {
 	}
 }
 
-// touch looks the key up and refreshes recency.
+// refresh makes node i the most recent.
 //
 //lightpc:zeroalloc
-func (l *lru) touch(key uint64) (int32, bool) {
-	i := l.index[l.slot(key)] - 1
-	if i < 0 {
-		return -1, false
-	}
-	l.unlink(i)
-	l.pushFront(i)
-	return i, true
-}
-
-// insert adds key, reporting whether a block was evicted to make room and
-// whether that block was dirty.
-//
-//lightpc:zeroalloc
-func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
-	s := l.slot(key)
-	if i := l.index[s] - 1; i >= 0 {
-		if dirty {
-			l.markDirty(i)
-		}
+func (l *lru) refresh(i int32) {
+	if i != l.head {
 		l.unlink(i)
 		l.pushFront(i)
-		return false, false
 	}
+}
+
+// add inserts key, which find reported absent with s as the empty slot
+// ending its chain, reporting whether a block was evicted to make room and
+// whether that block was dirty. A full tier reuses its LRU victim's node
+// and frees the victim's slot. That backward shift empties one slot, its
+// final hole; s stays empty. When the hole lies cyclically between key's
+// home slot and s, it now ends key's chain, so key goes there instead.
+//
+//lightpc:zeroalloc
+func (l *lru) add(s, key uint64, dirty bool) (evictedDirty, evicted bool) {
 	var i int32
 	if int(l.n) == len(l.nodes) {
-		// Reuse the LRU victim's node for the incoming key.
 		i = l.tail
 		n := &l.nodes[i]
 		evicted = true
@@ -227,14 +232,16 @@ func (l *lru) insert(key uint64, dirty bool) (evictedDirty, evicted bool) {
 			l.dirty--
 		}
 		l.unlink(i)
-		l.remove(l.slot(n.key))
-		// The backward shift may have moved entries of key's chain.
-		s = l.slot(key)
+		mask := uint64(len(l.index) - 1)
+		home := hash64(key) >> l.shift
+		if h := l.remove(n.slot); (h-home)&mask < (s-home)&mask {
+			s = h
+		}
 	} else {
 		i = l.n
 		l.n++
 	}
-	l.nodes[i] = lruNode{key: key, prev: -1, next: -1}
+	l.nodes[i] = lruNode{key: key, slot: s, prev: -1, next: -1}
 	if dirty {
 		l.markDirty(i)
 	}
@@ -304,8 +311,10 @@ func (d *DIMM) firmware() sim.Duration {
 	return sim.Duration(j)
 }
 
-// evictDirty accounts a dirty eviction: the media program drains in the
-// background (it occupies the LSQ, not the requester's critical path).
+// evictDirty accounts an eviction: every one counts in Evictions, and a
+// dirty one costs a media program (MediaWrites). The program drains in the
+// background: it occupies neither the requester's critical path nor the
+// LSQ, whose occupancy Read and Write set from their own lookups.
 //
 //lightpc:zeroalloc
 func (d *DIMM) evictDirty(dirty, evicted bool) {
@@ -315,7 +324,6 @@ func (d *DIMM) evictDirty(dirty, evicted bool) {
 	d.stats.Evictions++
 	if dirty {
 		d.stats.MediaWrites++
-		d.busyUntil = d.busyUntil.Add(d.cfg.MediaWrite / 4)
 	}
 }
 
@@ -331,21 +339,23 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 
 	mblock := addr / MediaBlock
 	bblock := addr / BufferBlock
-	if _, ok := d.sram.touch(mblock); ok {
+	if ms, mi := d.sram.find(mblock); mi >= 0 {
 		d.stats.SRAMHits++
-	} else if _, ok := d.dram.touch(bblock); ok {
+		d.sram.refresh(mi)
+	} else if bs, bi := d.dram.find(bblock); bi >= 0 {
 		// SRAM miss, DRAM hit: pay the second lookup and refill SRAM
 		// (inclusive).
 		d.stats.DRAMHits++
+		d.dram.refresh(bi)
 		lat += d.cfg.DRAMLookup
-		d.evictDirty(d.sram.insert(mblock, false))
+		d.evictDirty(d.sram.add(ms, mblock, false))
 	} else {
 		// Miss everywhere: firmware translation + media read, filling
 		// both tiers.
 		lat += d.cfg.DRAMLookup + d.firmware() + d.cfg.MediaRead
 		d.stats.MediaReads++
-		d.evictDirty(d.dram.insert(bblock, false))
-		d.evictDirty(d.sram.insert(mblock, false))
+		d.evictDirty(d.dram.add(bs, bblock, false))
+		d.evictDirty(d.sram.add(ms, mblock, false))
 	}
 	done := start.Add(lat)
 	d.busyUntil = start.Add(d.cfg.LSQLatency) // LSQ frees after issue
@@ -358,7 +368,10 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 // dirty state drains to the media in the background, so the
 // acknowledgement is quick — faster than bare PRAM and often faster than
 // DRAM (Figure 2b). The cost resurfaces as LSQ occupancy that delays
-// subsequent requests.
+// subsequent requests: an allocating write holds the LSQ for its SRAM
+// lookup, plus the DRAM lookup and firmware when the DRAM tier misses.
+// The media programs of the dirty blocks it evicts are not charged to the
+// LSQ (see evictDirty).
 //
 //lightpc:zeroalloc
 func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
@@ -368,23 +381,25 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 
 	mblock := addr / MediaBlock
 	bblock := addr / BufferBlock
-	if i, ok := d.sram.touch(mblock); ok {
+	if ms, mi := d.sram.find(mblock); mi >= 0 {
 		// Combined into the open 256 B block.
 		d.stats.CombinedWrites++
-		d.sram.markDirty(i)
+		d.sram.refresh(mi)
+		d.sram.markDirty(mi)
 	} else {
 		// Allocate in SRAM: the ack pays the allocation lookup; the
 		// read-modify and DRAM-tier bookkeeping happen off the ack path
 		// but occupy the device.
 		lat += d.cfg.SRAMLookup
 		occupancy := d.cfg.SRAMLookup
-		if _, ok := d.dram.touch(bblock); !ok {
-			occupancy += d.cfg.DRAMLookup + d.firmware()
-			d.evictDirty(d.dram.insert(bblock, true))
+		if bs, bi := d.dram.find(bblock); bi >= 0 {
+			d.dram.refresh(bi)
+			d.dram.markDirty(bi)
 		} else {
-			d.dram.insert(bblock, true)
+			occupancy += d.cfg.DRAMLookup + d.firmware()
+			d.evictDirty(d.dram.add(bs, bblock, true))
 		}
-		d.evictDirty(d.sram.insert(mblock, true))
+		d.evictDirty(d.sram.add(ms, mblock, true))
 		d.busyUntil = start.Add(occupancy)
 	}
 	done := start.Add(lat)

@@ -142,19 +142,43 @@ func TestFlushCleansDirtyState(t *testing.T) {
 	}
 }
 
+// access is one tier access the way DIMM.Read and DIMM.Write drive it: a
+// hit refreshes the block (and dirties it on a write), a miss adds it in
+// the slot its probe ended at.
+func access(l *lru, key uint64, dirty bool) (evictedDirty, evicted bool) {
+	s, i := l.find(key)
+	if i < 0 {
+		return l.add(s, key, dirty)
+	}
+	l.refresh(i)
+	if dirty {
+		l.markDirty(i)
+	}
+	return false, false
+}
+
+// hit reports whether key is cached, refreshing it the way a read hit does.
+func hit(l *lru, key uint64) (int32, bool) {
+	_, i := l.find(key)
+	if i >= 0 {
+		l.refresh(i)
+	}
+	return i, i >= 0
+}
+
 func TestLRUEviction(t *testing.T) {
 	l := newLRU(2)
-	if _, ev := l.insert(1, false); ev {
+	if _, ev := access(l, 1, false); ev {
 		t.Fatal("no eviction expected")
 	}
-	l.insert(2, false)
-	if _, ev := l.insert(3, false); !ev {
+	access(l, 2, false)
+	if _, ev := access(l, 3, false); !ev {
 		t.Fatal("expected an eviction at capacity")
 	}
-	if _, ok := l.touch(1); ok {
+	if _, ok := hit(l, 1); ok {
 		t.Fatal("evicted key still present")
 	}
-	if _, ok := l.touch(2); !ok {
+	if _, ok := hit(l, 2); !ok {
 		t.Fatal("surviving key lost")
 	}
 	if l.len() != 2 {
@@ -164,40 +188,40 @@ func TestLRUEviction(t *testing.T) {
 
 func TestLRUTouchRefreshesRecency(t *testing.T) {
 	l := newLRU(2)
-	l.insert(1, false)
-	l.insert(2, false)
-	l.touch(1) // 2 becomes LRU
-	l.insert(3, false)
-	if _, ok := l.touch(2); ok {
+	access(l, 1, false)
+	access(l, 2, false)
+	hit(l, 1) // 2 becomes LRU
+	access(l, 3, false)
+	if _, ok := hit(l, 2); ok {
 		t.Fatal("LRU order wrong: 2 should have been evicted")
 	}
-	if _, ok := l.touch(1); !ok {
+	if _, ok := hit(l, 1); !ok {
 		t.Fatal("LRU order wrong: 1 should have survived")
 	}
 }
 
 func TestLRUDuplicateInsertKeepsDirty(t *testing.T) {
 	l := newLRU(2)
-	l.insert(1, true)
-	l.insert(1, false)
-	i, ok := l.touch(1)
+	access(l, 1, true)
+	access(l, 1, false)
+	i, ok := hit(l, 1)
 	if !ok || !l.isDirty(i) {
-		t.Fatal("dirty bit lost on duplicate insert")
+		t.Fatal("dirty bit lost on a clean access to a dirty block")
 	}
 	if l.len() != 1 {
-		t.Fatalf("duplicate insert grew the LRU: %d", l.len())
+		t.Fatalf("a second access grew the LRU: %d", l.len())
 	}
 }
 
 func TestLRUDirtyCountAndFlush(t *testing.T) {
 	l := newLRU(2)
-	l.insert(1, true)
-	l.insert(2, false)
+	access(l, 1, true)
+	access(l, 2, false)
 	if l.dirty != 1 {
 		t.Fatalf("dirty count = %d, want 1", l.dirty)
 	}
 	// Evicting the dirty block must decrement the count.
-	l.insert(3, true) // evicts 1 (dirty), inserts 3 dirty
+	access(l, 3, true) // evicts 1 (dirty), inserts 3 dirty
 	if l.dirty != 1 {
 		t.Fatalf("dirty count after dirty eviction = %d, want 1", l.dirty)
 	}
@@ -207,11 +231,11 @@ func TestLRUDirtyCountAndFlush(t *testing.T) {
 	if l.dirty != 0 {
 		t.Fatalf("dirty count after flush = %d, want 0", l.dirty)
 	}
-	if i, ok := l.touch(3); !ok || l.isDirty(i) {
+	if i, ok := hit(l, 3); !ok || l.isDirty(i) {
 		t.Fatal("flush must clear dirty bits without evicting")
 	}
 	// Re-dirtying after a flush works in the new epoch.
-	i, _ := l.touch(3)
+	i, _ := hit(l, 3)
 	l.markDirty(i)
 	if l.dirty != 1 || !l.isDirty(i) {
 		t.Fatal("markDirty after flush failed")
