@@ -182,11 +182,8 @@ func BenchmarkFig19Persistence(b *testing.B) {
 	b.ReportMetric(sck, "s-checkpc-x") // paper ~2.4
 }
 
-// BenchmarkFig20Flush, BenchmarkFig21Timeline and BenchmarkFig21aSeries
-// reuse the profiles Fig 19 last ran at the same options. When they follow
-// BenchmarkFig19Persistence, as under `go test -bench=.` and
-// `make bench-json`, they time only their tables over its profiles; run
-// alone, each first runs the profiles itself.
+// BenchmarkFig20Flush and BenchmarkFig21Timeline read the workloads'
+// spec footprints and simulate no workload.
 func BenchmarkFig20Flush(b *testing.B) {
 	var sysVsATX float64
 	for i := 0; i < b.N; i++ {
@@ -311,8 +308,10 @@ func BenchmarkSeedRotation(b *testing.B) {
 	b.ReportMetric(ratio, "adversary-blunted-x")
 }
 
-// BenchmarkFig21aSeries times its table over Fig 19's profiles when it
-// follows BenchmarkFig19Persistence (see BenchmarkFig20Flush).
+// BenchmarkFig21aSeries reuses the profiles Fig 19 last ran at the same
+// options. When it follows BenchmarkFig19Persistence, as under
+// `go test -bench=.` and `make bench-json`, it times only its table over
+// those profiles; run alone, it first runs the profiles itself.
 func BenchmarkFig21aSeries(b *testing.B) {
 	var segments float64
 	for i := 0; i < b.N; i++ {

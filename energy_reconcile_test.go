@@ -65,8 +65,13 @@ func TestEnergyOffMetersAbsent(t *testing.T) {
 		t.Fatalf("run with energy off did not advance time")
 	}
 	stop := p.PowerFail(0, power.ATX())
-	if stop.Energy != nil {
-		t.Fatalf("StopReport.Energy = %v with energy off, want nil", stop.Energy)
+	if len(stop.Phases) == 0 {
+		t.Fatal("Stop recorded no phases")
+	}
+	for _, ph := range stop.Phases {
+		if ph.J != 0 || ph.ByDevice != nil {
+			t.Fatalf("Stop phase %+v carries energy with energy off", ph)
+		}
 	}
 }
 

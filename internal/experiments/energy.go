@@ -41,7 +41,6 @@ type EnergyKindResult struct {
 // micro-benchmark exercising the meters the platform harness doesn't
 // reach (PMEM DIMM tiers, cache hit/fill/writeback, NoC hops).
 func EnergyAccounting(o Options) ([]EnergyKindResult, []*report.Table) {
-	o.Energy = true
 	psu := power.ATX()
 	spec, ok := workload.ByName("Redis")
 	if !ok {
@@ -56,7 +55,9 @@ func EnergyAccounting(o Options) ([]EnergyKindResult, []*report.Table) {
 	var results []EnergyKindResult
 	for _, kind := range []lightpc.Kind{lightpc.LegacyPC, lightpc.LightPCFull} {
 		co := o.cell("energy/" + kind.String())
-		p := platform(kind, co)
+		cfg := config(kind, co)
+		cfg.Energy = true
+		p := lightpc.New(cfg)
 		rr := p.Run(spec)
 		stop := p.PowerFail(0, psu)
 		gor, _ := p.Recover(0)
@@ -90,17 +91,17 @@ func EnergyAccounting(o Options) ([]EnergyKindResult, []*report.Table) {
 			report.F(totState*1e3, 4), report.F((totOp+totState)*1e3, 4))
 
 		var stopJ, goJ float64
-		for _, pe := range stop.Energy {
-			stopJ += pe.J
+		for _, ph := range stop.Phases {
+			stopJ += ph.J
 		}
-		for _, pe := range gor.Energy {
-			goJ += pe.J
+		for _, ph := range gor.Phases {
+			goJ += ph.J
 		}
-		for _, pe := range stop.Energy {
-			phaseT.Add(kind.String(), "stop/"+pe.Phase, report.F(pe.J*1e3, 4), report.Pct(pe.J/stopJ))
+		for _, ph := range stop.Phases {
+			phaseT.Add(kind.String(), "stop/"+ph.Name, report.F(ph.J*1e3, 4), report.Pct(ph.J/stopJ))
 		}
-		for _, pe := range gor.Energy {
-			phaseT.Add(kind.String(), "go/"+pe.Phase, report.F(pe.J*1e3, 4), report.Pct(pe.J/goJ))
+		for _, ph := range gor.Phases {
+			phaseT.Add(kind.String(), "go/"+ph.Name, report.F(ph.J*1e3, 4), report.Pct(ph.J/goJ))
 		}
 		verdict := "feasible"
 		if stopJ > psu.StoredJ {

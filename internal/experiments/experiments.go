@@ -32,10 +32,6 @@ type Options struct {
 	// it together with that assignment.
 	Par int
 
-	// Energy attaches per-device joule meters to every platform the
-	// harnesses build; tables that know how grow a joules column. Off by
-	// default, so existing goldens are byte-identical.
-	Energy bool
 	// OnCellStart and OnCellDone observe runner cells as workers pick
 	// them up and finish them (the CLI's -progress reporting). They may
 	// be called concurrently.
@@ -70,24 +66,24 @@ func QuickOptions() Options {
 	return Options{SampleOps: 8_000, Seed: 1, Quick: true}
 }
 
-// platform builds a platform of the given kind with the options applied.
-func platform(kind lightpc.Kind, o Options) *lightpc.Platform {
+// config is the platform configuration of the given kind with the
+// options applied.
+func config(kind lightpc.Kind, o Options) lightpc.Config {
 	cfg := lightpc.DefaultConfig(kind)
 	cfg.SampleOps = o.SampleOps
 	cfg.Seed = o.Seed
-	cfg.Energy = o.Energy
-	return lightpc.New(cfg)
+	return cfg
 }
 
 // runOn executes one Table II workload on a fresh platform of the kind.
 func runOn(kind lightpc.Kind, spec workload.Spec, o Options) (lightpc.RunResult, *lightpc.Platform) {
-	p := platform(kind, o)
+	p := lightpc.New(config(kind, o))
 	return p.Run(spec), p
 }
 
 // scaleToFull extrapolates a sampled run to the workload's full Table II
 // reference count (results are linear in references).
-func scaleToFull(spec workload.Spec, sampled lightpc.RunResult, sampleOps uint64) float64 {
+func scaleToFull(spec workload.Spec, sampleOps uint64) float64 {
 	if sampleOps == 0 {
 		return 1
 	}

@@ -27,27 +27,44 @@ type Fig19Result struct {
 	MeanRatio map[string]float64
 }
 
-// profiles builds the per-workload execution profiles from sampled LightPC
-// runs scaled to the full Table II reference counts. Instruction counts are
-// derived from the benchmark's own reference count and compute gap (the
-// ambient kernel-thread traffic must not inflate the checkpoint frequency).
-// One runner cell per workload.
+// specProfile is what a workload's Table II spec fixes of its
+// persistence profile: everything but the benchmark time. Instruction
+// counts are derived from the benchmark's own full reference count and
+// compute gap (the ambient kernel-thread traffic must not inflate the
+// checkpoint frequency).
+func specProfile(s workload.Spec) persist.Profile {
+	return persist.Profile{
+		Name:           s.Name,
+		Instructions:   uint64(s.Reads+s.Writes) * uint64(workload.GapCycles(s)+1),
+		FootprintBytes: s.FootprintBytes,
+		DirtyFraction:  0.5,
+	}
+}
+
+// specProfiles returns the spec profile of each of o's workloads. A
+// mechanism's power-down flush, recovery and their powers depend on the
+// footprint and dirty fraction alone, so Figs 20 and 21 read these.
+func specProfiles(o Options) []persist.Profile {
+	ss := specs(o)
+	profs := make([]persist.Profile, len(ss))
+	for i, s := range ss {
+		profs[i] = specProfile(s)
+	}
+	return profs
+}
+
+// profiles builds the per-workload execution profiles: each spec profile
+// with the benchmark time of a sampled LightPC run scaled to the full
+// Table II reference count. One runner cell per workload.
 func profiles(o Options) []persist.Profile {
 	return runner.Map(o.pool(), specs(o),
 		func(_ int, s workload.Spec) string { return "fig19/profiles/" + s.Name + "/LightPC" },
 		func(_ string, s workload.Spec) persist.Profile {
 			co := o.cell("fig19/profiles/" + s.Name)
 			res, _ := runOn(lightpc.LightPCFull, s, co)
-			scale := scaleToFull(s, res, co.SampleOps)
-			fullRefs := s.Reads + s.Writes
-			instr := uint64(fullRefs) * uint64(workload.GapCycles(s)+1)
-			return persist.Profile{
-				Name:           s.Name,
-				ExecTime:       sim.Duration(float64(res.Elapsed) * scale),
-				Instructions:   instr,
-				FootprintBytes: s.FootprintBytes,
-				DirtyFraction:  0.5,
-			}
+			p := specProfile(s)
+			p.ExecTime = sim.Duration(float64(res.Elapsed) * scaleToFull(s, co.SampleOps))
+			return p
 		})
 }
 
@@ -59,17 +76,15 @@ type profileKey struct {
 	Seed      uint64
 	Quick     bool
 	Jobs      int
-	Energy    bool
 }
 
 func (o Options) profileKey() profileKey {
-	return profileKey{SampleOps: o.SampleOps, Seed: o.Seed, Quick: o.Quick, Jobs: o.Jobs, Energy: o.Energy}
+	return profileKey{SampleOps: o.SampleOps, Seed: o.Seed, Quick: o.Quick, Jobs: o.Jobs}
 }
 
-// shared holds the one profile set Fig 19 ran last, for Figs 20, 21 and 21a
-// to reuse. It holds a single set and Fig 19 always replaces it, so every
-// suite pass pays for its profiles once and no pass reuses an earlier
-// pass's.
+// shared holds the one profile set Fig 19 ran last, for Fig 21a to reuse.
+// It holds a single set and Fig 19 always replaces it, so every suite pass
+// pays for its profiles once and no pass reuses an earlier pass's.
 var shared struct {
 	mu    sync.Mutex
 	key   profileKey
@@ -102,7 +117,7 @@ func sharedProfiles(o Options) []persist.Profile {
 // Fig19Persistence reproduces Figures 19a–c: execution cycles (benchmark +
 // persistence control) for SysPC, A-CheckPC, and S-CheckPC, normalized to
 // LightPC, across the suite with one power cycle. It always runs the
-// profiles and leaves them as the set Figs 20, 21 and 21a reuse.
+// profiles and leaves them as the set Fig 21a reuses.
 func Fig19Persistence(o Options) (Fig19Result, *report.Table) {
 	res := Fig19Result{MeanRatio: map[string]float64{}}
 	mechs := persist.All()
@@ -163,9 +178,9 @@ type Fig20Row struct {
 }
 
 // Fig20Flush reproduces Figure 20: flush latency at power-down vs the
-// measured PSU hold-up times, over Fig 19's profiles when o matches.
+// measured PSU hold-up times, averaged over the workloads' flushes.
 func Fig20Flush(o Options) ([]Fig20Row, *report.Table) {
-	profs := sharedProfiles(o)
+	profs := specProfiles(o)
 	atx := power.ATX().HoldUp(18.9)
 	srv := power.Server().HoldUp(18.9)
 

@@ -26,30 +26,27 @@ type Fig21Row struct {
 	ColdReboot bool
 }
 
-// meanProfile is the representative benchmark of Figures 21a/21b: the mean
-// of Fig 19's profiles (shared when o matches).
-func meanProfile(o Options) persist.Profile {
-	profs := sharedProfiles(o)
-	var rep persist.Profile
+// meanProfile is the representative benchmark of Figures 21a/21b: the
+// mean of profs.
+func meanProfile(profs []persist.Profile) persist.Profile {
+	rep := persist.Profile{Name: "mean", DirtyFraction: 0.5}
 	for _, p := range profs {
 		rep.ExecTime += p.ExecTime
 		rep.Instructions += p.Instructions
 		rep.FootprintBytes += p.FootprintBytes
 	}
 	n := uint64(len(profs))
-	rep.Name = "mean"
 	rep.ExecTime /= sim.Duration(n)
 	rep.Instructions /= n
 	rep.FootprintBytes /= n
-	rep.DirtyFraction = 0.5
 	return rep
 }
 
 // Fig21Timeline reproduces Figures 21a/21b: the consistency-control
 // timeline (cycles) and dynamic power/energy across power-down and
-// power-up for the four mechanisms, on a representative profile.
+// power-up for the four mechanisms, on the mean workload footprint.
 func Fig21Timeline(o Options) ([]Fig21Row, *report.Table) {
-	rep := meanProfile(o)
+	rep := meanProfile(specProfiles(o))
 	var rows []Fig21Row
 	for _, m := range persist.All() {
 		out := m.Run(rep)
@@ -93,9 +90,10 @@ type TimelineSegment struct {
 // trajectory through benchmark run → power-down preparation → off →
 // (cold boot) → recovery → benchmark resumption. Dump-driven mechanisms
 // show memory-bound IPC collapses in their windows; SnG's windows are
-// short, CPU-bound kernel work.
+// short, CPU-bound kernel work. It plots the benchmark's run time, so it
+// reads Fig 19's profiles when o matches.
 func Fig21Series(o Options) ([]TimelineSegment, *report.Table) {
-	rep := meanProfile(o)
+	rep := meanProfile(sharedProfiles(o))
 	runIPC := float64(rep.Instructions) / float64(rep.ExecTime.ToCycles(asicHz))
 
 	// dumpIPC estimates the window's IPC from the data-movement

@@ -23,30 +23,32 @@ func forgetProfiles() {
 	shared.mu.Unlock()
 }
 
-// profileCells counts the Fig 19 profile cells run through o's hooks.
+// profileCells counts the runner cells run through o's hooks: the Fig 19
+// profile cells and all cells.
 type profileCells struct {
-	mu sync.Mutex
-	n  int
+	mu     sync.Mutex
+	n, all int
 }
 
 func (c *profileCells) hook(o Options) Options {
 	o.OnCellDone = func(label string) {
+		c.mu.Lock()
+		c.all++
 		if strings.HasPrefix(label, "fig19/profiles/") {
-			c.mu.Lock()
 			c.n++
-			c.mu.Unlock()
 		}
+		c.mu.Unlock()
 	}
 	return o
 }
 
-// take returns the count since the last take.
-func (c *profileCells) take() int {
+// take returns the profile-cell and all-cell counts since the last take.
+func (c *profileCells) take() (profile, all int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.n
-	c.n = 0
-	return n
+	profile, all = c.n, c.all
+	c.n, c.all = 0, 0
+	return profile, all
 }
 
 func golden(t *testing.T, id string) string {
@@ -61,9 +63,10 @@ func golden(t *testing.T, id string) string {
 func rendered(tab *report.Table) string { return tab.String() + "\n" }
 
 // TestProfilesRunOncePerFig19 pins who runs the Fig 19 profiles: Fig 19
-// always does, Figs 20, 21 and 21a reuse its set at the same options and
-// run their own at other options, and every table reads as if each harness
-// had run its own.
+// always does, Fig 21a reuses its set at the same options and runs its own
+// at other options, Figs 20 and 21 read spec footprints and run none, and
+// Table II runs no cell at all. Every table reads as if each harness had
+// run its own set.
 func TestProfilesRunOncePerFig19(t *testing.T) {
 	var cells profileCells
 	o := cells.hook(QuickOptions())
@@ -73,7 +76,7 @@ func TestProfilesRunOncePerFig19(t *testing.T) {
 	_, t20 := Fig20Flush(o)
 	_, t21 := Fig21Timeline(o)
 	_, t21a := Fig21Series(o)
-	if n := cells.take(); n != quickSpecs {
+	if n, _ := cells.take(); n != quickSpecs {
 		t.Errorf("Figs 19, 20, 21 and 21a ran %d profile cells, want %d (one set)", n, quickSpecs)
 	}
 	for id, tab := range map[string]*report.Table{"fig19": t19, "fig20": t20, "fig21": t21, "fig21a": t21a} {
@@ -85,20 +88,41 @@ func TestProfilesRunOncePerFig19(t *testing.T) {
 	if _, tab := Fig19Persistence(o); rendered(tab) != golden(t, "fig19") {
 		t.Error("a second Fig 19 rendered a different table")
 	}
-	if n := cells.take(); n != quickSpecs {
+	if n, _ := cells.take(); n != quickSpecs {
 		t.Errorf("a second Fig 19 ran %d profile cells, want %d: Fig 19 must refresh the set", n, quickSpecs)
 	}
 
 	o2 := o
 	o2.Seed++
-	rows, tab := Fig20Flush(o2)
-	if n := cells.take(); n != quickSpecs {
-		t.Errorf("Fig 20 at another seed ran %d profile cells, want its own %d", n, quickSpecs)
+	forgetProfiles()
+	for _, opt := range []Options{o, o2} {
+		_, t20 := Fig20Flush(opt)
+		_, t21 := Fig21Timeline(opt)
+		if n, _ := cells.take(); n != 0 {
+			t.Errorf("Figs 20 and 21 at seed %d ran %d profile cells, want none", opt.Seed, n)
+		}
+		if rendered(t20) != golden(t, "fig20") || rendered(t21) != golden(t, "fig21") {
+			t.Errorf("Figs 20 and 21 at seed %d differ from their goldens", opt.Seed)
+		}
+	}
+
+	// With the entry holding o's set, Fig 21a at o2 must run its own.
+	Fig19Persistence(o)
+	cells.take()
+	segs, tab := Fig21Series(o2)
+	if n, _ := cells.take(); n != quickSpecs {
+		t.Errorf("Fig 21a at another seed ran %d profile cells, want its own %d", n, quickSpecs)
 	}
 	forgetProfiles()
-	wantRows, wantTab := Fig20Flush(o2)
-	if !slices.Equal(rows, wantRows) || rendered(tab) != rendered(wantTab) {
-		t.Errorf("Fig 20 at seed %d = %+v, want %+v", o2.Seed, rows, wantRows)
+	wantSegs, wantTab := Fig21Series(o2)
+	if !slices.Equal(segs, wantSegs) || rendered(tab) != rendered(wantTab) {
+		t.Errorf("Fig 21a at seed %d = %+v, want %+v", o2.Seed, segs, wantSegs)
+	}
+
+	cells.take()
+	TableII(o)
+	if _, all := cells.take(); all != 0 {
+		t.Errorf("Table II ran %d runner cells, want none", all)
 	}
 }
 
@@ -121,7 +145,7 @@ func TestProfileKeyCoversOptions(t *testing.T) {
 	if key.NumField() != want {
 		t.Errorf("profileKey has %d fields, Options %d outside the hooks and Par", key.NumField(), want)
 	}
-	o := Options{SampleOps: 1, Seed: 2, Quick: true, Jobs: 3, Par: 4, Energy: true}
+	o := Options{SampleOps: 1, Seed: 2, Quick: true, Jobs: 3, Par: 4}
 	k := reflect.ValueOf(o.profileKey())
 	ov := reflect.ValueOf(o)
 	for i := 0; i < k.NumField(); i++ {
@@ -132,18 +156,19 @@ func TestProfileKeyCoversOptions(t *testing.T) {
 	}
 }
 
-// TestProfilesConcurrentSeeds runs Fig 20 at two seeds at once: whichever
-// stores the shared set last, each must read its own seed's profiles.
+// TestProfilesConcurrentSeeds runs Fig 21a at two seeds at once:
+// whichever stores the shared set last, each must read its own seed's
+// profiles.
 func TestProfilesConcurrentSeeds(t *testing.T) {
 	seeds := []uint64{1, 2}
-	want := make([][]Fig20Row, len(seeds))
+	want := make([][]TimelineSegment, len(seeds))
 	for i, s := range seeds {
 		forgetProfiles()
 		o := QuickOptions()
 		o.Seed = s
-		want[i], _ = Fig20Flush(o)
+		want[i], _ = Fig21Series(o)
 	}
-	got := make([][]Fig20Row, len(seeds))
+	got := make([][]TimelineSegment, len(seeds))
 	var wg sync.WaitGroup
 	for i, s := range seeds {
 		wg.Add(1)
@@ -151,13 +176,13 @@ func TestProfilesConcurrentSeeds(t *testing.T) {
 			defer wg.Done()
 			o := QuickOptions()
 			o.Seed = s
-			got[i], _ = Fig20Flush(o)
+			got[i], _ = Fig21Series(o)
 		}()
 	}
 	wg.Wait()
 	for i, s := range seeds {
 		if !slices.Equal(got[i], want[i]) {
-			t.Errorf("seed %d: concurrent Fig 20 = %+v, serial %+v", s, got[i], want[i])
+			t.Errorf("seed %d: concurrent Fig 21a = %+v, serial %+v", s, got[i], want[i])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	lightpc "repro"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -46,65 +45,26 @@ func TableI() (TableIResult, *report.Table) {
 	return res, t
 }
 
-// TableIIRow is one benchmark characterization row.
-type TableIIRow struct {
-	Spec workload.Spec
-
-	// Emergent measurements from running the workload on LightPC:
-	RowBufferHits uint64
-	MemReads      uint64 // sampled memory-level reads
-	MemWrites     uint64
-
-	// MeterJ is the platform meter set's total joules for the sampled run
-	// (0 unless Options.Energy).
-	MeterJ float64
-}
-
-// TableII regenerates the benchmark characterization by running every
-// workload on the LightPC platform and reading the PSM's counters. One
-// runner cell per workload.
-func TableII(o Options) ([]TableIIRow, *report.Table) {
-	rows := runner.Map(o.pool(), specs(o),
-		func(_ int, s workload.Spec) string { return "tableII/" + s.Name + "/LightPC" },
-		func(_ string, s workload.Spec) TableIIRow {
-			co := o.cell("tableII/" + s.Name)
-			_, p := runOn(lightpc.LightPCFull, s, co)
-			st := p.PSM().Stats()
-			// Characterize the workload's own traffic (without the ambient
-			// kernel threads the platform run adds).
-			g := workload.NewSynthetic(s, co.SampleOps, co.Seed)
-			workload.Drain(g)
-			gs := g.Stats()
-			return TableIIRow{
-				Spec:          s,
-				RowBufferHits: st.RowBufferHits,
-				MemReads:      gs.Reads,
-				MemWrites:     gs.Writes,
-				MeterJ:        p.Energy().TotalJ(),
-			}
-		})
-	cols := []string{"workload", "category", "mem reads", "mem writes", "r/w",
-		"buffer hit", "D$ read hit", "D$ write hit", "multi"}
-	if o.Energy {
-		cols = append(cols, "mJ")
-	}
-	t := report.New("Table II: benchmark characterization", cols...)
-	for _, row := range rows {
-		s := row.Spec
+// TableII renders the benchmark characterization: the Table II spec of
+// every workload, which the generators are parameterized by. It runs
+// nothing; workload.TestSyntheticMatchesCharacterization checks that the
+// generators keep each spec's read/write mix.
+func TableII(o Options) ([]workload.Spec, *report.Table) {
+	ss := specs(o)
+	t := report.New("Table II: benchmark characterization",
+		"workload", "category", "mem reads", "mem writes", "r/w",
+		"buffer hit", "D$ read hit", "D$ write hit", "multi")
+	for _, s := range ss {
 		multi := ""
 		if s.MultiThread {
 			multi = "yes"
 		}
-		cells := []string{s.Name, string(s.Category),
+		t.Add(s.Name, string(s.Category),
 			report.Count(s.Reads), report.Count(s.Writes),
 			report.F(s.ReadWriteRatio(), 1),
 			report.Count(s.BufferHits),
-			report.Pct(s.DReadHit), report.Pct(s.DWriteHit), multi}
-		if o.Energy {
-			cells = append(cells, report.F(row.MeterJ*1e3, 3))
-		}
-		t.Add(cells...)
+			report.Pct(s.DReadHit), report.Pct(s.DWriteHit), multi)
 	}
 	t.Note("reads/writes are Table II's memory-level reference counts; the sampled run preserves their mix")
-	return rows, t
+	return ss, t
 }

@@ -276,25 +276,25 @@ func (res *Result) EnergyTable() string {
 		fmt.Sprintf("SnG energy attribution — %s, seed %d", sc.Kind, sc.Seed), cols...)
 
 	var stopJ float64
-	row := func(prefix string, pe sng.PhaseEnergy) {
+	row := func(prefix string, ph sng.Phase) {
 		vals := make([]float64, len(cols))
-		for i, dj := range pe.ByDevice {
+		for i, dj := range ph.ByDevice {
 			vals[colOf[i]] += dj.J
 		}
 		cells := make([]string, 0, len(cols))
-		cells = append(cells, prefix+pe.Phase)
+		cells = append(cells, prefix+ph.Name)
 		for _, v := range vals[1 : len(cols)-1] {
 			cells = append(cells, report.F(v*1e3, 4))
 		}
-		cells = append(cells, report.F(pe.J*1e3, 4))
+		cells = append(cells, report.F(ph.J*1e3, 4))
 		t.Add(cells...)
 	}
-	for _, pe := range res.Stop.Energy {
-		row("stop/", pe)
-		stopJ += pe.J
+	for _, ph := range res.Stop.Phases {
+		row("stop/", ph)
+		stopJ += ph.J
 	}
-	for _, pe := range res.Go.Energy {
-		row("go/", pe)
+	for _, ph := range res.Go.Phases {
+		row("go/", ph)
 	}
 
 	if res.Supply.StoredJ > 0 {

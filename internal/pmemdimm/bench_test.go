@@ -30,8 +30,7 @@ func BenchmarkLRUSteadyState(b *testing.B) {
 
 // BenchmarkDIMMReadWrite drives a warm DIMM with a 3:1 read/write mix of
 // random 64 B accesses over a span larger than both tiers, so lookups hit,
-// miss and evict while the latency histogram records every read.
-// BENCH_SEED.json pins it at 0 allocs/op.
+// miss and evict. BENCH_SEED.json pins it at 0 allocs/op.
 func BenchmarkDIMMReadWrite(b *testing.B) {
 	d := New(DefaultConfig())
 	rng := sim.NewRNG(1)

@@ -16,7 +16,7 @@ func (l *lru) clone() *lru {
 }
 
 // Clone returns a deep copy of the DIMM: RNG position, both LRU tier
-// arenas, queue occupancy, stats, and the latency histogram.
+// arenas, queue occupancy and stats.
 func (d *DIMM) Clone() *DIMM {
 	return &DIMM{
 		cfg:       d.cfg,
@@ -25,7 +25,6 @@ func (d *DIMM) Clone() *DIMM {
 		dram:      d.dram.clone(),
 		busyUntil: d.busyUntil,
 		stats:     d.stats,
-		readLat:   d.readLat.Clone(),
 	}
 }
 

@@ -12,7 +12,7 @@ func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, lru{},
 		"nodes", "n", "index", "shift", "head", "tail", "stamp", "dirty")
 	snapshot.CheckCovered(t, DIMM{},
-		"cfg", "rng", "sram", "dram", "busyUntil", "stats", "readLat")
+		"cfg", "rng", "sram", "dram", "busyUntil", "stats")
 	snapshot.CheckCovered(t, SectorDevice{},
 		"dimm", "SyscallCost", "QueueDepth", "inflight", "reads", "writes")
 }

@@ -278,8 +278,6 @@ type DIMM struct {
 
 	busyUntil sim.Time // LSQ head-of-line serialization
 	stats     Stats
-
-	readLat *sim.LatencyHistogram
 }
 
 // New builds the DIMM.
@@ -291,11 +289,10 @@ func New(cfg Config) *DIMM {
 		cfg.DRAMBlocks = 4096
 	}
 	return &DIMM{
-		cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed),
-		sram:    newLRU(cfg.SRAMBlocks),
-		dram:    newLRU(cfg.DRAMBlocks),
-		readLat: new(sim.LatencyHistogram),
+		cfg:  cfg,
+		rng:  sim.NewRNG(cfg.Seed),
+		sram: newLRU(cfg.SRAMBlocks),
+		dram: newLRU(cfg.DRAMBlocks),
 	}
 }
 
@@ -357,10 +354,8 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 		d.evictDirty(d.dram.add(bs, bblock, false))
 		d.evictDirty(d.sram.add(ms, mblock, false))
 	}
-	done := start.Add(lat)
 	d.busyUntil = start.Add(d.cfg.LSQLatency) // LSQ frees after issue
-	d.readLat.Add(done.Sub(now))
-	return done
+	return start.Add(lat)
 }
 
 // Write services a 64 B write. Writes are posted: the LSQ combines
@@ -428,6 +423,3 @@ func (d *DIMM) Flush(now sim.Time) sim.Time {
 
 // Stats returns a copy of the counters.
 func (d *DIMM) Stats() Stats { return d.stats }
-
-// ReadLatency exposes the read-latency histogram.
-func (d *DIMM) ReadLatency() *sim.LatencyHistogram { return d.readLat }

@@ -81,7 +81,7 @@ func TestDIMMReadsSlowerAndNoisierThanBarePRAM(t *testing.T) {
 	// Figure 2b: DIMM-level reads take ~2.9× longer than bare PRAM and
 	// vary; bare PRAM reads are deterministic.
 	// CoV needs every sample, so a probe-local Histogram records the
-	// reads beside the device's fixed-memory one.
+	// reads.
 	d := New(DefaultConfig())
 	rng := sim.NewRNG(5)
 	now := sim.Time(0)
@@ -93,10 +93,6 @@ func TestDIMMReadsSlowerAndNoisierThanBarePRAM(t *testing.T) {
 		done := d.Read(now, addr)
 		h.Add(done.Sub(now))
 		now = done
-	}
-	if got := d.ReadLatency(); got.Count() != h.Count() || got.Mean() != h.Mean() {
-		t.Fatalf("device histogram n=%d mean=%v, probe n=%d mean=%v",
-			got.Count(), got.Mean(), h.Count(), h.Mean())
 	}
 	bare := pram.DefaultConfig().ReadLatency
 	ratio := float64(h.Mean()) / float64(bare)
@@ -271,9 +267,9 @@ func TestDIMMInvariantsProperty(t *testing.T) {
 }
 
 // TestDIMMSteadyStateAllocFree pins the access hot path: once the tier
-// caches are warm, Read/Write must not allocate, latency histogram
-// included. The obs layer samples these counters via CounterFunc, so the
-// instrumented DIMM must stay as allocation-free as the bare one.
+// caches are warm, Read/Write must not allocate. The obs layer samples
+// these counters via CounterFunc, so the instrumented DIMM must stay as
+// allocation-free as the bare one.
 func TestDIMMSteadyStateAllocFree(t *testing.T) {
 	d := New(Config{Seed: 1})
 	rng := sim.NewRNG(2)

@@ -84,59 +84,81 @@ func coreLane(tr *obs.Tracer, id int) obs.Lane {
 // New builds an SnG over the kernel with default timing.
 func New(k *kernel.Kernel) *SnG { return &SnG{K: k, T: DefaultTiming()} }
 
-// PhaseSpan is one contiguous named phase of a Stop or Go run, in the run's
-// own timeline.
-type PhaseSpan struct {
-	Name  string
-	Start sim.Time
-	Dur   sim.Duration
-}
-
 // DeviceJ is one device's share of a phase's energy.
 type DeviceJ struct {
 	Device string
 	J      float64
 }
 
-// PhaseEnergy attributes the joules one Stop/Go phase consumed across the
-// platform's metered devices. The devices appear in meter registration
-// order; J is their sum.
-type PhaseEnergy struct {
-	Phase    string
+// Phase is one contiguous named phase of a Stop or Go run, in the run's
+// own timeline.
+type Phase struct {
+	Name  string
+	Start sim.Time
+	Dur   sim.Duration
+
+	// J is the energy the platform's metered devices drew during the
+	// phase, and ByDevice its split in meter registration order; zero
+	// and nil when the SnG has no meter set attached.
 	J        float64
 	ByDevice []DeviceJ
 }
 
-// phaseEnergy closes one phase's energy window at 'at': it syncs the meter
-// set, diffs against the previous snapshot prev, and returns the phase's
-// attribution plus the new snapshot. When tracing is on it also drops one
-// cumulative counter sample per meter onto the "energy" lane, so Perfetto
-// renders per-device joule staircases aligned with the phase spans.
-func (s *SnG) phaseEnergy(name string, at sim.Time, prev []float64) (PhaseEnergy, []float64) {
-	s.Energy.Sync(at)
-	snap := s.Energy.SnapshotJ()
-	pe := PhaseEnergy{Phase: name, ByDevice: make([]DeviceJ, 0, len(snap))}
-	for i, m := range s.Energy.Meters() {
-		dj := snap[i] - prev[i]
-		pe.J += dj
-		pe.ByDevice = append(pe.ByDevice, DeviceJ{Device: m.Name(), J: dj})
-	}
-	if s.Obs.Enabled() {
-		energy.EmitCounters(s.Obs, at, s.Obs.Lane("energy"), s.Energy)
-	}
-	return pe, snap
+// phaseRec records a Stop or Go run's phases: a span on the master lane
+// per phase and, with a meter set attached, the joules each phase drew.
+type phaseRec struct {
+	s      *SnG
+	lane   obs.Lane
+	phases []Phase // the closed phases, for the run's report
+	name   string  // the open phase
+	start  sim.Time
+	span   obs.SpanID
+	snap   []float64 // meter snapshot at the open phase's start; nil when energy is off
 }
 
-// energyEpoch opens a Stop/Go energy window: the run is its own timeline,
-// so every meter's integration origin is rebased to now (no charging), and
-// the returned snapshot is the subtraction baseline for the first phase.
-// Returns nil when energy accounting is off.
-func (s *SnG) energyEpoch(now sim.Time) []float64 {
-	if s.Energy == nil {
-		return nil
+// record starts recording a run of n phases that begins at now. The run is
+// its own timeline, so every meter's integration origin is rebased to now
+// without charging.
+func (s *SnG) record(now sim.Time, n int) phaseRec {
+	r := phaseRec{s: s, lane: s.Obs.Lane("master"), phases: make([]Phase, 0, n)}
+	if s.Energy != nil {
+		s.Energy.Rebase(now)
+		r.snap = s.Energy.SnapshotJ()
 	}
-	s.Energy.Rebase(now)
-	return s.Energy.SnapshotJ()
+	return r
+}
+
+// begin opens the named phase at 'at'.
+func (r *phaseRec) begin(name string, at sim.Time) {
+	r.name, r.start = name, at
+	r.span = r.s.Obs.Begin(at, r.lane, "sng", name)
+}
+
+// end closes the open phase at 'at' and returns its duration. With meters
+// attached it syncs the set and charges the phase the joules drawn since
+// it opened; when tracing is on it also drops one cumulative counter
+// sample per meter onto the "energy" lane, so Perfetto renders per-device
+// joule staircases aligned with the phase spans.
+func (r *phaseRec) end(at sim.Time) sim.Duration {
+	s := r.s
+	s.Obs.End(at, r.span)
+	ph := Phase{Name: r.name, Start: r.start, Dur: at.Sub(r.start)}
+	if r.snap != nil {
+		s.Energy.Sync(at)
+		snap := s.Energy.SnapshotJ()
+		ph.ByDevice = make([]DeviceJ, 0, len(snap))
+		for i, m := range s.Energy.Meters() {
+			dj := snap[i] - r.snap[i]
+			ph.J += dj
+			ph.ByDevice = append(ph.ByDevice, DeviceJ{Device: m.Name(), J: dj})
+		}
+		r.snap = snap
+		if s.Obs.Enabled() {
+			energy.EmitCounters(s.Obs, at, s.Obs.Lane("energy"), s.Energy)
+		}
+	}
+	r.phases = append(r.phases, ph)
+	return ph.Dur
 }
 
 // coreState flips core id's meter to state st at t (no-op when the core has
@@ -157,13 +179,9 @@ type StopReport struct {
 	// Budget is the hold-up window the run was given (deadline - start).
 	Budget sim.Duration
 
-	// Phases lists the named phase spans in execution order; their
-	// durations sum to Total.
-	Phases []PhaseSpan
-
-	// Energy attributes joules to each phase (one entry per Phases entry,
-	// same order); nil when the SnG has no meter set attached.
-	Energy []PhaseEnergy
+	// Phases lists the named phases in execution order; their durations
+	// sum to Total.
+	Phases []Phase
 
 	// Completed reports whether the commit was written before the
 	// deadline.
@@ -181,16 +199,13 @@ type StopReport struct {
 }
 
 // stopRun tracks master time against the deadline and attributes an
-// overrun to the phase that burned it.
+// overrun to the open phase, which burned it.
 type stopRun struct {
+	phaseRec
 	t        sim.Time
 	deadline sim.Time
 	dead     bool
-
-	phase   string // phase currently charging time
-	overrun string // phase that burned the deadline ("" while alive)
-	tr      *obs.Tracer
-	lane    obs.Lane
+	overrun  string // phase that burned the deadline ("" while alive)
 }
 
 // spend charges d to the master timeline; it reports false once the rails
@@ -204,9 +219,9 @@ func (r *stopRun) spend(d sim.Duration) bool {
 	r.t = r.t.Add(d)
 	if r.t.After(r.deadline) {
 		r.dead = true
-		r.overrun = r.phase
-		if r.tr.Enabled() {
-			r.tr.InstantArg(r.deadline, r.lane, "sng", "budget-exceeded: "+r.phase,
+		r.overrun = r.name
+		if tr := r.s.Obs; tr.Enabled() {
+			tr.InstantArg(r.deadline, r.lane, "sng", "budget-exceeded: "+r.name,
 				"overdraw_ps", int64(r.t.Sub(r.deadline)))
 		}
 		return false
@@ -222,15 +237,11 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 	var rep StopReport
 	rep.Budget = deadline.Sub(now)
 	tr := s.Obs
-	masterLane := tr.Lane("master")
-	run := &stopRun{t: now, deadline: deadline, tr: tr, lane: masterLane}
+	run := &stopRun{phaseRec: s.record(now, 3), t: now, deadline: deadline}
 	k := s.K
-	esnap := s.energyEpoch(now)
 
 	// ---- Drive-to-Idle -------------------------------------------------
-	run.phase = "process-stop"
-	phaseStart := run.t
-	phaseSpan := tr.Begin(phaseStart, masterLane, "sng", "process-stop")
+	run.begin("process-stop", run.t)
 	if run.spend(s.T.InterruptEntry) {
 		k.PersistFlag = true
 	}
@@ -304,30 +315,21 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 			// master walk.
 			for ci, w := range workers {
 				if w > 0 {
-					tr.SpanArg(phaseStart, phaseStart.Add(w), coreLane(tr, ci),
+					tr.SpanArg(run.start, run.start.Add(w), coreLane(tr, ci),
 						"sng", "park", "busy_ps", int64(w))
 				}
 			}
 		}
-		if tail := wmax - run.t.Sub(phaseStart); tail <= 0 || run.spend(tail) {
+		if tail := wmax - run.t.Sub(run.start); tail <= 0 || run.spend(tail) {
 			// Workers finished in time; nothing in this phase follows the
 			// barrier, so its deadline verdict is deliberately discarded.
 			_ = run.spend(s.T.CoreSync)
 		}
 	}
-	rep.ProcessStop = run.t.Sub(phaseStart)
-	tr.End(run.t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"process-stop", phaseStart, rep.ProcessStop})
-	if esnap != nil {
-		var pe PhaseEnergy
-		pe, esnap = s.phaseEnergy("process-stop", run.t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.ProcessStop = run.end(run.t)
 
 	// ---- Auto-Stop: stopping devices ------------------------------------
-	run.phase = "device-stop"
-	phaseStart = run.t
-	phaseSpan = tr.Begin(phaseStart, masterLane, "sng", "device-stop")
+	run.begin("device-stop", run.t)
 	if !run.dead {
 		devLane := tr.Lane("devices")
 		for _, d := range k.Devices {
@@ -360,19 +362,10 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 			tr.Span(devStart, run.t, devLane, "sng", d.Name)
 		}
 	}
-	rep.DeviceStop = run.t.Sub(phaseStart)
-	tr.End(run.t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"device-stop", phaseStart, rep.DeviceStop})
-	if esnap != nil {
-		var pe PhaseEnergy
-		pe, esnap = s.phaseEnergy("device-stop", run.t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.DeviceStop = run.end(run.t)
 
 	// ---- Auto-Stop: drawing the EP-cut ----------------------------------
-	run.phase = "offline"
-	phaseStart = run.t
-	phaseSpan = tr.Begin(phaseStart, masterLane, "sng", "offline")
+	run.begin("offline", run.t)
 	if !run.dead {
 		// Clean the kernel task pointers so recovered cores synchronize.
 		for _, c := range k.Cores {
@@ -443,13 +436,8 @@ func (s *SnG) Stop(now, deadline sim.Time) StopReport {
 			}
 		}
 	}
-	rep.Offline = run.t.Sub(phaseStart)
-	tr.End(run.t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"offline", phaseStart, rep.Offline})
-	if esnap != nil {
-		pe, _ := s.phaseEnergy("offline", run.t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.Offline = run.end(run.t)
+	rep.Phases = run.phases
 	rep.Total = rep.ProcessStop + rep.DeviceStop + rep.Offline
 	rep.OverrunPhase = run.overrun
 	return rep
@@ -463,13 +451,9 @@ type GoReport struct {
 	ProcessResume sim.Duration
 	Total         sim.Duration
 
-	// Phases lists the named phase spans in execution order; their
-	// durations sum to Total.
-	Phases []PhaseSpan
-
-	// Energy attributes joules to each phase (one entry per Phases entry,
-	// same order); nil when the SnG has no meter set attached.
-	Energy []PhaseEnergy
+	// Phases lists the named phases closed so far, in execution order;
+	// when Go succeeds their durations sum to Total.
+	Phases []Phase
 
 	ResumedTasks   int
 	ResumedDevices int
@@ -477,26 +461,20 @@ type GoReport struct {
 
 // Go recovers the system from a committed EP-cut starting at now. It
 // returns ErrNoCommit when no cut exists (cold boot path: pass control to
-// start_kernel instead).
-func (s *SnG) Go(now sim.Time) (GoReport, error) {
-	var rep GoReport
+// start_kernel instead). Whatever it returns, the report carries the
+// phases closed so far.
+func (s *SnG) Go(now sim.Time) (rep GoReport, err error) {
 	k := s.K
 	tr := s.Obs
-	masterLane := tr.Lane("master")
+	rec := s.record(now, 4)
+	defer func() { rep.Phases = rec.phases }()
 	t := now
-	esnap := s.energyEpoch(now)
 
 	// Phase 0: bootloader checks the Stop commit.
-	bootSpan := tr.Begin(now, masterLane, "sng", "boot-check")
+	rec.begin("boot-check", t)
 	t = t.Add(s.T.BootCheck)
 	if !k.Boot.HasCommit() {
-		rep.BootCheck = t.Sub(now)
-		tr.End(t, bootSpan)
-		rep.Phases = append(rep.Phases, PhaseSpan{"boot-check", now, rep.BootCheck})
-		if esnap != nil {
-			pe, _ := s.phaseEnergy("boot-check", t, esnap)
-			rep.Energy = append(rep.Energy, pe)
-		}
+		rep.BootCheck = rec.end(t)
 		rep.Total = rep.BootCheck
 		return rep, ErrNoCommit
 	}
@@ -509,19 +487,11 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 	if mepc := k.Boot.MEPC(); mepc != epCutPC {
 		return rep, fmt.Errorf("sng: corrupt BCB: MEPC %#x", mepc)
 	}
-	rep.BootCheck = t.Sub(now)
-	tr.End(t, bootSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"boot-check", now, rep.BootCheck})
-	if esnap != nil {
-		var pe PhaseEnergy
-		pe, esnap = s.phaseEnergy("boot-check", t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.BootCheck = rec.end(t)
 
 	// Phase 1: power workers up one by one; they wait on the task
 	// pointers until the master hands them the idle task.
-	phase := t
-	phaseSpan := tr.Begin(phase, masterLane, "sng", "core-bring-up")
+	rec.begin("core-bring-up", t)
 	for ci, c := range k.Cores[1:] {
 		up := t
 		t = t.Add(s.T.CoreBringUp + s.T.IPI)
@@ -535,18 +505,10 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 			tr.Span(up, t, coreLane(tr, ci+1), "sng", "bring-up")
 		}
 	}
-	rep.CoreBringUp = t.Sub(phase)
-	tr.End(t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"core-bring-up", phase, rep.CoreBringUp})
-	if esnap != nil {
-		var pe PhaseEnergy
-		pe, esnap = s.phaseEnergy("core-bring-up", t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.CoreBringUp = rec.end(t)
 
 	// Phase 2: revive devices in inverse dpm order.
-	phase = t
-	phaseSpan = tr.Begin(phase, masterLane, "sng", "device-resume")
+	rec.begin("device-resume", t)
 	for i := len(k.Devices) - 1; i >= 0; i-- {
 		d := k.Devices[i]
 		if d.State != kernel.DevOff {
@@ -567,19 +529,11 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 		}
 		rep.ResumedDevices++
 	}
-	rep.DeviceResume = t.Sub(phase)
-	tr.End(t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"device-resume", phase, rep.DeviceResume})
-	if esnap != nil {
-		var pe PhaseEnergy
-		pe, esnap = s.phaseEnergy("device-resume", t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.DeviceResume = rec.end(t)
 
 	// Phase 3: restore wear-leveler state, charge the per-core TLB flush,
 	// requeue tasks (kernel threads first, then user), and schedule.
-	phase = t
-	phaseSpan = tr.Begin(phase, masterLane, "sng", "process-resume")
+	rec.begin("process-resume", t)
 	if s.P != nil {
 		if wl := s.P.WearLeveler(); wl != nil {
 			m := k.Boot.WearMeta()
@@ -617,13 +571,7 @@ func (s *SnG) Go(now sim.Time) (GoReport, error) {
 	// Recovery is done; consume the commit so the next power event needs
 	// a fresh EP-cut.
 	k.Boot.ClearCommit()
-	rep.ProcessResume = t.Sub(phase)
-	tr.End(t, phaseSpan)
-	rep.Phases = append(rep.Phases, PhaseSpan{"process-resume", phase, rep.ProcessResume})
-	if esnap != nil {
-		pe, _ := s.phaseEnergy("process-resume", t, esnap)
-		rep.Energy = append(rep.Energy, pe)
-	}
+	rep.ProcessResume = rec.end(t)
 	rep.Total = t.Sub(now)
 	return rep, nil
 }

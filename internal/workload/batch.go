@@ -82,18 +82,3 @@ func (s *Stream) NextBatch(buf []Ref) int {
 	}
 	return n
 }
-
-// Drain consumes the rest of the stream in batches, discarding the
-// references (generators accumulate Stats as a side effect — this is the
-// cheap way to characterize a stream).
-func Drain(g Generator) uint64 {
-	var buf [DefaultBatchSize]Ref
-	var total uint64
-	for {
-		n := FillBatch(g, buf[:])
-		if n == 0 {
-			return total
-		}
-		total += uint64(n)
-	}
-}

@@ -97,7 +97,7 @@ func TestSyntheticEmitsExactCount(t *testing.T) {
 
 func TestSyntheticMatchesCharacterization(t *testing.T) {
 	// The emitted memory-level read/write mix must match Table II.
-	for _, name := range []string{"AES", "mcf", "bzip2", "Redis"} {
+	for _, name := range []string{"AES", "AMG", "mcf", "astar", "bzip2", "Redis"} {
 		s, _ := ByName(name)
 		g := NewSynthetic(s, 200000, 7)
 		for {
