@@ -65,9 +65,10 @@ perfdiff: | $(BIN)
 
 # fuzz-smoke: a short native-fuzzing pass over the line-table, LRU-index,
 # word-table, latency-histogram and PRAM die-group differential models, the
-# divisor-vs-hardware-divide check, and the crash-cut fuzzers (the
-# checked-in corpora also replay as plain seeds in `make test`). FUZZTIME
-# is each target's budget; CI passes a longer one.
+# divisor-vs-hardware-divide check, the core interleave against its argmin
+# scan, and the crash-cut fuzzers (the checked-in corpora also replay as
+# plain seeds in `make test`). FUZZTIME is each target's budget; CI passes a
+# longer one.
 FUZZTIME ?= 2s
 
 fuzz-smoke:
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pram -run='^$$' -fuzz=FuzzDieGroup -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cpu -run='^$$' -fuzz=FuzzInterleave -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzForkCut -fuzztime=$(FUZZTIME)
 

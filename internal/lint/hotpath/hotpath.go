@@ -9,8 +9,8 @@
 // provides the paged replacements (Counters, Table, Bits, Slab, Flight)
 // with O(1) access, index-ordered iteration, and zero steady-state
 // allocation. A bounded structure keyed by block — pmemdimm's LRU tiers —
-// uses a fixed-capacity open-addressed index instead, sized once at
-// construction. The kernel's banks and the WAL journal's images hold words
+// uses a fixed-size bucket array chained through a fixed node arena
+// instead, both sized once at construction. The kernel's banks and the WAL journal's images hold words
 // keyed by address; the crash adversary clones them for every cut and
 // digests them in address order, so they use internal/wordtab's
 // copy-on-write Table, whose clone copies a page directory and whose walks
@@ -82,7 +82,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if len(field.Names) > 0 {
 					name = field.Names[0].Name
 				}
-				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in hot package %s: per-line device metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight), persistent words internal/wordtab's Table, and a bounded tier a fixed-capacity open-addressed index", name, pass.Pkg.Path())
+				pass.Reportf(field.Pos(), "map[uint64]-keyed field %s in hot package %s: per-line device metadata must use internal/linetab paged tables (Counters/Table/Bits/Slab/Flight), persistent words internal/wordtab's Table, and a bounded tier a fixed-size bucket array chained through a fixed node arena", name, pass.Pkg.Path())
 			}
 			return true
 		})

@@ -1,10 +1,12 @@
 // Package pmemdimm is a hot-package fixture: an LRU tier indexed by a Go
-// map is flagged; the fixed-capacity open-addressed index is not.
+// map is flagged; the fixed-size bucket array chained through the node
+// arena is not.
 package pmemdimm
 
 type lruNode struct {
-	key        uint64
-	prev, next int32
+	key          uint64
+	hprev, hnext int32
+	prev, next   int32
 }
 
 type mapLRU struct {
@@ -13,7 +15,7 @@ type mapLRU struct {
 }
 
 type lru struct {
-	index []int32 // node index + 1 per slot; 0 = empty
+	heads []int32 // first node of each bucket's chain, -1 if empty
 	shift uint
 	nodes []lruNode
 }

@@ -136,7 +136,7 @@ type NMEM struct {
 	// dirty bits into one table so the hot hit path costs a single lookup.
 	lines *linetab.Table
 
-	sets uint64
+	sets sim.Divisor // CacheBlocks: splits a block number into tag and set
 
 	hits, misses, writebacks sim.Counter
 }
@@ -158,14 +158,14 @@ func NewNMEM(d *DRAMController, p *pmemdimm.DIMM, cfg NMEMConfig) *NMEM {
 		pmem:      p,
 		blockBits: 12,
 		lines:     linetab.NewTable(),
-		sets:      cfg.CacheBlocks,
+		sets:      sim.NewDivisor(cfg.CacheBlocks),
 	}
 }
 
 //lightpc:zeroalloc
 func (n *NMEM) setAndTag(addr uint64) (set, tag uint64) {
-	block := addr >> n.blockBits
-	return block % n.sets, block / n.sets
+	tag, set = n.sets.DivMod(addr >> n.blockBits)
+	return set, tag
 }
 
 //lightpc:zeroalloc
@@ -187,7 +187,7 @@ func (n *NMEM) access(now sim.Time, addr uint64, write bool) sim.Time {
 	start := now
 	if ok && line&1 != 0 {
 		n.writebacks.Inc()
-		n.pmem.Write(start, (curTag*n.sets+set)<<n.blockBits)
+		n.pmem.Write(start, (curTag*n.sets.N()+set)<<n.blockBits)
 	}
 	pmemDone := n.pmem.Read(start, addr)
 	var dramDone sim.Time

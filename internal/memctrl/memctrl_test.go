@@ -131,7 +131,7 @@ func TestNMEMDefaultBlocks(t *testing.T) {
 	d := NewDRAMController(1, noRefreshDRAM(), 0)
 	p := pmemdimm.New(pmemdimm.DefaultConfig())
 	n := NewNMEM(d, p, NMEMConfig{})
-	if n.sets == 0 {
+	if n.sets.N() != 1<<15 {
 		t.Fatal("default CacheBlocks not applied")
 	}
 }

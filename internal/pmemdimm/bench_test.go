@@ -20,10 +20,10 @@ func BenchmarkLRUSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := rng.Uint64n(2 * capacity)
-		if s, n := l.find(key); n >= 0 {
+		if bkt, n := l.find(key); n >= 0 {
 			l.refresh(n)
 		} else {
-			l.add(s, key, i%2 == 0)
+			l.add(bkt, key, i%2 == 0)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package pmemdimm
 
 import "slices"
 
-// clone deep-copies an LRU tier: the key index, the node arena, and the
+// clone deep-copies an LRU tier: the bucket array, the node arena, and the
 // list/flush-epoch scalars. Both arrays are flat and fixed-size, so the
 // copy is two slice copies.
 func (l *lru) clone() *lru {
@@ -10,7 +10,7 @@ func (l *lru) clone() *lru {
 		return nil
 	}
 	c := *l
-	c.index = slices.Clone(l.index)
+	c.heads = slices.Clone(l.heads)
 	c.nodes = slices.Clone(l.nodes)
 	return &c
 }

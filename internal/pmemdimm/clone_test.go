@@ -10,7 +10,7 @@ import (
 // mutable field fails here until the clone handles it.
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, lru{},
-		"nodes", "n", "index", "shift", "head", "tail", "stamp", "dirty")
+		"nodes", "n", "heads", "shift", "head", "tail", "stamp", "dirty")
 	snapshot.CheckCovered(t, DIMM{},
 		"cfg", "rng", "sram", "dram", "busyUntil", "stats")
 	snapshot.CheckCovered(t, SectorDevice{},

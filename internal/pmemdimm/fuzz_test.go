@@ -63,14 +63,40 @@ func (r *refLRU) clone() *refLRU {
 	return &refLRU{cap: r.cap, entries: slices.Clone(r.entries)}
 }
 
-// checkLRU asserts l holds exactly the model's blocks, in the model's
-// recency order, with its dirty bits and dirty count; that find reaches
-// every key at the slot its node records; and that find of every absent key
-// returns the empty slot that ends its probe chain, the slot add fills.
+// checkLRU asserts that every bucket's chain is doubly linked and holds
+// only keys that hash to it, and that the chains together hold each node
+// in use exactly once (checked first, with bounded walks, so a broken
+// chain fails here instead of sending find round a cycle); that l holds
+// exactly the model's blocks, in the model's recency order, with its dirty
+// bits and dirty count; that find reaches every cached key in its bucket;
+// and that every absent key misses.
 func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 	t.Helper()
 	if l.len() != len(r.entries) {
 		t.Fatalf("step %d: len = %d, model %d", step, l.len(), len(r.entries))
+	}
+	seen := make([]bool, len(l.nodes))
+	chained := 0
+	for b, first := range l.heads {
+		prev := int32(-1)
+		for i := first; i >= 0; prev, i = i, l.nodes[i].hnext {
+			if i >= l.n || seen[i] {
+				t.Fatalf("step %d: bucket %d chains node %d (in use: %d, seen before: %v)",
+					step, b, i, l.n, i < l.n && seen[i])
+			}
+			seen[i] = true
+			chained++
+			n := l.nodes[i]
+			if n.hprev != prev {
+				t.Fatalf("step %d: bucket %d: node %d links back to %d, follows %d", step, b, i, n.hprev, prev)
+			}
+			if h := hash64(n.key) >> l.shift; h != uint64(b) {
+				t.Fatalf("step %d: key %d hashes to bucket %d, chained in %d", step, n.key, h, b)
+			}
+		}
+	}
+	if chained != l.len() {
+		t.Fatalf("step %d: chains hold %d nodes for %d blocks", step, chained, l.len())
 	}
 	dirty := 0
 	i := l.head
@@ -83,13 +109,9 @@ func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 			t.Fatalf("step %d: recency position %d holds key %d dirty=%v, model key %d dirty=%v",
 				step, k, n.key, l.isDirty(i), e.key, e.dirty)
 		}
-		if l.index[n.slot]-1 != i {
-			t.Fatalf("step %d: node %d (key %d) records slot %d, which holds node %d",
-				step, i, n.key, n.slot, l.index[n.slot]-1)
-		}
-		if s, got := l.find(e.key); got != i || s != n.slot {
-			t.Fatalf("step %d: find(%d) = slot %d node %d, list has it at node %d slot %d",
-				step, e.key, s, got, i, n.slot)
+		if b, got := l.find(e.key); got != i || b != hash64(e.key)>>l.shift {
+			t.Fatalf("step %d: find(%d) = bucket %d node %d, list has it at node %d",
+				step, e.key, b, got, i)
 		}
 		if e.dirty {
 			dirty++
@@ -102,48 +124,32 @@ func checkLRU(t *testing.T, step int, l *lru, r *refLRU) {
 	if l.dirty != dirty {
 		t.Fatalf("step %d: dirty count = %d, model %d", step, l.dirty, dirty)
 	}
-	used := 0
-	for _, v := range l.index {
-		if v != 0 {
-			used++
-		}
-	}
-	if used != l.len() {
-		t.Fatalf("step %d: index holds %d entries for %d blocks", step, used, l.len())
-	}
-	mask := uint64(len(l.index) - 1)
 	for key := uint64(0); key < fuzzKeys; key++ {
 		if r.find(key) >= 0 {
 			continue
 		}
-		s, got := l.find(key)
-		if got >= 0 || l.index[s] != 0 {
-			t.Fatalf("step %d: absent key %d found at slot %d node %d", step, key, s, got)
-		}
-		for j := hash64(key) >> l.shift; j != s; j = (j + 1) & mask {
-			if l.index[j] == 0 {
-				t.Fatalf("step %d: find(%d) = slot %d, but its chain ends at empty slot %d", step, key, s, j)
-			}
+		if b, got := l.find(key); got >= 0 || b != hash64(key)>>l.shift {
+			t.Fatalf("step %d: absent key %d found in bucket %d at node %d", step, key, b, got)
 		}
 	}
 }
 
 // fuzzKeys bounds the key universe so small tiers evict constantly and
-// every probe chain collides.
+// every bucket chain collides.
 const fuzzKeys = 32
 
 // FuzzLRU runs random lookup / access / flushAll / clone streams through
-// the indexed LRU at capacities 1–8 (index tables of 2–16 slots, so chains
-// collide and backward shifts wrap around the table) in lockstep with the
-// recency-ordered reference model. A lookup is find plus refresh on a hit,
-// as DIMM.Read's SRAM probe does; an access also adds a missing block in
-// the slot find returned, as DIMM.Read fills a tier it missed, and dirties
-// a hit block on a write, as DIMM.Write's DRAM-hit branch does. Each op's
-// results — hits, victims and their dirtiness, flushed counts — must
-// match, and after each op the full tier state must too. A clone continues
-// the stream in place of its source or beside it; the copy left behind
-// must still match the model as of the clone, whatever happened to the
-// other.
+// the indexed LRU at capacities 1–8 (bucket arrays of 2–16 chains, so
+// keys collide and evictions unlink nodes from the head, the middle and
+// the end of a chain) in lockstep with the recency-ordered reference
+// model. A lookup is find plus refresh on a hit, as DIMM.Read's SRAM probe
+// does; an access also adds a missing block to the bucket find returned,
+// as DIMM.Read fills a tier it missed, and dirties a hit block on a write,
+// as DIMM.Write's DRAM-hit branch does. Each op's results — hits, victims
+// and their dirtiness, flushed counts — must match, and after each op the
+// full tier state must too. A clone continues the stream in place of its
+// source or beside it; the copy left behind must still match the model as
+// of the clone, whatever happened to the other.
 func FuzzLRU(f *testing.F) {
 	f.Add(uint8(0), []byte{0x01, 0x09, 0x11, 0x08, 0x02, 0x03})
 	f.Add(uint8(3), []byte{0x02, 0x0a, 0x12, 0x1a, 0x22, 0x2a, 0x00, 0x0c, 0x04, 0x32, 0x03, 0x0b})

@@ -65,19 +65,17 @@ func DefaultConfig() Config {
 // fixed arena linked by index, so nothing allocates after construction:
 // the evicted node is reused in place for the incoming key.
 //
-// The key index is an open-addressed table of node indices sized once at
-// construction (a power of two at least twice the capacity, so probe
-// chains stay short), probed linearly from hash64(key). Eviction removes
-// the victim by backward-shift deletion, which leaves no tombstones: every
-// chain stays exactly as long as the keys it holds. Both the arena and the
-// table are flat slices, so a clone is two copies.
+// The key index is a fixed bucket array sized once at construction (a
+// power of two at least twice the capacity, so chains stay short), picked
+// by the top bits of hash64(key). Each bucket heads a doubly linked chain
+// threaded through the nodes' hprev/hnext links. Both the arena and the
+// bucket array are flat slices, so a clone is two copies.
 //
-// Each access probes the index once. find returns the key's slot and node
-// on a hit, or the empty slot that ends its chain on a miss; refresh and
-// markDirty act on the node, and add fills the miss's slot. Every node
-// records the slot that holds it (the backward shift updates it for each
-// entry it moves), so an eviction frees the victim's slot without
-// searching for it.
+// Each access walks one chain once. find returns the key's bucket and its
+// node on a hit, or -1 on a miss; refresh and markDirty act on the node,
+// and add links the new key at the head of the bucket find returned. An
+// eviction unlinks the victim from the recency list and from its chain in
+// O(1); it hashes the victim's key only when the victim heads its chain.
 //
 // Dirtiness is epoch-stamped rather than stored as a bool: a node is dirty
 // iff its dirtyStamp is newer than the tier's last flush epoch. Clearing
@@ -86,8 +84,8 @@ func DefaultConfig() Config {
 type lru struct {
 	nodes []lruNode // fixed arena, one node per block of capacity
 	n     int32     // nodes in use; nodes[n:] are free
-	index []int32   // node index + 1 per slot; 0 = empty
-	shift uint      // 64 - log2(len(index))
+	heads []int32   // first node of each bucket's chain, -1 if empty
+	shift uint      // 64 - log2(len(heads))
 	head  int32     // most recent, -1 if empty
 	tail  int32     // least recent, -1 if empty
 
@@ -96,10 +94,10 @@ type lru struct {
 }
 
 type lruNode struct {
-	key        uint64
-	dirtyStamp uint64
-	slot       uint64 // the index slot holding this node
-	prev, next int32
+	key          uint64
+	dirtyStamp   uint64
+	hprev, hnext int32 // bucket chain, -1 at either end
+	prev, next   int32 // recency list, -1 at either end
 }
 
 func newLRU(capacity int) *lru {
@@ -108,9 +106,13 @@ func newLRU(capacity int) *lru {
 		size *= 2
 		shift--
 	}
+	heads := make([]int32, size)
+	for b := range heads {
+		heads[b] = -1
+	}
 	return &lru{
 		nodes: make([]lruNode, capacity),
-		index: make([]int32, size),
+		heads: heads,
 		shift: shift,
 		head:  -1,
 		tail:  -1,
@@ -118,46 +120,22 @@ func newLRU(capacity int) *lru {
 }
 
 // hash64 is linetab's multiplicative (Fibonacci) hash; the top bits pick
-// the home slot.
+// the bucket.
 //
 //lightpc:zeroalloc
 func hash64(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
 
-// find probes for key once. On a hit it returns the slot holding key and
-// its node; on a miss, the empty slot that ends key's probe chain and -1.
-// The table is never full (it has at least twice as many slots as nodes),
-// so the probe always terminates.
+// find walks key's chain once. It returns key's bucket, and the node
+// holding key on a hit or -1 on a miss.
 //
 //lightpc:zeroalloc
 func (l *lru) find(key uint64) (uint64, int32) {
-	mask := uint64(len(l.index) - 1)
-	for s := hash64(key) >> l.shift; ; s = (s + 1) & mask {
-		v := l.index[s]
-		if v == 0 || l.nodes[v-1].key == key {
-			return s, v - 1
-		}
+	b := hash64(key) >> l.shift
+	i := l.heads[b]
+	for i >= 0 && l.nodes[i].key != key {
+		i = l.nodes[i].hnext
 	}
-}
-
-// remove deletes the slot's entry by backward shift: each later entry of
-// the chain moves into the hole unless its home slot lies cyclically
-// after the hole, so lookups never cross an empty slot they should not.
-// It returns the final hole, the only slot the shift leaves empty.
-//
-//lightpc:zeroalloc
-func (l *lru) remove(hole uint64) uint64 {
-	mask := uint64(len(l.index) - 1)
-	for j := (hole + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
-		n := &l.nodes[l.index[j]-1]
-		home := hash64(n.key) >> l.shift
-		if (j-home)&mask >= (j-hole)&mask {
-			l.index[hole] = l.index[j]
-			n.slot = hole
-			hole = j
-		}
-	}
-	l.index[hole] = 0
-	return hole
+	return b, i
 }
 
 //lightpc:zeroalloc
@@ -174,6 +152,22 @@ func (l *lru) unlink(i int32) {
 		l.tail = n.prev
 	}
 	n.prev, n.next = -1, -1
+}
+
+// unchain takes node i out of its bucket's chain. Only a chain's first
+// node has no predecessor to relink, so only then is the key hashed.
+//
+//lightpc:zeroalloc
+func (l *lru) unchain(i int32) {
+	n := &l.nodes[i]
+	if n.hprev >= 0 {
+		l.nodes[n.hprev].hnext = n.hnext
+	} else {
+		l.heads[hash64(n.key)>>l.shift] = n.hnext
+	}
+	if n.hnext >= 0 {
+		l.nodes[n.hnext].hprev = n.hprev
+	}
 }
 
 //lightpc:zeroalloc
@@ -213,39 +207,37 @@ func (l *lru) refresh(i int32) {
 	}
 }
 
-// add inserts key, which find reported absent with s as the empty slot
-// ending its chain, reporting whether a block was evicted to make room and
-// whether that block was dirty. A full tier reuses its LRU victim's node
-// and frees the victim's slot. That backward shift empties one slot, its
-// final hole; s stays empty. When the hole lies cyclically between key's
-// home slot and s, it now ends key's chain, so key goes there instead.
+// add inserts key, which find reported absent from bucket b, reporting
+// whether a block was evicted to make room and whether that block was
+// dirty. A full tier reuses its LRU victim's node, unlinked from the
+// recency list and from its chain first; the new key heads bucket b's
+// chain.
 //
 //lightpc:zeroalloc
-func (l *lru) add(s, key uint64, dirty bool) (evictedDirty, evicted bool) {
+func (l *lru) add(b, key uint64, dirty bool) (evictedDirty, evicted bool) {
 	var i int32
 	if int(l.n) == len(l.nodes) {
 		i = l.tail
-		n := &l.nodes[i]
 		evicted = true
-		evictedDirty = n.dirtyStamp > l.stamp
+		evictedDirty = l.isDirty(i)
 		if evictedDirty {
 			l.dirty--
 		}
 		l.unlink(i)
-		mask := uint64(len(l.index) - 1)
-		home := hash64(key) >> l.shift
-		if h := l.remove(n.slot); (h-home)&mask < (s-home)&mask {
-			s = h
-		}
+		l.unchain(i)
 	} else {
 		i = l.n
 		l.n++
 	}
-	l.nodes[i] = lruNode{key: key, slot: s, prev: -1, next: -1}
+	h := l.heads[b]
+	if h >= 0 {
+		l.nodes[h].hprev = i
+	}
+	l.heads[b] = i
+	l.nodes[i] = lruNode{key: key, hprev: -1, hnext: h, prev: -1, next: -1}
 	if dirty {
 		l.markDirty(i)
 	}
-	l.index[s] = i + 1
 	l.pushFront(i)
 	return evictedDirty, evicted
 }
@@ -336,23 +328,23 @@ func (d *DIMM) Read(now sim.Time, addr uint64) sim.Time {
 
 	mblock := addr / MediaBlock
 	bblock := addr / BufferBlock
-	if ms, mi := d.sram.find(mblock); mi >= 0 {
+	if mb, mi := d.sram.find(mblock); mi >= 0 {
 		d.stats.SRAMHits++
 		d.sram.refresh(mi)
-	} else if bs, bi := d.dram.find(bblock); bi >= 0 {
+	} else if bb, bi := d.dram.find(bblock); bi >= 0 {
 		// SRAM miss, DRAM hit: pay the second lookup and refill SRAM
 		// (inclusive).
 		d.stats.DRAMHits++
 		d.dram.refresh(bi)
 		lat += d.cfg.DRAMLookup
-		d.evictDirty(d.sram.add(ms, mblock, false))
+		d.evictDirty(d.sram.add(mb, mblock, false))
 	} else {
 		// Miss everywhere: firmware translation + media read, filling
 		// both tiers.
 		lat += d.cfg.DRAMLookup + d.firmware() + d.cfg.MediaRead
 		d.stats.MediaReads++
-		d.evictDirty(d.dram.add(bs, bblock, false))
-		d.evictDirty(d.sram.add(ms, mblock, false))
+		d.evictDirty(d.dram.add(bb, bblock, false))
+		d.evictDirty(d.sram.add(mb, mblock, false))
 	}
 	d.busyUntil = start.Add(d.cfg.LSQLatency) // LSQ frees after issue
 	return start.Add(lat)
@@ -376,7 +368,7 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 
 	mblock := addr / MediaBlock
 	bblock := addr / BufferBlock
-	if ms, mi := d.sram.find(mblock); mi >= 0 {
+	if mb, mi := d.sram.find(mblock); mi >= 0 {
 		// Combined into the open 256 B block.
 		d.stats.CombinedWrites++
 		d.sram.refresh(mi)
@@ -387,14 +379,14 @@ func (d *DIMM) Write(now sim.Time, addr uint64) sim.Time {
 		// but occupy the device.
 		lat += d.cfg.SRAMLookup
 		occupancy := d.cfg.SRAMLookup
-		if bs, bi := d.dram.find(bblock); bi >= 0 {
+		if bb, bi := d.dram.find(bblock); bi >= 0 {
 			d.dram.refresh(bi)
 			d.dram.markDirty(bi)
 		} else {
 			occupancy += d.cfg.DRAMLookup + d.firmware()
-			d.evictDirty(d.dram.add(bs, bblock, true))
+			d.evictDirty(d.dram.add(bb, bblock, true))
 		}
-		d.evictDirty(d.sram.add(ms, mblock, true))
+		d.evictDirty(d.sram.add(mb, mblock, true))
 		d.busyUntil = start.Add(occupancy)
 	}
 	done := start.Add(lat)

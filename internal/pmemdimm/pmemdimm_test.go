@@ -139,12 +139,12 @@ func TestFlushCleansDirtyState(t *testing.T) {
 }
 
 // access is one tier access the way DIMM.Read and DIMM.Write drive it: a
-// hit refreshes the block (and dirties it on a write), a miss adds it in
-// the slot its probe ended at.
+// hit refreshes the block (and dirties it on a write), a miss adds it to
+// the bucket find returned.
 func access(l *lru, key uint64, dirty bool) (evictedDirty, evicted bool) {
-	s, i := l.find(key)
+	b, i := l.find(key)
 	if i < 0 {
-		return l.add(s, key, dirty)
+		return l.add(b, key, dirty)
 	}
 	l.refresh(i)
 	if dirty {
