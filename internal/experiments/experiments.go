@@ -6,7 +6,10 @@
 package experiments
 
 import (
+	"sync"
+
 	lightpc "repro"
+	"repro/internal/cpu"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -45,10 +48,12 @@ func (o Options) pool() runner.Pool {
 }
 
 // cell derives the options one runner cell runs with: same fidelity, an
-// independent sub-seed named by the label. Cells whose results are
-// compared against each other (the same workload on different platforms)
-// must share a label so they run the identical reference stream —
-// cross-platform ratios must compare the same program.
+// independent sub-seed named by the label. Runs whose results are compared
+// against each other (one workload on different platforms or modes) must
+// run the identical reference stream — cross-platform ratios must compare
+// the same program — so a cross-platform harness makes one cell per
+// workload, labelled by the workload alone, and replays that cell's
+// recorded streams on every platform it compares.
 func (o Options) cell(label string) Options {
 	o.Seed = sim.SubSeed(o.Seed, label)
 	o.Jobs = 1
@@ -79,6 +84,61 @@ func config(kind lightpc.Kind, o Options) lightpc.Config {
 func runOn(kind lightpc.Kind, spec workload.Spec, o Options) (lightpc.RunResult, *lightpc.Platform) {
 	p := lightpc.New(config(kind, o))
 	return p.Run(spec), p
+}
+
+// runOnKinds runs one Table II workload on a fresh platform of each kind,
+// as runOn does for one kind, but generates the streams once and replays
+// them on every platform (each kind's CPU has the same core count, so one
+// Fanout serves all). f reads each run and its platform before the next
+// platform is built.
+func runOnKinds[R any](kinds []lightpc.Kind, spec workload.Spec, o Options, f func(lightpc.RunResult, *lightpc.Platform) R) []R {
+	out := make([]R, len(kinds))
+	cores := config(kinds[0], o).CPU.Cores
+	withRecording(cpu.Fanout(spec, cores, o.SampleOps, o.Seed), func(rec *workload.Recording) {
+		for i, k := range kinds {
+			p := lightpc.New(config(k, o))
+			out[i] = f(p.RunGenerators(spec.Name, rec.Generators(), spec.MultiThread), p)
+		}
+	})
+	return out
+}
+
+// recBufs recycles the reference buffers of workload recordings across
+// cells and passes: a single-threaded spec's streams at full fidelity fill
+// 4.4 MB. A buffer is memory, never state: a cell takes one, records into
+// it, and gives it back after its last replay, so no two cells hold one
+// buffer at the same time. The list is shared by the runner's workers, so
+// a mutex guards it; sync.Pool would drop the buffers every other GC, and
+// a full-fidelity lightpc-bench run collects 11 times.
+var recBufs struct {
+	mu   sync.Mutex
+	free [][]workload.Ref
+}
+
+// maxFreeRecBufs bounds how many idle buffers the free list keeps. A -j N
+// run holds at most N buffers at once, so the bound only matters at large
+// N, where it stops idle buffers from pinning memory.
+const maxFreeRecBufs = 8
+
+// withRecording drains gens once into a recycled buffer and calls run with
+// the recording, which must not be read after run returns.
+func withRecording(gens []workload.Generator, run func(*workload.Recording)) {
+	recBufs.mu.Lock()
+	var buf []workload.Ref
+	if n := len(recBufs.free); n > 0 {
+		buf = recBufs.free[n-1]
+		recBufs.free = recBufs.free[:n-1]
+	}
+	recBufs.mu.Unlock()
+
+	rec := workload.Record(gens, buf)
+	run(rec)
+
+	recBufs.mu.Lock()
+	if len(recBufs.free) < maxFreeRecBufs {
+		recBufs.free = append(recBufs.free, rec.Buffer())
+	}
+	recBufs.mu.Unlock()
 }
 
 // scaleToFull extrapolates a sampled run to the workload's full Table II

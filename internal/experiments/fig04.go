@@ -10,6 +10,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // PersistMode is one rung of Figure 4's persistence-control ladder.
@@ -114,62 +115,67 @@ func withSeed(seed uint64) pmemdimm.Config {
 	return cfg
 }
 
+// modeRun is one workload's run on one persistence mode.
+type modeRun struct {
+	elapsed sim.Duration
+	watts   float64
+}
+
+// runMode runs gens, one per core, on a fresh memory path of the mode built
+// with seed, and prices the memory subsystem's power over the run.
+func runMode(mode PersistMode, gens []workload.Generator, seed uint64) modeRun {
+	backend, pd, dramWorking := buildBackend(mode, seed)
+	res := cpu.Run(cpu.DefaultConfig(), 0, gens, backend)
+
+	sub := memorySubsystem{dramWorking: dramWorking, pmemPresent: pd != nil}
+	if pd != nil && res.Elapsed > 0 {
+		// The DIMM's draw tracks its utilization: host-level requests
+		// (lookups, combining) plus media programs and senses.
+		st := pd.Stats()
+		busyTime := sim.Duration(st.MediaReads+st.MediaWrites)*
+			pmemdimm.DefaultConfig().MediaRead +
+			sim.Duration(st.Reads+st.Writes)*sim.FromNanoseconds(40)
+		u := float64(busyTime) / float64(res.Elapsed)
+		if dramWorking {
+			// Memory mode: the near cache and snarf overlap keep the DIMM
+			// mostly idle.
+			u *= 0.15
+		}
+		if u > 1 {
+			u = 1
+		}
+		sub.pmemBusy = u
+	}
+	return modeRun{elapsed: res.Elapsed, watts: sub.watts()}
+}
+
 // Fig04PersistControl reproduces Figure 4: average latency and memory
 // subsystem power for the five persistence-control configurations across
-// the workload suite. One runner cell per (mode, workload) grid point;
-// the five modes of a workload share the workload's sub-seed so the
-// ladder compares identical reference streams.
+// the workload suite. One runner cell per workload: it generates the
+// workload's streams once, under the workload's sub-seed, and replays them
+// on every mode, so the ladder compares identical reference streams.
 func Fig04PersistControl(o Options) ([]Fig04Row, *report.Table) {
 	suite := specs(o)
 	modes := Modes()
-	type cellOut struct {
-		elapsed sim.Duration
-		watts   float64
-	}
-	var cells []runner.Cell[cellOut]
-	for _, mode := range modes {
-		for _, s := range suite {
-			cells = append(cells, runner.Cell[cellOut]{
-				Label: "fig4/" + s.Name + "/" + mode.String(),
-				Run: func() cellOut {
-					co := o.cell("fig4/" + s.Name)
-					backend, pd, dramWorking := buildBackend(mode, co.Seed)
-					gens := cpu.Fanout(s, 8, co.SampleOps, co.Seed)
-					res := cpu.Run(cpu.DefaultConfig(), 0, gens, backend)
-
-					sub := memorySubsystem{dramWorking: dramWorking, pmemPresent: pd != nil}
-					if pd != nil && res.Elapsed > 0 {
-						// The DIMM's draw tracks its utilization: host-level
-						// requests (lookups, combining) plus media programs and
-						// senses.
-						st := pd.Stats()
-						busyTime := sim.Duration(st.MediaReads+st.MediaWrites)*
-							pmemdimm.DefaultConfig().MediaRead +
-							sim.Duration(st.Reads+st.Writes)*sim.FromNanoseconds(40)
-						u := float64(busyTime) / float64(res.Elapsed)
-						if dramWorking {
-							// Memory mode: the near cache and snarf overlap keep
-							// the DIMM mostly idle.
-							u *= 0.15
-						}
-						if u > 1 {
-							u = 1
-						}
-						sub.pmemBusy = u
-					}
-					return cellOut{elapsed: res.Elapsed, watts: sub.watts()}
-				},
+	outs := runner.Map(o.pool(), suite,
+		func(_ int, s workload.Spec) string { return "fig4/" + s.Name },
+		func(label string, s workload.Spec) []modeRun {
+			co := o.cell(label)
+			out := make([]modeRun, len(modes))
+			withRecording(cpu.Fanout(s, cpu.DefaultConfig().Cores, co.SampleOps, co.Seed), func(rec *workload.Recording) {
+				for mi, mode := range modes {
+					out[mi] = runMode(mode, rec.Generators(), co.Seed)
+				}
 			})
-		}
-	}
-	outs := runner.Run(o.pool(), cells)
+			return out
+		})
 
 	rows := make([]Fig04Row, 0, len(modes))
 	for mi, mode := range modes {
 		var sumT sim.Duration
 		var sumW float64
 		for wi := range suite {
-			out := outs[mi*len(suite)+wi]
+			out := outs[wi][mi]
 			sumT += out.elapsed
 			sumW += out.watts
 		}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Fig15Row is one workload's execution time on the three platforms.
@@ -50,33 +51,27 @@ func (r Fig15Result) MeanBaselineOverFull() float64 {
 
 // Fig15ExecLatency reproduces Figure 15: in-memory execution time of every
 // workload on LegacyPC, LightPC-B, and LightPC. One runner cell per
-// (workload, platform) grid point; the three platforms of a workload share
-// the workload's sub-seed so the ratios compare identical reference
-// streams.
+// workload: it generates the workload's streams once, under the
+// workload's sub-seed, and replays them on the three platforms, so the
+// ratios compare identical reference streams.
 func Fig15ExecLatency(o Options) (Fig15Result, *report.Table) {
 	suite := specs(o)
 	kinds := []lightpc.Kind{lightpc.LegacyPC, lightpc.LightPCB, lightpc.LightPCFull}
-	var cells []runner.Cell[sim.Duration]
-	for _, s := range suite {
-		for _, k := range kinds {
-			cells = append(cells, runner.Cell[sim.Duration]{
-				Label: "fig15/" + s.Name + "/" + k.String(),
-				Run: func() sim.Duration {
-					r, _ := runOn(k, s, o.cell("fig15/"+s.Name))
-					return r.Elapsed
-				},
+	durs := runner.Map(o.pool(), suite,
+		func(_ int, s workload.Spec) string { return "fig15/" + s.Name },
+		func(label string, s workload.Spec) []sim.Duration {
+			return runOnKinds(kinds, s, o.cell(label), func(r lightpc.RunResult, _ *lightpc.Platform) sim.Duration {
+				return r.Elapsed
 			})
-		}
-	}
-	durs := runner.Run(o.pool(), cells)
+		})
 
 	var res Fig15Result
 	for i, s := range suite {
 		res.Rows = append(res.Rows, Fig15Row{
 			Workload: s.Name,
-			Legacy:   durs[i*3],
-			Baseline: durs[i*3+1],
-			LightPC:  durs[i*3+2],
+			Legacy:   durs[i][0],
+			Baseline: durs[i][1],
+			LightPC:  durs[i][2],
 		})
 	}
 	t := report.New("Fig 15: in-memory execution latency",

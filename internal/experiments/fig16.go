@@ -5,6 +5,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Fig16Row is one workload's memory-level read latency comparison.
@@ -35,30 +36,25 @@ func (r Fig16Result) MeanPenalty() float64 {
 
 // Fig16ReadLatency reproduces Figure 16: LightPC-B's memory-level read
 // latency normalized to LightPC, per workload — the head-of-line-blocking
-// cost the PSM's non-blocking services remove.
+// cost the PSM's non-blocking services remove. One runner cell per
+// workload replays the workload's streams on both platforms.
 func Fig16ReadLatency(o Options) (Fig16Result, *report.Table) {
 	suite := specs(o)
 	kinds := []lightpc.Kind{lightpc.LightPCB, lightpc.LightPCFull}
-	var cells []runner.Cell[sim.Duration]
-	for _, s := range suite {
-		for _, k := range kinds {
-			cells = append(cells, runner.Cell[sim.Duration]{
-				Label: "fig16/" + s.Name + "/" + k.String(),
-				Run: func() sim.Duration {
-					_, p := runOn(k, s, o.cell("fig16/"+s.Name))
-					return p.PSM().ReadLatency().Mean()
-				},
+	lats := runner.Map(o.pool(), suite,
+		func(_ int, s workload.Spec) string { return "fig16/" + s.Name },
+		func(label string, s workload.Spec) []sim.Duration {
+			return runOnKinds(kinds, s, o.cell(label), func(_ lightpc.RunResult, p *lightpc.Platform) sim.Duration {
+				return p.PSM().ReadLatency().Mean()
 			})
-		}
-	}
-	lats := runner.Run(o.pool(), cells)
+		})
 
 	var res Fig16Result
 	for i, s := range suite {
 		res.Rows = append(res.Rows, Fig16Row{
 			Workload:    s.Name,
-			BaselineLat: lats[i*2],
-			LightPCLat:  lats[i*2+1],
+			BaselineLat: lats[i][0],
+			LightPCLat:  lats[i][1],
 		})
 	}
 	t := report.New("Fig 16: LightPC-B read latency normalized to LightPC",

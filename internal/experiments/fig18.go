@@ -4,6 +4,7 @@ import (
 	lightpc "repro"
 	"repro/internal/report"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // Fig18Row is one workload's power/energy on the three platforms.
@@ -48,28 +49,23 @@ func (r Fig18Result) BaselineEnergySaving() float64 {
 }
 
 // Fig18PowerEnergy reproduces Figure 18: system power and energy for the
-// in-memory executions on the three platforms.
+// in-memory executions on the three platforms. One runner cell per
+// workload replays the workload's streams on every platform.
 func Fig18PowerEnergy(o Options) (Fig18Result, *report.Table) {
 	suite := specs(o)
 	kinds := []lightpc.Kind{lightpc.LegacyPC, lightpc.LightPCB, lightpc.LightPCFull}
 	type wj struct{ W, J float64 }
-	var cells []runner.Cell[wj]
-	for _, s := range suite {
-		for _, k := range kinds {
-			cells = append(cells, runner.Cell[wj]{
-				Label: "fig18/" + s.Name + "/" + k.String(),
-				Run: func() wj {
-					r, _ := runOn(k, s, o.cell("fig18/"+s.Name))
-					return wj{r.AvgPowerW, r.EnergyJ}
-				},
+	pts := runner.Map(o.pool(), suite,
+		func(_ int, s workload.Spec) string { return "fig18/" + s.Name },
+		func(label string, s workload.Spec) []wj {
+			return runOnKinds(kinds, s, o.cell(label), func(r lightpc.RunResult, _ *lightpc.Platform) wj {
+				return wj{r.AvgPowerW, r.EnergyJ}
 			})
-		}
-	}
-	pts := runner.Run(o.pool(), cells)
+		})
 
 	var res Fig18Result
 	for i, s := range suite {
-		l, b, f := pts[i*3], pts[i*3+1], pts[i*3+2]
+		l, b, f := pts[i][0], pts[i][1], pts[i][2]
 		res.Rows = append(res.Rows, Fig18Row{
 			Workload: s.Name,
 			LegacyW:  l.W, BaselineW: b.W, LightW: f.W,

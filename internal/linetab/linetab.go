@@ -1,6 +1,6 @@
 // Package linetab provides the paged dense tables that back the
-// device-model hot paths (pram wear, psm poison/line metadata, memctrl tag
-// arrays). The simulated address spaces are line- or row-indexed and dense
+// device-model hot paths (pram wear and cooling windows, psm poison/line
+// metadata). The simulated address spaces are line- or row-indexed and dense
 // from zero (a workload footprint divided into 64 B lines), which a Go map
 // serves with a hash, a probe, and incremental growth on every access; a
 // profile of the experiment suite showed ~40% of all CPU inside map

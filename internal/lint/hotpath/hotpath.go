@@ -8,13 +8,15 @@
 // CPU inside Go map machinery for exactly these lookups. internal/linetab
 // provides the paged replacements (Counters, Table, Bits, Slab, Flight)
 // with O(1) access, index-ordered iteration, and zero steady-state
-// allocation. A bounded structure keyed by block — pmemdimm's LRU tiers —
-// uses a fixed-size bucket array chained through a fixed node arena
-// instead, both sized once at construction. The kernel's banks and the WAL journal's images hold words
-// keyed by address; the crash adversary clones them for every cut and
-// digests them in address order, so they use internal/wordtab's
-// copy-on-write Table, whose clone copies a page directory and whose walks
-// need no sort. This analyzer keeps the maps from creeping back.
+// allocation. A bounded structure keyed by block uses a flat array sized
+// once at construction instead: pmemdimm's LRU tiers chain a fixed-size
+// bucket array through a fixed node arena, and memctrl's direct-mapped
+// near cache keeps one tag word per set. The kernel's banks and the WAL
+// journal's images hold words keyed by address; the crash adversary
+// clones them for every cut and digests them in address order, so they
+// use internal/wordtab's copy-on-write Table, whose clone copies a page
+// directory and whose walks need no sort. This analyzer keeps the maps
+// from creeping back.
 //
 // Only struct fields are flagged: a local map inside a constructor or a
 // cold path is fine; persistent per-line state held by a device model is

@@ -13,7 +13,6 @@ package memctrl
 
 import (
 	"repro/internal/dram"
-	"repro/internal/linetab"
 	"repro/internal/pmemdimm"
 	"repro/internal/psm"
 	"repro/internal/sim"
@@ -132,9 +131,11 @@ type NMEM struct {
 	pmem *pmemdimm.DIMM
 
 	blockBits uint
-	// lines maps cache-set -> tag<<1 | dirty, folding the tag array and
-	// dirty bits into one table so the hot hit path costs a single lookup.
-	lines *linetab.Table
+	// tags holds one tag<<2 | dirty<<1 | valid word per cache set, folding
+	// the tag array and the dirty and valid bits into one flat array so the
+	// hot hit path costs a single load. A tag is a block number over the
+	// set count, below 2^52 for any address, so the shift cannot overflow.
+	tags []uint64
 
 	sets sim.Divisor // CacheBlocks: splits a block number into tag and set
 
@@ -157,7 +158,7 @@ func NewNMEM(d *DRAMController, p *pmemdimm.DIMM, cfg NMEMConfig) *NMEM {
 		dram:      d,
 		pmem:      p,
 		blockBits: 12,
-		lines:     linetab.NewTable(),
+		tags:      make([]uint64, cfg.CacheBlocks),
 		sets:      sim.NewDivisor(cfg.CacheBlocks),
 	}
 }
@@ -168,15 +169,22 @@ func (n *NMEM) setAndTag(addr uint64) (set, tag uint64) {
 	return set, tag
 }
 
+// The flag bits of an NMEM tag word.
+const (
+	nmemValid = 1 << iota
+	nmemDirty
+)
+
 //lightpc:zeroalloc
 func (n *NMEM) access(now sim.Time, addr uint64, write bool) sim.Time {
 	set, tag := n.setAndTag(addr)
-	line, ok := n.lines.Get(set)
-	curTag := line >> 1
-	if ok && curTag == tag {
+	entry := &n.tags[set]
+	cur := *entry
+	curTag := cur >> 2
+	if cur&nmemValid != 0 && curTag == tag {
 		n.hits.Inc()
 		if write {
-			n.lines.Set(set, line|1)
+			*entry = cur | nmemDirty
 			return n.dram.Write(now, addr)
 		}
 		return n.dram.Read(now, addr)
@@ -185,7 +193,7 @@ func (n *NMEM) access(now sim.Time, addr uint64, write bool) sim.Time {
 	// the DRAM-side and PMEM-side transfers.
 	n.misses.Inc()
 	start := now
-	if ok && line&1 != 0 {
+	if cur&nmemDirty != 0 {
 		n.writebacks.Inc()
 		n.pmem.Write(start, (curTag*n.sets.N()+set)<<n.blockBits)
 	}
@@ -196,11 +204,11 @@ func (n *NMEM) access(now sim.Time, addr uint64, write bool) sim.Time {
 	} else {
 		dramDone = n.dram.Read(start, addr)
 	}
-	line = tag << 1
+	cur = tag<<2 | nmemValid
 	if write {
-		line |= 1
+		cur |= nmemDirty
 	}
-	n.lines.Set(set, line)
+	*entry = cur
 	return sim.Max(pmemDone, dramDone)
 }
 

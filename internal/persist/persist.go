@@ -20,6 +20,8 @@
 package persist
 
 import (
+	"sync"
+
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/sng"
@@ -85,6 +87,27 @@ type Mechanism interface {
 	Run(p Profile) Outcome
 }
 
+// perSeed holds what a mechanism computes from its KernelSeed alone, never
+// from a profile: the first Run computes it, and a later Run recomputes it
+// only when the mechanism's KernelSeed has changed since.
+type perSeed[T any] struct {
+	mu   sync.Mutex
+	done bool
+	seed uint64
+	v    T
+}
+
+// get returns the value at seed, computing it first when needed.
+func (c *perSeed[T]) get(seed uint64, compute func(seed uint64) T) T {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.done || c.seed != seed {
+		c.v = compute(seed)
+		c.done, c.seed = true, seed
+	}
+	return c.v
+}
+
 // coldBootTime is a full kernel cold boot (needed by the checkpoint
 // mechanisms before their images can be reloaded).
 const coldBootTime = 900 * sim.Millisecond
@@ -102,6 +125,8 @@ type SysPC struct {
 	// KernelSeed builds the LegacyPC system whose hibernation the run
 	// exercises functionally.
 	KernelSeed uint64
+
+	restores perSeed[bool] // the hibernate round trip at KernelSeed
 }
 
 // NewSysPC uses the calibrated defaults: ≈0.42 GB/s effective image
@@ -126,16 +151,10 @@ func dumpTime(bytes float64, bw float64) sim.Duration {
 // Run executes the profile under SysPC: the timing follows the image-size
 // model, and a functional hibernate/resume round-trip on a LegacyPC kernel
 // verifies that system images really do restore exact state (given the
-// external energy to finish the dump).
+// external energy to finish the dump). The round trip depends on no profile
+// field, so it runs once per KernelSeed, on the first Run.
 func (s *SysPC) Run(p Profile) Outcome {
-	cfg := kernel.DefaultConfig()
-	cfg.PersistentProcs = false
-	cfg.Seed = s.KernelSeed + 1
-	k := kernel.New(cfg)
-	k.Tick(10)
-	k.Hibernate()
-	k.PowerLoss()
-	if !k.ResumeFromHibernate() {
+	if !s.restores.get(s.KernelSeed, hibernateRestores) {
 		panic("persist: SysPC hibernation round trip failed")
 	}
 
@@ -153,6 +172,19 @@ func (s *SysPC) Run(p Profile) Outcome {
 		ExceedsHoldUp:    true,
 		Checkpoints:      1,
 	}
+}
+
+// hibernateRestores hibernates a LegacyPC kernel built from seed, cuts its
+// power, and reports whether the resume restored it.
+func hibernateRestores(seed uint64) bool {
+	cfg := kernel.DefaultConfig()
+	cfg.PersistentProcs = false
+	cfg.Seed = seed + 1
+	k := kernel.New(cfg)
+	k.Tick(10)
+	k.Hibernate()
+	k.PowerLoss()
+	return k.ResumeFromHibernate()
 }
 
 // ACheckPC is application-level per-function checkpointing.
@@ -262,6 +294,8 @@ func (s *SCheckPC) Run(p Profile) Outcome {
 type LightPC struct {
 	// KernelSeed builds the system image SnG stops.
 	KernelSeed uint64
+
+	cycle perSeed[sngCycle] // the SnG round trip at KernelSeed
 }
 
 // NewLightPC returns the SnG-backed mechanism.
@@ -270,29 +304,40 @@ func NewLightPC() *LightPC { return &LightPC{KernelSeed: 1} }
 // Name identifies the mechanism.
 func (l *LightPC) Name() string { return "LightPC" }
 
-// Run executes the profile under SnG.
+// Run executes the profile under SnG. The Stop and Go depend on no profile
+// field, so they run once per KernelSeed, on the first Run.
 func (l *LightPC) Run(p Profile) Outcome {
+	c := l.cycle.get(l.KernelSeed, sngRoundTrip)
+	return Outcome{
+		Mechanism:        l.Name(),
+		BenchTime:        p.ExecTime,
+		PersistControl:   c.stop + c.recovery,
+		FlushAtPowerDown: c.stop,
+		Recovery:         c.recovery,
+		PowerDownW:       4.5,
+		RecoveryW:        4.4,
+		Checkpoints:      1,
+	}
+}
+
+// sngCycle is the simulated time of one SnG Stop and the Go after it.
+type sngCycle struct{ stop, recovery sim.Duration }
+
+// sngRoundTrip runs SnG's Stop and Go over a kernel built from seed and
+// returns their totals; it panics if Go fails.
+func sngRoundTrip(seed uint64) sngCycle {
 	cfg := kernel.DefaultConfig()
-	cfg.Seed = l.KernelSeed
+	cfg.Seed = seed
 	k := kernel.New(cfg)
 	k.Tick(10)
 	s := sng.New(k)
-	stop := s.Stop(0, sim.Time(10*sim.Second))
+	rep := s.Stop(0, sim.Time(10*sim.Second))
 	k.PowerLoss()
 	gorep, err := s.Go(0)
 	if err != nil {
 		panic("persist: SnG round trip failed: " + err.Error())
 	}
-	return Outcome{
-		Mechanism:        l.Name(),
-		BenchTime:        p.ExecTime,
-		PersistControl:   stop.Total + gorep.Total,
-		FlushAtPowerDown: stop.Total,
-		Recovery:         gorep.Total,
-		PowerDownW:       4.5,
-		RecoveryW:        4.4,
-		Checkpoints:      1,
-	}
+	return sngCycle{stop: rep.Total, recovery: gorep.Total}
 }
 
 // All returns the four mechanisms in paper order.

@@ -209,3 +209,27 @@ func TestTinyProfileStillWorks(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReusesItsRoundTrip pins that a mechanism's power cycle, which SysPC
+// and LightPC run once and reuse, gives every later Run what a fresh
+// mechanism's first Run gives, on any profile and after a seed change.
+func TestRunReusesItsRoundTrip(t *testing.T) {
+	tiny := Profile{Name: "tiny", ExecTime: sim.Millisecond, Instructions: 100,
+		FootprintBytes: 1 << 20, DirtyFraction: 0.1}
+	for i, m := range All() {
+		m.Run(typicalProfile())
+		got, want := m.Run(tiny), All()[i].Run(tiny)
+		if got != want {
+			t.Errorf("%s: second Run = %+v, a fresh mechanism's = %+v (FlushAtPowerDown and Recovery included)",
+				m.Name(), got, want)
+		}
+	}
+
+	l := NewLightPC()
+	l.Run(tiny)
+	l.KernelSeed = 7
+	fresh := &LightPC{KernelSeed: 7}
+	if got, want := l.Run(tiny), fresh.Run(tiny); got != want {
+		t.Errorf("LightPC after a seed change = %+v, a fresh mechanism's at that seed = %+v", got, want)
+	}
+}

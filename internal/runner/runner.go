@@ -2,17 +2,20 @@
 // experiment grids. The paper's evaluation is embarrassingly parallel —
 // every figure is a grid of independent simulations — so each harness
 // decomposes its grid into cells: one (experiment, workload,
-// platform/config-point) tuple per cell, each owning its own platform
-// and a sub-seed derived from the cell's canonical label via
-// sim.SubSeed/sim.RNG.Split. Cells are executed across a worker pool and
-// the results are merged in canonical cell order, so experiment output is
-// byte-for-byte identical at any parallelism, including -j 1.
+// config-point) tuple per cell, or one (experiment, workload) pair that
+// runs the workload on every platform it is compared across. Each cell
+// owns its own platforms and a sub-seed derived from the cell's canonical
+// label via sim.SubSeed/sim.RNG.Split. Cells are executed across a worker
+// pool and the results are merged in canonical cell order, so experiment
+// output is byte-for-byte identical at any parallelism, including -j 1.
 //
 // The determinism contract (DESIGN.md "Parallel execution & determinism
 // contract"):
 //
 //   - a cell shares no mutable state with any other cell; everything it
-//     touches (platform, kernel, PSM, RNG) is built inside Run;
+//     touches (platform, kernel, PSM, RNG) is built inside Run, and a
+//     buffer it takes from a free list is memory it overwrites before
+//     reading, never held by two cells at once;
 //   - a cell's seed derives from its label alone, never from which worker
 //     picks it up or when;
 //   - results land in the slot of the cell that produced them, and callers
@@ -27,9 +30,9 @@ import (
 )
 
 // Cell is one independent unit of experiment work. Label identifies the
-// cell canonically ("fig15/AES/LightPC") for sub-seeding and progress
-// reporting; Run executes it and must not share mutable state with any
-// other cell.
+// cell canonically ("fig15/AES", the cell that runs AES on Fig 15's three
+// platforms) for sub-seeding and progress reporting; Run executes it and
+// must not share mutable state with any other cell.
 type Cell[R any] struct {
 	Label string
 	Run   func() R
