@@ -40,9 +40,10 @@ lint: $(LINT)
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json: snapshot every benchmark (one iteration each, with allocs/op),
-# the parallel runner's measured speedup and the forked-vs-rebuilt crash-sweep
-# cell into BENCH_SEED.json.
+# bench-json: snapshot every benchmark (one iteration each, with allocs/op;
+# those reading at most 1 alloc/op run again for 100 ms), the parallel
+# runner's measured speedup and the forked-vs-rebuilt crash-sweep cell into
+# BENCH_SEED.json.
 bench-json:
 	$(GO) run ./cmd/lightpc-benchseed -out BENCH_SEED.json
 
@@ -65,7 +66,8 @@ perfdiff: | $(BIN)
 
 # fuzz-smoke: a short native-fuzzing pass over the line-table, LRU-index,
 # word-table, latency-histogram and PRAM die-group differential models, the
-# divisor-vs-hardware-divide check, the core interleave against its argmin
+# divisor-vs-hardware-divide check, the PSM's single-pass device stack
+# against its three-pass reference, the core interleave against its argmin
 # scan, a recorded stream's replay against its generator, and the crash-cut
 # fuzzers (the checked-in corpora also replay as plain seeds in
 # `make test`). FUZZTIME is each target's budget; CI passes a longer one.
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLatencyHistogram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pram -run='^$$' -fuzz=FuzzDieGroup -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzDivisor -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/psm -run='^$$' -fuzz=FuzzPSM -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cpu -run='^$$' -fuzz=FuzzInterleave -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/crashpoint -run='^$$' -fuzz=FuzzCrashCut -fuzztime=$(FUZZTIME)

@@ -7,8 +7,8 @@
 // forked per cut, then runs every
 // `go test -bench` benchmark once with -benchmem and captures each bench's
 // ns/op, B/op, allocs/op, plus its custom paper metrics. A benchmark that
-// reads 0 or 1 allocs/op in that single iteration runs again at
-// pinnedIters iterations, and the snapshot keeps the longer run.
+// reads 0 or 1 allocs/op in that single iteration runs again for
+// pinnedBenchtime, and the snapshot keeps the longer run.
 // cmd/lightpc-perfdiff compares two snapshots.
 //
 // The process pins GOMAXPROCS to the real CPU count before timing anything
@@ -51,13 +51,15 @@ type benchLine struct {
 	pkg string // import path, from the "pkg:" line go test prints first
 }
 
-// pinnedIters is how many iterations a benchmark that read 0 or 1
-// allocs/op in its single-iteration pass runs again. A stray runtime
-// allocation in one iteration reads as 1 alloc/op, and lightpc-perfdiff
-// -strict-zero-alloc fails on it; go test's integer allocs/op column
-// reads it as 0 over a hundred iterations, while an allocation the
-// benchmark makes every iteration still reads 1.
-const pinnedIters = 100
+// pinnedBenchtime is how long a benchmark that read 0 or 1 allocs/op in
+// its single-iteration pass runs again. A stray runtime allocation in one
+// iteration reads as 1 alloc/op, and lightpc-perfdiff -strict-zero-alloc
+// fails on it; go test's integer allocs/op column reads it as 0 over the
+// longer run, while an allocation the benchmark makes every iteration
+// still reads 1. A time budget rather than an iteration count makes the
+// ns/op of these benches, most of them tens of nanoseconds, an average
+// over millions of iterations instead of a few microseconds.
+const pinnedBenchtime = "100ms"
 
 type seed struct {
 	GoVersion  string  `json:"go_version"`
@@ -216,9 +218,9 @@ func parseBench(out string) []benchLine {
 	return lines
 }
 
-// rerunPinned runs every benchmark that read at most 1 allocs/op again at
-// pinnedIters iterations, one go test per package, and replaces its line
-// with the longer run's. A benchmark selected by its top-level name runs
+// rerunPinned runs every benchmark that read at most 1 allocs/op again for
+// pinnedBenchtime, one go test per package, and replaces its line with the
+// longer run's. A benchmark selected by its top-level name runs
 // all its sub-benchmarks, but only the selected lines are replaced.
 func rerunPinned(benches []benchLine, env []string) error {
 	var pkgs []string
@@ -238,7 +240,7 @@ func rerunPinned(benches []benchLine, env []string) error {
 	for _, pkg := range pkgs {
 		pattern := "^(" + strings.Join(tops[pkg], "|") + ")$"
 		cmd := exec.Command("go", "test", "-run=^$", "-bench="+pattern,
-			"-benchtime="+strconv.Itoa(pinnedIters)+"x", "-benchmem", "-count=1", pkg)
+			"-benchtime="+pinnedBenchtime, "-benchmem", "-count=1", pkg)
 		cmd.Env = env
 		out, err := cmd.CombinedOutput()
 		if err != nil {

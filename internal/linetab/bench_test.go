@@ -95,14 +95,15 @@ func BenchmarkSlabPut(b *testing.B) {
 }
 
 func BenchmarkFlightSteadyState(b *testing.B) {
-	// The pram write path: insert a cooling window, check Busy, with time
-	// advancing so entries keep expiring — the arena must never grow.
+	// The pram write path: record a cooling window with Next, check Busy,
+	// with time advancing so entries keep expiring — the arena must never
+	// grow.
 	var f Flight
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := sim.Time(0)
 	for i := 0; i < b.N; i++ {
-		f.Set(now, uint64(i)&1023, now+150)
+		f.Next(now, now, uint64(i)&1023, 150)
 		f.Busy(now, uint64(i+1)&1023)
 		now += 100
 	}

@@ -202,20 +202,33 @@ func (s *flightShadow) drain(now sim.Time) sim.Time {
 	return d
 }
 
+// flightNext is Next as the pram device did it before the op existed: End
+// to find the window to serialize behind, then Set.
+func flightNext(f *Flight, now, at sim.Time, key uint64, d sim.Duration) sim.Time {
+	if end, ok := f.End(key); ok && end > at {
+		at = end
+	}
+	f.Set(now, key, at.Add(d))
+	return at
+}
+
 func TestFlightDiff(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
-		var f Flight
+		// twin sees every op, with Next done as End then Set, so the
+		// arenas must fill, prune and grow at the same points.
+		var f, twin Flight
 		shadow := flightShadow{m: map[uint64]sim.Time{}}
 		now := sim.Time(0)
 		var maxEndSeen sim.Time
 		for op := 0; op < 30000; op++ {
 			now = now.Add(sim.Duration(rng.Uint64n(200)))
 			key := rng.Uint64n(256)
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				end := now.Add(sim.Duration(rng.Uint64n(500)))
 				f.Set(now, key, end)
+				twin.Set(now, key, end)
 				shadow.set(key, end)
 				if end > maxEndSeen {
 					maxEndSeen = end
@@ -234,6 +247,24 @@ func TestFlightDiff(t *testing.T) {
 					t.Fatalf("seed %d op %d: Drain(%v) = %v, shadow %v, maxEnd %v",
 						seed, op, now, got, want, maxEndSeen)
 				}
+			case 3:
+				// A command issued at or after now, lasting up to two
+				// steps, so some land behind a still-running one.
+				at := now.Add(sim.Duration(rng.Uint64n(100)))
+				d := sim.Duration(rng.Uint64n(400))
+				got, want := f.Next(now, at, key, d), flightNext(&twin, now, at, key, d)
+				if got != want {
+					t.Fatalf("seed %d op %d: Next(%v, %v, %d, %v) = %v, End then Set %v",
+						seed, op, now, at, key, d, got, want)
+				}
+				shadow.set(key, got.Add(d))
+				if got.Add(d) > maxEndSeen {
+					maxEndSeen = got.Add(d)
+				}
+			}
+			if f.Len() != twin.Len() || f.Cap() != twin.Cap() {
+				t.Fatalf("seed %d op %d: Len/Cap (%d, %d), End then Set (%d, %d)",
+					seed, op, f.Len(), f.Cap(), twin.Len(), twin.Cap())
 			}
 			// End must agree for any entry the shadow still holds un-expired.
 			if end, ok := shadow.m[key]; ok && end > now {

@@ -20,8 +20,12 @@ import "repro/internal/sim"
 // time); keys are arbitrary.
 type Flight struct {
 	slots []flightSlot
-	live  int
-	shift uint
+	// live counts the entries held and shift turns a hash into a slot
+	// index. They share one word: a pram.Device embeds a Flight, and at
+	// 184 bytes four devices fit the 768-byte allocation of a DIMM's
+	// device slab, where 192 would round up to 896.
+	live  int32
+	shift uint8
 
 	maxEnd sim.Time // latest end ever recorded; never decreases
 
@@ -97,45 +101,68 @@ func (f *Flight) Drain(now sim.Time) sim.Time { return sim.Max(now, f.maxEnd) }
 //
 //lightpc:zeroalloc
 func (f *Flight) Set(now sim.Time, key uint64, end sim.Time) {
-	if end < 0 {
-		panic("linetab: negative Flight end time")
-	}
-	if end > f.maxEnd {
-		f.maxEnd = end
-	}
+	f.record(now, key, end, 0, false)
+}
+
+// Next records the operation on key that starts at at, or when key's
+// recorded operation ends if that is later, and lasts d; it returns the
+// start. It is End then Set in one probe: Set and Next share record, so
+// the entry lands in the slot Set would have used, and the arena prunes
+// at now as Set does; the points at which it fills and prunes are the
+// same.
+//
+//lightpc:zeroalloc
+func (f *Flight) Next(now, at sim.Time, key uint64, d sim.Duration) sim.Time {
+	return f.record(now, key, at, d, true)
+}
+
+// record finds key's slot, or the empty slot that ends its probe
+// sequence, once. With after set, the operation starts no earlier than
+// key's recorded end. The entry ends d after the start, which record
+// returns. An insert that would take the arena past half full prunes at
+// now first.
+//
+//lightpc:zeroalloc
+func (f *Flight) record(now sim.Time, key uint64, at sim.Time, d sim.Duration, after bool) sim.Time {
 	if f.slots == nil {
 		//lint:allow zeroalloc one-time lazy arena init on the first in-flight op
 		f.slots = make([]flightSlot, flightMinSlots)
 		f.shift = 64 - 6
 	}
 	mask := uint64(len(f.slots) - 1)
+	var sl *flightSlot
 	for i := hash64(key) >> f.shift; ; i = (i + 1) & mask {
-		if f.slots[i].end == 0 {
-			if (f.live+1)*2 > len(f.slots) {
-				//lint:allow zeroalloc prune/grow is amortized; steady state stays at fixed capacity
-				f.rebuild(now)
-				mask = uint64(len(f.slots) - 1)
-				// Re-probe: the arena was rewritten under us.
-				for j := hash64(key) >> f.shift; ; j = (j + 1) & mask {
-					if f.slots[j].end == 0 {
-						i = j
-						break
-					}
-					if f.slots[j].key == key {
-						f.slots[j].end = int64(end) + 1
-						return
-					}
-				}
-			}
-			f.slots[i] = flightSlot{key: key, end: int64(end) + 1}
-			f.live++
-			return
-		}
-		if f.slots[i].key == key {
-			f.slots[i].end = int64(end) + 1
-			return
+		if sl = &f.slots[i]; sl.end == 0 || sl.key == key {
+			break
 		}
 	}
+	if after && sl.end != 0 {
+		at = sim.Max(at, sim.Time(sl.end-1))
+	}
+	end := at.Add(d)
+	if end < 0 {
+		panic("linetab: negative Flight end time")
+	}
+	if end > f.maxEnd {
+		f.maxEnd = end
+	}
+	if sl.end == 0 {
+		if int(f.live+1)*2 > len(f.slots) {
+			//lint:allow zeroalloc prune/grow is amortized; steady state stays at fixed capacity
+			f.rebuild(now)
+			// Re-probe: the arena was rewritten under us, and key is not
+			// in it.
+			mask = uint64(len(f.slots) - 1)
+			for i := hash64(key) >> f.shift; ; i = (i + 1) & mask {
+				if sl = &f.slots[i]; sl.end == 0 {
+					break
+				}
+			}
+		}
+		f.live++
+	}
+	*sl = flightSlot{key: key, end: int64(end) + 1}
+	return at
 }
 
 // rebuild prunes expired entries in place and, when the survivors still
@@ -153,7 +180,7 @@ func (f *Flight) rebuild(now sim.Time) {
 	}
 	if size != len(f.slots) {
 		f.slots = make([]flightSlot, size)
-		shift := uint(64)
+		shift := uint8(64)
 		for s := size; s > 1; s >>= 1 {
 			shift--
 		}
@@ -169,12 +196,12 @@ func (f *Flight) rebuild(now sim.Time) {
 		}
 		f.slots[i] = sl
 	}
-	f.live = len(f.scratch)
+	f.live = int32(len(f.scratch))
 }
 
 // Len reports the number of entries currently held (live plus not yet
 // pruned).
-func (f *Flight) Len() int { return f.live }
+func (f *Flight) Len() int { return int(f.live) }
 
 // Cap reports the arena size in slots — the bounded-memory observable.
 func (f *Flight) Cap() int { return len(f.slots) }

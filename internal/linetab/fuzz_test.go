@@ -30,7 +30,7 @@ func FuzzLineTab(f *testing.F) {
 		tShadow := map[uint64]uint64{}
 		b := NewBits()
 		bShadow := map[uint64]bool{}
-		var fl Flight
+		var fl, twin Flight
 		flShadow := map[uint64]sim.Time{}
 		now := sim.Time(0)
 		var maxEnd sim.Time
@@ -60,10 +60,26 @@ func FuzzLineTab(f *testing.F) {
 			case 3:
 				now = now.Add(sim.Duration(arg))
 				end := now.Add(sim.Duration(idx % 512))
-				fl.Set(now, idx%1024, end)
+				if op&4 != 0 {
+					// Next, against End then Set on the twin: a command
+					// issued up to 255 after now, lasting idx%512.
+					at := now.Add(sim.Duration(idx >> 56))
+					d := sim.Duration(idx % 512)
+					got, want := fl.Next(now, at, idx%1024, d), flightNext(&twin, now, at, idx%1024, d)
+					if got != want {
+						t.Fatalf("Flight.Next(%v, %v, %d, %v) = %v, End then Set %v", now, at, idx%1024, d, got, want)
+					}
+					end = got.Add(d)
+				} else {
+					fl.Set(now, idx%1024, end)
+					twin.Set(now, idx%1024, end)
+				}
 				flShadow[idx%1024] = end
 				if end > maxEnd {
 					maxEnd = end
+				}
+				if fl.Len() != twin.Len() || fl.Cap() != twin.Cap() {
+					t.Fatalf("Flight Len/Cap (%d, %d), End then Set (%d, %d)", fl.Len(), fl.Cap(), twin.Len(), twin.Cap())
 				}
 			}
 

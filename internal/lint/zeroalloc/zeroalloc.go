@@ -86,14 +86,14 @@ var required = map[string][]string{
 		"Counters.Inc", "Counters.Add", "Counters.Get",
 		"Table.Get", "Table.Set", "Bits.Get", "Bits.Set",
 		"Slab.Put", "Slab.Get",
-		"Flight.Quiet", "Flight.End", "Flight.Busy", "Flight.Set", "Flight.Drain",
+		"Flight.Quiet", "Flight.End", "Flight.Busy", "Flight.Set", "Flight.Next", "Flight.Drain",
 	},
 	"obs":      {"Tracer.Span", "Tracer.Begin", "Tracer.End", "Tracer.Instant", "Tracer.Counter"},
 	"energy":   {"Meter.Sync", "Meter.SetState", "Meter.Rebase", "Set.Sync"},
-	"pram":     {"Device.Read", "Device.Write"},
+	"pram":     {"Device.Read", "Device.ReadCooling", "Device.Write"},
 	"psm":      {"PSM.Read", "PSM.Write", "PSM.program"},
 	"memctrl":  {"PSMBackend.Read", "PSMBackend.Write", "PMEMBackend.Read", "PMEMBackend.Write", "NMEM.access"},
-	"nvdimm":   {"DIMM.ReadLine", "DIMM.WriteLine", "DIMM.LineBusy"},
+	"nvdimm":   {"DIMM.ReadOrReconstruct", "DIMM.ReadLine", "DIMM.WriteLine"},
 	"dram":     {"DIMM.Read", "DIMM.Write"},
 	"pmemdimm": {"DIMM.Read", "DIMM.Write", "lru.find", "lru.refresh", "lru.add"},
 	"wordtab":  {"Table.Get", "Table.Set"},

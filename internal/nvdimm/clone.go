@@ -5,11 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Clone returns a deep copy of the DIMM: every chip-enable group's PRAM
-// device is cloned, the write-power slots and counters are copied. The
-// device copies live in one slab and their dies' RNGs in another.
-func (d *DIMM) Clone() *DIMM {
-	out := &DIMM{
+// CloneInto makes dst a deep copy of the DIMM, so a PSM can clone its
+// DIMMs into one slab: every chip-enable group's PRAM device is cloned,
+// the write-power slots and counters are copied. The device copies live in
+// one slab and their dies' RNGs in another.
+func (d *DIMM) CloneInto(dst *DIMM) {
+	*dst = DIMM{
 		cfg:            d.cfg,
 		shift:          d.shift,
 		groups:         d.groups,
@@ -20,12 +21,11 @@ func (d *DIMM) Clone() *DIMM {
 		rmwOps:         d.rmwOps,
 		containedCorru: d.containedCorru,
 	}
-	devs := make([]pram.Device, len(d.devices))
+	dst.devices = make([]pram.Device, len(d.devices))
+	dst.view = make([]*pram.Device, len(d.devices))
 	rngs := make([]sim.RNG, d.cfg.DevicesPerDIMM)
-	out.devices = make([]*pram.Device, len(d.devices))
-	for i, dev := range d.devices {
-		rngs = dev.CloneInto(&devs[i], rngs)
-		out.devices[i] = &devs[i]
+	for i := range d.devices {
+		rngs = d.devices[i].CloneInto(&dst.devices[i], rngs)
+		dst.view[i] = &dst.devices[i]
 	}
-	return out
 }

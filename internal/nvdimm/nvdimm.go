@@ -74,8 +74,11 @@ const writeSlots = 2
 type DIMM struct {
 	cfg Config
 	// devices holds one pram.Device per chip-enable group: a pair each for
-	// DualChannel, the whole rank for DRAMLike.
-	devices []*pram.Device
+	// DualChannel, the whole rank for DRAMLike. They are held by value, so
+	// a reference reaches its group without loading a pointer; view holds
+	// their addresses for Devices.
+	devices []pram.Device
+	view    []*pram.Device
 	// shift turns a cacheline index into an access-granule index: 0 for
 	// the pair's 64 B granule, 2 for the rank's 256 B one.
 	shift uint
@@ -93,12 +96,13 @@ type DIMM struct {
 }
 
 // New builds a DIMM. Die i draws its error injection from seed
-// Device.Seed*1000003+i, decorrelating the dies.
-func New(cfg Config) *DIMM {
+// Device.Seed*1000003+i, decorrelating the dies. It returns the DIMM by
+// value so a PSM can hold its DIMMs in one slab.
+func New(cfg Config) DIMM {
 	if cfg.DevicesPerDIMM <= 0 {
 		cfg.DevicesPerDIMM = 8
 	}
-	d := &DIMM{cfg: cfg}
+	d := DIMM{cfg: cfg}
 	perGroup := cfg.DevicesPerDIMM
 	switch cfg.Layout {
 	case DualChannel:
@@ -111,12 +115,16 @@ func New(cfg Config) *DIMM {
 	default:
 		panic(fmt.Sprintf("nvdimm: unknown layout %v", cfg.Layout))
 	}
-	for first := 0; first < cfg.DevicesPerDIMM; first += perGroup {
+	n := cfg.DevicesPerDIMM / perGroup
+	d.devices = make([]pram.Device, n)
+	d.view = make([]*pram.Device, n)
+	for i := range d.devices {
 		dc := cfg.Device
-		dc.Seed = cfg.Device.Seed*1000003 + uint64(first)
-		d.devices = append(d.devices, pram.NewGroup(dc, perGroup))
+		dc.Seed = cfg.Device.Seed*1000003 + uint64(i*perGroup)
+		d.devices[i] = pram.NewGroup(dc, perGroup)
+		d.view[i] = &d.devices[i]
 	}
-	d.groups = sim.NewDivisor(uint64(len(d.devices)))
+	d.groups = sim.NewDivisor(uint64(n))
 	return d
 }
 
@@ -128,7 +136,7 @@ func (d *DIMM) Groups() int { return len(d.devices) }
 
 // Devices exposes the PRAM devices, one per chip-enable group (wear
 // inspection, energy metering; their counters are die totals).
-func (d *DIMM) Devices() []*pram.Device { return d.devices }
+func (d *DIMM) Devices() []*pram.Device { return d.view }
 
 // group maps a cacheline index to its chip-enable group and the granule
 // row within it: lines interleave across the pairs, while a rank serves
@@ -161,14 +169,37 @@ func (d *DIMM) Locate(line uint64) (dataFirst, parityFirst int) {
 	return g * per, d.parityGroup(g) * per
 }
 
-// LineBusy reports whether serving a read of line would collide with an
-// in-flight program (the PSM consults this before choosing the
-// reconstruction path).
+// ReadOrReconstruct is the PSM's read of a 64 B line: one split into the
+// line's chip-enable group and one cooling probe of its row. When xcc is
+// set and the group is mid-programming, the read is served from the parity
+// pair if that pair is free and its granules come back clean
+// (reconstructed, ReadReconstructed's path); otherwise it is the blocking
+// ReadLine, which reuses the probe's answer. It reports the completion
+// time, whether the read was reconstructed, whether the blocking read
+// waited for a cooling window, and whether it came back corrupted.
 //
 //lightpc:zeroalloc
-func (d *DIMM) LineBusy(now sim.Time, line uint64) bool {
+func (d *DIMM) ReadOrReconstruct(now sim.Time, line uint64, xcc bool) (done sim.Time, reconstructed, conflicted, corrupted bool) {
 	g, row := d.group(line)
-	return d.devices[g].Busy(now, row)
+	dev := &d.devices[g]
+	var cooling sim.Time
+	if !dev.Quiet(now) {
+		cooling = dev.Cooling(now, row)
+	}
+	if xcc && cooling > now && d.cfg.Layout == DualChannel {
+		if parity := &d.devices[d.parityGroup(g)]; !parity.Busy(now, row) {
+			d.reconstructs.Inc()
+			if done, _, corrupted = parity.Read(now, row); !corrupted {
+				return done, true, false, false
+			}
+		}
+	}
+	d.reads.Inc()
+	done, conflicted, corrupted = dev.ReadCooling(now, row, cooling)
+	if corrupted {
+		d.containedCorru.Inc()
+	}
+	return done, false, conflicted, corrupted
 }
 
 // ReadLine performs a blocking 64 B read: if the target granules are inside
@@ -213,7 +244,7 @@ func (d *DIMM) reserveSlot(at sim.Time) sim.Time {
 func (d *DIMM) WriteLine(now sim.Time, line uint64) (accept, complete sim.Time) {
 	d.writes.Inc()
 	g, row := d.group(line)
-	dev := d.devices[g]
+	dev := &d.devices[g]
 	start := now
 	if d.cfg.Layout == DRAMLike {
 		// Read-modify-write: sense the whole 256 B block first.
@@ -238,7 +269,7 @@ func (d *DIMM) ReadReconstructed(now sim.Time, line uint64) (done sim.Time, ok, 
 		return 0, false, false
 	}
 	g, row := d.group(line)
-	parity := d.devices[d.parityGroup(g)]
+	parity := &d.devices[d.parityGroup(g)]
 	if parity.Busy(now, row) {
 		return 0, false, false
 	}
@@ -252,8 +283,8 @@ func (d *DIMM) ReadReconstructed(now sim.Time, line uint64) (done sim.Time, ok, 
 // Drain reports when every device has no in-flight programming.
 func (d *DIMM) Drain(now sim.Time) sim.Time {
 	t := now
-	for _, dev := range d.devices {
-		t = sim.Max(t, dev.Drain(now))
+	for i := range d.devices {
+		t = sim.Max(t, d.devices[i].Drain(now))
 	}
 	return t
 }

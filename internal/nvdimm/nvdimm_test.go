@@ -8,12 +8,16 @@ import (
 	"repro/internal/sim"
 )
 
-func dual() *DIMM { return New(DefaultConfig()) }
+func dual() *DIMM {
+	d := New(DefaultConfig())
+	return &d
+}
 
 func dramLike() *DIMM {
 	cfg := DefaultConfig()
 	cfg.Layout = DRAMLike
-	return New(cfg)
+	d := New(cfg)
+	return &d
 }
 
 func TestLayoutString(t *testing.T) {
@@ -107,17 +111,38 @@ func TestDRAMLikeWriteIsRMW(t *testing.T) {
 }
 
 func TestLineBusyAfterWrite(t *testing.T) {
-	d := dual()
-	_, complete := d.WriteLine(0, 0)
-	if !d.LineBusy(complete.Add(-sim.Nanosecond), 0) {
+	// The PSM's read sees the line busy (and reconstructs it from the
+	// parity pair) exactly inside the cooling window.
+	busy := func(now sim.Time, line uint64) bool {
+		d := dual()
+		d.WriteLine(0, 0)
+		_, reconstructed, _, _ := d.ReadOrReconstruct(now, line, true)
+		return reconstructed
+	}
+	_, complete := dual().WriteLine(0, 0)
+	if !busy(complete.Add(-sim.Nanosecond), 0) {
 		t.Fatal("line should be busy during cooling window")
 	}
-	if d.LineBusy(complete, 0) {
+	if busy(complete, 0) {
 		t.Fatal("line should be free after cooling window")
 	}
 	// Other pairs unaffected.
-	if d.LineBusy(0, 1) {
+	if busy(0, 1) {
 		t.Fatal("other pair wrongly busy")
+	}
+}
+
+func TestReadOrReconstructBlocksWithoutXCC(t *testing.T) {
+	d := dual()
+	_, complete := d.WriteLine(0, 0)
+	done, reconstructed, conflicted, _ := d.ReadOrReconstruct(sim.Time(sim.Nanosecond), 0, false)
+	if reconstructed || !conflicted || done.Before(complete) {
+		t.Fatalf("read without XCC: done %v reconstructed %v conflicted %v, want a blocking read after %v",
+			done, reconstructed, conflicted, complete)
+	}
+	reads, _, rec, _, _ := d.Stats()
+	if reads != 1 || rec != 0 {
+		t.Fatalf("reads = %d, reconstructs = %d", reads, rec)
 	}
 }
 

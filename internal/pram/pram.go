@@ -80,12 +80,16 @@ type Device struct {
 }
 
 // NewDevice builds a single die from the config.
-func NewDevice(cfg DeviceConfig) *Device { return NewGroup(cfg, 1) }
+func NewDevice(cfg DeviceConfig) *Device {
+	d := NewGroup(cfg, 1)
+	return &d
+}
 
 // NewGroup builds the dies (at least one) that share a chip enable; die i
-// seeds its error injection with cfg.Seed+i.
-func NewGroup(cfg DeviceConfig, dies int) *Device {
-	d := &Device{cfg: cfg, rngs: make([]sim.RNG, dies)}
+// seeds its error injection with cfg.Seed+i. It returns the device by
+// value so a DIMM can hold its groups in one slab.
+func NewGroup(cfg DeviceConfig, dies int) Device {
+	d := Device{cfg: cfg, rngs: make([]sim.RNG, dies)}
 	for i := range d.rngs {
 		d.rngs[i] = *sim.NewRNG(cfg.Seed + uint64(i))
 	}
@@ -106,26 +110,54 @@ func (d *Device) Busy(now sim.Time, row uint64) bool {
 	return d.inFlight.Busy(now, row)
 }
 
+// Quiet reports that no row can be cooling at now or later: every program
+// issued so far has completed. Most reads find a device quiet, and the
+// check inlines where a Cooling call does not.
+//
+//lightpc:zeroalloc
+func (d *Device) Quiet(now sim.Time) bool { return d.inFlight.Quiet(now) }
+
+// Cooling reports when the row's recorded cooling window ends. A time at or
+// before now (0 when nothing can still be cooling) means the row is idle
+// from now on, so Busy(now, row) is Cooling(now, row) > now. ReadCooling
+// takes the answer, so a caller that probed first does not probe again.
+//
+//lightpc:zeroalloc
+func (d *Device) Cooling(now sim.Time, row uint64) sim.Time {
+	if d.inFlight.Quiet(now) {
+		return 0
+	}
+	end, _ := d.inFlight.End(row)
+	return end
+}
+
 // Read senses one granule at row on every die. It returns the completion
 // time, whether the read collided with an in-flight program of the same
 // row (in which case the returned time already includes waiting for the
 // program to finish — a LightPC-B-style blocking service), and whether any
 // die's data came back corrupted.
 //
-// Callers that can reconstruct from ECC (LightPC's PSM) should call Busy
-// first and avoid the blocking read entirely.
+// Callers that can reconstruct from ECC (LightPC's PSM) should probe with
+// Cooling first, avoid the blocking read while the row cools, and pass
+// the probe's answer to ReadCooling otherwise.
 //
 //lightpc:zeroalloc
 func (d *Device) Read(now sim.Time, row uint64) (done sim.Time, conflicted, corrupted bool) {
+	return d.ReadCooling(now, row, d.Cooling(now, row))
+}
+
+// ReadCooling is Read for a caller that already has Cooling(now, row) and
+// has not written to the device since.
+//
+//lightpc:zeroalloc
+func (d *Device) ReadCooling(now sim.Time, row uint64, cooling sim.Time) (done sim.Time, conflicted, corrupted bool) {
 	d.reads.Inc()
 	start := sim.Max(now, d.busyUntil)
-	if !d.inFlight.Quiet(start) {
-		if end, ok := d.inFlight.End(row); ok && end > start {
-			// Must wait for the thermal core to cool before sensing.
-			start = end
-			conflicted = true
-			d.conflicts.Inc()
-		}
+	if cooling > start {
+		// Must wait for the thermal core to cool before sensing.
+		start = cooling
+		conflicted = true
+		d.conflicts.Inc()
 	}
 	done = start.Add(d.cfg.ReadLatency)
 	d.busyUntil = done
@@ -165,19 +197,14 @@ func (d *Device) WornOut(row uint64) bool {
 //lightpc:zeroalloc
 func (d *Device) Write(now sim.Time, row uint64) (accept, complete sim.Time) {
 	d.writes.Inc()
-	accept = sim.Max(now, d.busyUntil)
-	if !d.inFlight.Quiet(accept) {
-		if end, ok := d.inFlight.End(row); ok && end > accept {
-			// Overwrite of a still-cooling row: serialize behind it.
-			accept = end
-		}
-	}
+	// An overwrite of a still-cooling row serializes behind it. The
+	// window prunes at now, the write's own clock.
+	accept = d.inFlight.Next(now, sim.Max(now, d.busyUntil), row, d.cfg.WriteLatency)
 	complete = accept.Add(d.cfg.WriteLatency)
 	// The command interface is released once the data is transferred;
 	// programming continues internally. Model the transfer as the read
 	// latency floor so back-to-back writes to different rows pipeline.
 	d.busyUntil = accept.Add(d.cfg.ReadLatency)
-	d.inFlight.Set(now, row, complete)
 	if d.wear != nil {
 		d.wear.Inc(row)
 	}

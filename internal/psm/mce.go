@@ -90,7 +90,9 @@ func (p *PSM) resetForColdBoot() {
 // Poisoned reports whether a line carries a poison marker (MCEPoison).
 //
 //lightpc:zeroalloc
-func (p *PSM) Poisoned(line uint64) bool { return p.mce.poisoned.Get(line) }
+func (p *PSM) Poisoned(line uint64) bool {
+	return p.mce.poisoned != nil && p.mce.poisoned.Get(line)
+}
 
 // MCECounters reports per-policy bookkeeping: resets performed, retries
 // attempted, lines poisoned.

@@ -124,8 +124,12 @@ type Stats struct {
 
 // PSM is the persistent support module plus its Bare-NVDIMM channels.
 type PSM struct {
-	cfg   Config
-	dimms []*nvdimm.DIMM
+	cfg Config
+	// dimms holds the Bare-NVDIMMs by value, so a reference reaches its
+	// DIMM without loading a pointer; dimmView holds their addresses for
+	// DIMMs.
+	dimms    []nvdimm.DIMM
+	dimmView []*nvdimm.DIMM
 
 	buffers []rowBuffer
 	wl      *StartGap
@@ -147,8 +151,9 @@ type PSM struct {
 
 	mce mceState
 
-	// drainScratch is the reused window-drain buffer (≤ 64 lines per
-	// window): window closes and flushes are the write hot path.
+	// drainScratch is the reused window-drain buffer, one window's lines
+	// (a drain never holds more): window closes and flushes are the write
+	// hot path.
 	drainScratch []uint64
 
 	// scrubLines counts the physical lines RemixWearSeed's data scrubs
@@ -182,12 +187,15 @@ func New(cfg Config) *PSM {
 		interleave:   sim.NewDivisor(uint64(cfg.DIMMs)),
 		readLat:      new(sim.LatencyHistogram),
 		writeAckLat:  new(sim.LatencyHistogram),
-		drainScratch: make([]uint64, 0, 64),
+		drainScratch: make([]uint64, 0, cfg.WindowLines),
 	}
-	for i := 0; i < cfg.DIMMs; i++ {
+	p.dimms = make([]nvdimm.DIMM, cfg.DIMMs)
+	p.dimmView = make([]*nvdimm.DIMM, cfg.DIMMs)
+	for i := range p.dimms {
 		dc := cfg.NVDIMM
 		dc.Device.Seed = cfg.Seed*7919 + uint64(i)
-		p.dimms = append(p.dimms, nvdimm.New(dc))
+		p.dimms[i] = nvdimm.New(dc)
+		p.dimmView[i] = &p.dimms[i]
 	}
 	if cfg.WearLevelLines > 0 {
 		p.wl = NewStartGap(cfg.WearLevelLines, cfg.WearLevelThreshold, cfg.Seed)
@@ -200,7 +208,7 @@ func New(cfg Config) *PSM {
 func (p *PSM) Config() Config { return p.cfg }
 
 // DIMMs exposes the Bare-NVDIMMs (wear inspection, tests).
-func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimms }
+func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimmView }
 
 // WearLeveler exposes the Start-Gap state (nil when disabled).
 func (p *PSM) WearLeveler() *StartGap { return p.wl }
@@ -215,7 +223,7 @@ func (p *PSM) mapLine(line uint64) (d *nvdimm.DIMM, dimmIdx int, inner uint64) {
 		pl = p.wl.Map(p.wearLines.Mod(line))
 	}
 	inner, idx := p.interleave.DivMod(pl)
-	return p.dimms[idx], int(idx), inner
+	return &p.dimms[idx], int(idx), inner
 }
 
 // bufferFor splits a line into its row-buffer window and its offset in the
@@ -228,71 +236,90 @@ func (p *PSM) bufferFor(line uint64) (rb *rowBuffer, window, off uint64) {
 }
 
 // Read services a 64 B cacheline read and returns its completion time.
+// Its simulated time is a sum of separate terms: the port latency, then
+// either the row-buffer serve or the wait behind a programming write's
+// hold followed by the XCC reconstruct or the media read.
 //
 //lightpc:zeroalloc
 func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 	p.stats.Reads++
-	start := now.Add(p.cfg.PortLatency)
+	port := now.Add(p.cfg.PortLatency)
 
 	if p.Poisoned(line) {
-		// A previously poisoned line faults again until software repairs
-		// it (MCEPoison policy).
-		p.raiseMCE(start, line)
-		p.readLat.Add(start.Sub(now))
-		return start
+		return p.readPoisoned(now, port, line)
 	}
 
+	// The address splits are bufferFor's and mapLine's, written out here
+	// so the common path pays no call for them.
 	if p.cfg.RowBuffer {
-		if rb, w, off := p.bufferFor(line); rb.isDirty(w, off) {
+		w, off := p.window.DivMod(line)
+		if rb := &p.buffers[p.slots.Mod(w)]; rb.isDirty(w, off) {
 			p.stats.RowBufferServes++
-			done := start.Add(p.cfg.RowBufferLatency)
+			done := port.Add(p.cfg.RowBufferLatency)
 			p.readLat.Add(done.Sub(now))
 			return done
 		}
 	}
-
-	d, _, inner := p.mapLine(line)
-	start = sim.Max(start, p.hold)
-
-	if p.cfg.XCC && d.LineBusy(start, inner) {
-		if done, ok, corr := d.ReadReconstructed(start, inner); ok && !corr {
-			p.stats.Reconstructs++
-			p.readLat.Add(done.Sub(now))
-			return done
-		}
+	var d *nvdimm.DIMM
+	var inner uint64
+	if p.wl == nil {
+		var idx uint64
+		inner, idx = p.interleave.DivMod(line)
+		d = &p.dimms[idx]
+	} else {
+		d, _, inner = p.mapLine(line)
 	}
 
-	done, conflicted, corrupted := d.ReadLine(start, inner)
-	if conflicted {
+	issue := sim.Max(port, p.hold)
+	done, reconstructed, conflicted, corrupted := d.ReadOrReconstruct(issue, inner, p.cfg.XCC)
+	if reconstructed {
+		p.stats.Reconstructs++
+	} else if conflicted {
 		p.stats.BlockedReads++
 	}
 	if corrupted {
-		repaired := false
-		if p.cfg.XCC {
-			// Regenerate from the parity pair — unless the parity
-			// granules are damaged too (two DIMMs dead: beyond XCC).
-			if rdone, ok, corr := d.ReadReconstructed(done, inner); ok && !corr {
-				p.stats.ContainedErrors++
-				done = rdone
-				repaired = true
-			}
-		}
-		if !repaired && p.cfg.SymbolECC {
-			// Section VIII hybrid: the symbol-based code covers what XCC
-			// cannot, at its en/decryption cost.
-			p.stats.SymbolCorrected++
-			done = done.Add(p.cfg.SymbolDecodeLatency)
-			repaired = true
-		}
-		if !repaired {
-			//lint:allow zeroalloc the uncontained-corruption path is cold by construction
-			done, _ = p.handleUncontained(done, line)
-		}
+		done = p.contain(d, done, inner, line)
 	}
 	// Reads have deterministic latency and pipeline through the in-order
 	// queue; only a program (cooling) holds the port, so reads do not
 	// extend the hold.
 	p.readLat.Add(done.Sub(now))
+	return done
+}
+
+// readPoisoned serves a read of a poisoned line: it faults again until
+// software repairs it (MCEPoison policy).
+//
+//lightpc:zeroalloc
+func (p *PSM) readPoisoned(now, port sim.Time, line uint64) sim.Time {
+	p.raiseMCE(port, line)
+	p.readLat.Add(port.Sub(now))
+	return port
+}
+
+// contain handles a media read of line (inner on DIMM d) that came back
+// corrupted at done: XCC regenerates it from the parity pair, the symbol
+// code covers what XCC cannot, and anything left goes to the MCE policy.
+// It returns the read's completion time.
+//
+//lightpc:zeroalloc
+func (p *PSM) contain(d *nvdimm.DIMM, done sim.Time, inner, line uint64) sim.Time {
+	if p.cfg.XCC {
+		// Regenerate from the parity pair — unless the parity granules
+		// are damaged too (two DIMMs dead: beyond XCC).
+		if rdone, ok, corr := d.ReadReconstructed(done, inner); ok && !corr {
+			p.stats.ContainedErrors++
+			return rdone
+		}
+	}
+	if p.cfg.SymbolECC {
+		// Section VIII hybrid: the symbol-based code covers what XCC
+		// cannot, at its en/decryption cost.
+		p.stats.SymbolCorrected++
+		return done.Add(p.cfg.SymbolDecodeLatency)
+	}
+	//lint:allow zeroalloc the uncontained-corruption path is cold by construction
+	done, _ = p.handleUncontained(done, line)
 	return done
 }
 
@@ -386,8 +413,8 @@ func (p *PSM) Flush(now sim.Time) sim.Time {
 		}
 	}
 	end := at
-	for _, d := range p.dimms {
-		end = sim.Max(end, d.Drain(at))
+	for i := range p.dimms {
+		end = sim.Max(end, p.dimms[i].Drain(at))
 	}
 	p.hold = end
 	p.tr.SpanArg(now, end, p.trLane, "psm", "flush", "drained_lines", drained)

@@ -1,5 +1,7 @@
 package psm
 
+import "math/bits"
+
 // rowBuffer is the per-chip-enable-pair write buffer (Section V-A,
 // implemented as BRAM on the prototype). It tracks one open window — the
 // page the processor most recently wrote through this pair — and absorbs
@@ -35,22 +37,17 @@ func (rb *rowBuffer) isDirty(w, off uint64) bool {
 	return rb.hit(w) && rb.dirty&(1<<off) != 0
 }
 
-// drainInto appends the dirty lines to buf and empties the buffer. Every
-// window close and flush drains; callers pass a reused scratch slice so the
-// hot path allocates nothing.
+// drainInto appends the dirty lines to buf in ascending order and empties
+// the buffer. Every window close and flush drains; callers pass a reused
+// scratch slice so the hot path allocates nothing.
 //
 //lightpc:zeroalloc
 func (rb *rowBuffer) drainInto(windowLines uint64, buf []uint64) []uint64 {
-	if !rb.open || rb.dirty == 0 {
-		rb.open = false
-		rb.dirty = 0
-		return buf
-	}
-	base := rb.window * windowLines
-	for i := uint64(0); i < windowLines && i < 64; i++ {
-		if rb.dirty&(1<<i) != 0 {
+	if rb.open {
+		base := rb.window * windowLines
+		for m := rb.dirty; m != 0; m &= m - 1 {
 			//lint:allow zeroalloc callers pass a reused scratch slice; growth is amortized
-			buf = append(buf, base+i)
+			buf = append(buf, base+uint64(bits.TrailingZeros64(m)))
 		}
 	}
 	rb.open = false

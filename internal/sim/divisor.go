@@ -52,14 +52,16 @@ func (d Divisor) N() uint64 { return d.n }
 //
 //lightpc:zeroalloc
 func (d Divisor) Div(x uint64) uint64 {
+	// shift is at most 63; the mask tells the compiler so, which drops
+	// the guard Go emits for shifts of 64 or more.
 	if d.magic == 0 {
-		return x >> d.shift
+		return x >> (d.shift & 63)
 	}
 	q, _ := bits.Mul64(d.magic, x)
 	if d.add {
 		q += (x - q) >> 1
 	}
-	return q >> d.shift
+	return q >> (d.shift & 63)
 }
 
 // Mod returns x % n.
