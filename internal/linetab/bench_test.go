@@ -95,9 +95,22 @@ func BenchmarkSlabPut(b *testing.B) {
 }
 
 func BenchmarkFlightSteadyState(b *testing.B) {
-	// The pram write path: record a cooling window with Next, check Busy,
-	// with time advancing so entries keep expiring — the arena must never
-	// grow.
+	// Insert a cooling window, check Busy, with time advancing so entries
+	// keep expiring — the arena must never grow.
+	var f Flight
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := sim.Time(0)
+	for i := 0; i < b.N; i++ {
+		f.Set(now, uint64(i)&1023, now+150)
+		f.Busy(now, uint64(i+1)&1023)
+		now += 100
+	}
+}
+
+func BenchmarkFlightNextSteadyState(b *testing.B) {
+	// The pram write path: BenchmarkFlightSteadyState's schedule with each
+	// window recorded by Next, which serializes behind a still-cooling one.
 	var f Flight
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -173,10 +173,10 @@ func (d *DIMM) Locate(line uint64) (dataFirst, parityFirst int) {
 // line's chip-enable group and one cooling probe of its row. When xcc is
 // set and the group is mid-programming, the read is served from the parity
 // pair if that pair is free and its granules come back clean
-// (reconstructed, ReadReconstructed's path); otherwise it is the blocking
-// ReadLine, which reuses the probe's answer. It reports the completion
-// time, whether the read was reconstructed, whether the blocking read
-// waited for a cooling window, and whether it came back corrupted.
+// (reconstructed); otherwise it is the blocking read, which reuses the
+// probe's answer. It reports the completion time, whether the read was
+// reconstructed, whether the blocking read waited for a cooling window,
+// and whether it came back corrupted.
 //
 //lightpc:zeroalloc
 func (d *DIMM) ReadOrReconstruct(now sim.Time, line uint64, xcc bool) (done sim.Time, reconstructed, conflicted, corrupted bool) {
@@ -186,12 +186,9 @@ func (d *DIMM) ReadOrReconstruct(now sim.Time, line uint64, xcc bool) (done sim.
 	if !dev.Quiet(now) {
 		cooling = dev.Cooling(now, row)
 	}
-	if xcc && cooling > now && d.cfg.Layout == DualChannel {
-		if parity := &d.devices[d.parityGroup(g)]; !parity.Busy(now, row) {
-			d.reconstructs.Inc()
-			if done, _, corrupted = parity.Read(now, row); !corrupted {
-				return done, true, false, false
-			}
+	if xcc && cooling > now {
+		if done, ok, corrupted := d.reconstruct(now, g, row); ok && !corrupted {
+			return done, true, false, false
 		}
 	}
 	d.reads.Inc()
@@ -209,12 +206,7 @@ func (d *DIMM) ReadOrReconstruct(now sim.Time, line uint64, xcc bool) (done sim.
 //
 //lightpc:zeroalloc
 func (d *DIMM) ReadLine(now sim.Time, line uint64) (done sim.Time, conflicted, corrupted bool) {
-	d.reads.Inc()
-	g, row := d.group(line)
-	done, conflicted, corrupted = d.devices[g].Read(now, row)
-	if corrupted {
-		d.containedCorru.Inc()
-	}
+	done, _, conflicted, corrupted = d.ReadOrReconstruct(now, line, false)
 	return done, conflicted, corrupted
 }
 
@@ -265,10 +257,17 @@ func (d *DIMM) WriteLine(now sim.Time, line uint64) (accept, complete sim.Time) 
 //
 //lightpc:zeroalloc
 func (d *DIMM) ReadReconstructed(now sim.Time, line uint64) (done sim.Time, ok, corrupted bool) {
+	g, row := d.group(line)
+	return d.reconstruct(now, g, row)
+}
+
+// reconstruct is ReadReconstructed of group g's granule row.
+//
+//lightpc:zeroalloc
+func (d *DIMM) reconstruct(now sim.Time, g int, row uint64) (done sim.Time, ok, corrupted bool) {
 	if d.cfg.Layout != DualChannel {
 		return 0, false, false
 	}
-	g, row := d.group(line)
 	parity := &d.devices[d.parityGroup(g)]
 	if parity.Busy(now, row) {
 		return 0, false, false
