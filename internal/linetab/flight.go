@@ -20,12 +20,8 @@ import "repro/internal/sim"
 // time); keys are arbitrary.
 type Flight struct {
 	slots []flightSlot
-	// live counts the entries held and shift turns a hash into a slot
-	// index. They share one word: a pram.Device embeds a Flight, and at
-	// 184 bytes four devices fit the 768-byte allocation of a DIMM's
-	// device slab, where 192 would round up to 896.
-	live  int32
-	shift uint8
+	live  int
+	shift uint
 
 	maxEnd sim.Time // latest end ever recorded; never decreases
 
@@ -147,7 +143,7 @@ func (f *Flight) record(now sim.Time, key uint64, at sim.Time, d sim.Duration, a
 		f.maxEnd = end
 	}
 	if sl.end == 0 {
-		if int(f.live+1)*2 > len(f.slots) {
+		if (f.live+1)*2 > len(f.slots) {
 			//lint:allow zeroalloc prune/grow is amortized; steady state stays at fixed capacity
 			f.rebuild(now)
 			// Re-probe: the arena was rewritten under us, and key is not
@@ -180,7 +176,7 @@ func (f *Flight) rebuild(now sim.Time) {
 	}
 	if size != len(f.slots) {
 		f.slots = make([]flightSlot, size)
-		shift := uint8(64)
+		shift := uint(64)
 		for s := size; s > 1; s >>= 1 {
 			shift--
 		}
@@ -196,12 +192,12 @@ func (f *Flight) rebuild(now sim.Time) {
 		}
 		f.slots[i] = sl
 	}
-	f.live = int32(len(f.scratch))
+	f.live = len(f.scratch)
 }
 
 // Len reports the number of entries currently held (live plus not yet
 // pruned).
-func (f *Flight) Len() int { return int(f.live) }
+func (f *Flight) Len() int { return f.live }
 
 // Cap reports the arena size in slots — the bounded-memory observable.
 func (f *Flight) Cap() int { return len(f.slots) }

@@ -5,12 +5,11 @@ import (
 	"repro/internal/sim"
 )
 
-// CloneInto makes dst a deep copy of the DIMM, so a PSM can clone its
-// DIMMs into one slab: every chip-enable group's PRAM device is cloned,
-// the write-power slots and counters are copied. The device copies live in
-// one slab and their dies' RNGs in another.
-func (d *DIMM) CloneInto(dst *DIMM) {
-	*dst = DIMM{
+// Clone returns a deep copy of the DIMM: every chip-enable group's PRAM
+// device is cloned, the write-power slots and counters are copied. The
+// device copies live in one slab and their dies' RNGs in another.
+func (d *DIMM) Clone() *DIMM {
+	out := &DIMM{
 		cfg:            d.cfg,
 		shift:          d.shift,
 		groups:         d.groups,
@@ -21,11 +20,12 @@ func (d *DIMM) CloneInto(dst *DIMM) {
 		rmwOps:         d.rmwOps,
 		containedCorru: d.containedCorru,
 	}
-	dst.devices = make([]pram.Device, len(d.devices))
-	dst.view = make([]*pram.Device, len(d.devices))
+	devs := make([]pram.Device, len(d.devices))
 	rngs := make([]sim.RNG, d.cfg.DevicesPerDIMM)
-	for i := range d.devices {
-		rngs = d.devices[i].CloneInto(&dst.devices[i], rngs)
-		dst.view[i] = &dst.devices[i]
+	out.devices = make([]*pram.Device, len(d.devices))
+	for i, dev := range d.devices {
+		rngs = dev.CloneInto(&devs[i], rngs)
+		out.devices[i] = &devs[i]
 	}
+	return out
 }

@@ -74,11 +74,8 @@ const writeSlots = 2
 type DIMM struct {
 	cfg Config
 	// devices holds one pram.Device per chip-enable group: a pair each for
-	// DualChannel, the whole rank for DRAMLike. They are held by value, so
-	// a reference reaches its group without loading a pointer; view holds
-	// their addresses for Devices.
-	devices []pram.Device
-	view    []*pram.Device
+	// DualChannel, the whole rank for DRAMLike.
+	devices []*pram.Device
 	// shift turns a cacheline index into an access-granule index: 0 for
 	// the pair's 64 B granule, 2 for the rank's 256 B one.
 	shift uint
@@ -96,13 +93,12 @@ type DIMM struct {
 }
 
 // New builds a DIMM. Die i draws its error injection from seed
-// Device.Seed*1000003+i, decorrelating the dies. It returns the DIMM by
-// value so a PSM can hold its DIMMs in one slab.
-func New(cfg Config) DIMM {
+// Device.Seed*1000003+i, decorrelating the dies.
+func New(cfg Config) *DIMM {
 	if cfg.DevicesPerDIMM <= 0 {
 		cfg.DevicesPerDIMM = 8
 	}
-	d := DIMM{cfg: cfg}
+	d := &DIMM{cfg: cfg}
 	perGroup := cfg.DevicesPerDIMM
 	switch cfg.Layout {
 	case DualChannel:
@@ -115,16 +111,12 @@ func New(cfg Config) DIMM {
 	default:
 		panic(fmt.Sprintf("nvdimm: unknown layout %v", cfg.Layout))
 	}
-	n := cfg.DevicesPerDIMM / perGroup
-	d.devices = make([]pram.Device, n)
-	d.view = make([]*pram.Device, n)
-	for i := range d.devices {
+	for first := 0; first < cfg.DevicesPerDIMM; first += perGroup {
 		dc := cfg.Device
-		dc.Seed = cfg.Device.Seed*1000003 + uint64(i*perGroup)
-		d.devices[i] = pram.NewGroup(dc, perGroup)
-		d.view[i] = &d.devices[i]
+		dc.Seed = cfg.Device.Seed*1000003 + uint64(first)
+		d.devices = append(d.devices, pram.NewGroup(dc, perGroup))
 	}
-	d.groups = sim.NewDivisor(uint64(n))
+	d.groups = sim.NewDivisor(uint64(len(d.devices)))
 	return d
 }
 
@@ -136,7 +128,7 @@ func (d *DIMM) Groups() int { return len(d.devices) }
 
 // Devices exposes the PRAM devices, one per chip-enable group (wear
 // inspection, energy metering; their counters are die totals).
-func (d *DIMM) Devices() []*pram.Device { return d.view }
+func (d *DIMM) Devices() []*pram.Device { return d.devices }
 
 // group maps a cacheline index to its chip-enable group and the granule
 // row within it: lines interleave across the pairs, while a rank serves
@@ -181,7 +173,7 @@ func (d *DIMM) Locate(line uint64) (dataFirst, parityFirst int) {
 //lightpc:zeroalloc
 func (d *DIMM) ReadOrReconstruct(now sim.Time, line uint64, xcc bool) (done sim.Time, reconstructed, conflicted, corrupted bool) {
 	g, row := d.group(line)
-	dev := &d.devices[g]
+	dev := d.devices[g]
 	var cooling sim.Time
 	if !dev.Quiet(now) {
 		cooling = dev.Cooling(now, row)
@@ -236,7 +228,7 @@ func (d *DIMM) reserveSlot(at sim.Time) sim.Time {
 func (d *DIMM) WriteLine(now sim.Time, line uint64) (accept, complete sim.Time) {
 	d.writes.Inc()
 	g, row := d.group(line)
-	dev := &d.devices[g]
+	dev := d.devices[g]
 	start := now
 	if d.cfg.Layout == DRAMLike {
 		// Read-modify-write: sense the whole 256 B block first.
@@ -268,7 +260,7 @@ func (d *DIMM) reconstruct(now sim.Time, g int, row uint64) (done sim.Time, ok, 
 	if d.cfg.Layout != DualChannel {
 		return 0, false, false
 	}
-	parity := &d.devices[d.parityGroup(g)]
+	parity := d.devices[d.parityGroup(g)]
 	if parity.Busy(now, row) {
 		return 0, false, false
 	}
@@ -282,8 +274,8 @@ func (d *DIMM) reconstruct(now sim.Time, g int, row uint64) (done sim.Time, ok, 
 // Drain reports when every device has no in-flight programming.
 func (d *DIMM) Drain(now sim.Time) sim.Time {
 	t := now
-	for i := range d.devices {
-		t = sim.Max(t, d.devices[i].Drain(now))
+	for _, dev := range d.devices {
+		t = sim.Max(t, dev.Drain(now))
 	}
 	return t
 }

@@ -8,16 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-func dual() *DIMM {
-	d := New(DefaultConfig())
-	return &d
-}
+func dual() *DIMM { return New(DefaultConfig()) }
 
 func dramLike() *DIMM {
 	cfg := DefaultConfig()
 	cfg.Layout = DRAMLike
-	d := New(cfg)
-	return &d
+	return New(cfg)
 }
 
 func TestLayoutString(t *testing.T) {

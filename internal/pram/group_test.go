@@ -35,8 +35,7 @@ func FuzzDieGroup(f *testing.F) {
 		cfg.BitErrorPerRead = float64(errPct%101) / 100
 		cfg.TrackWear = wear&1 != 0
 		cfg.EnduranceCycles = uint64(wear>>1) & 15
-		g := NewGroup(cfg, n)
-		group := &g
+		group := NewGroup(cfg, n)
 		singles := make([]*Device, n)
 		for i := range singles {
 			c := cfg

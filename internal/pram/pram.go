@@ -80,16 +80,12 @@ type Device struct {
 }
 
 // NewDevice builds a single die from the config.
-func NewDevice(cfg DeviceConfig) *Device {
-	d := NewGroup(cfg, 1)
-	return &d
-}
+func NewDevice(cfg DeviceConfig) *Device { return NewGroup(cfg, 1) }
 
 // NewGroup builds the dies (at least one) that share a chip enable; die i
-// seeds its error injection with cfg.Seed+i. It returns the device by
-// value so a DIMM can hold its groups in one slab.
-func NewGroup(cfg DeviceConfig, dies int) Device {
-	d := Device{cfg: cfg, rngs: make([]sim.RNG, dies)}
+// seeds its error injection with cfg.Seed+i.
+func NewGroup(cfg DeviceConfig, dies int) *Device {
+	d := &Device{cfg: cfg, rngs: make([]sim.RNG, dies)}
 	for i := range d.rngs {
 		d.rngs[i] = *sim.NewRNG(cfg.Seed + uint64(i))
 	}

@@ -47,11 +47,9 @@ func (p *PSM) Clone() *PSM {
 		drainScratch: make([]uint64, 0, cap(p.drainScratch)),
 		scrubLines:   p.scrubLines,
 	}
-	out.dimms = make([]nvdimm.DIMM, len(p.dimms))
-	out.dimmView = make([]*nvdimm.DIMM, len(p.dimms))
-	for i := range p.dimms {
-		p.dimms[i].CloneInto(&out.dimms[i])
-		out.dimmView[i] = &out.dimms[i]
+	out.dimms = make([]*nvdimm.DIMM, len(p.dimms))
+	for i, d := range p.dimms {
+		out.dimms[i] = d.Clone()
 	}
 	return out
 }

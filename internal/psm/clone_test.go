@@ -13,7 +13,7 @@ import (
 // immutable codec and stays shared.)
 func TestCloneCompleteness(t *testing.T) {
 	snapshot.CheckCovered(t, PSM{},
-		"cfg", "dimms", "dimmView", "buffers", "window", "slots", "interleave", "wearLines",
+		"cfg", "dimms", "buffers", "window", "slots", "interleave", "wearLines",
 		"wl", "stats", "readLat", "writeAckLat",
 		"hold", "mce", "drainScratch", "scrubLines", "tr", "trLane")
 	snapshot.CheckCovered(t, DataStore{},

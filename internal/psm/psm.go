@@ -124,12 +124,8 @@ type Stats struct {
 
 // PSM is the persistent support module plus its Bare-NVDIMM channels.
 type PSM struct {
-	cfg Config
-	// dimms holds the Bare-NVDIMMs by value, so a reference reaches its
-	// DIMM without loading a pointer; dimmView holds their addresses for
-	// DIMMs.
-	dimms    []nvdimm.DIMM
-	dimmView []*nvdimm.DIMM
+	cfg   Config
+	dimms []*nvdimm.DIMM
 
 	buffers []rowBuffer
 	wl      *StartGap
@@ -189,13 +185,10 @@ func New(cfg Config) *PSM {
 		writeAckLat:  new(sim.LatencyHistogram),
 		drainScratch: make([]uint64, 0, cfg.WindowLines),
 	}
-	p.dimms = make([]nvdimm.DIMM, cfg.DIMMs)
-	p.dimmView = make([]*nvdimm.DIMM, cfg.DIMMs)
-	for i := range p.dimms {
+	for i := 0; i < cfg.DIMMs; i++ {
 		dc := cfg.NVDIMM
 		dc.Device.Seed = cfg.Seed*7919 + uint64(i)
-		p.dimms[i] = nvdimm.New(dc)
-		p.dimmView[i] = &p.dimms[i]
+		p.dimms = append(p.dimms, nvdimm.New(dc))
 	}
 	if cfg.WearLevelLines > 0 {
 		p.wl = NewStartGap(cfg.WearLevelLines, cfg.WearLevelThreshold, cfg.Seed)
@@ -208,7 +201,7 @@ func New(cfg Config) *PSM {
 func (p *PSM) Config() Config { return p.cfg }
 
 // DIMMs exposes the Bare-NVDIMMs (wear inspection, tests).
-func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimmView }
+func (p *PSM) DIMMs() []*nvdimm.DIMM { return p.dimms }
 
 // WearLeveler exposes the Start-Gap state (nil when disabled).
 func (p *PSM) WearLeveler() *StartGap { return p.wl }
@@ -223,7 +216,7 @@ func (p *PSM) mapLine(line uint64) (d *nvdimm.DIMM, dimmIdx int, inner uint64) {
 		pl = p.wl.Map(p.wearLines.Mod(line))
 	}
 	inner, idx := p.interleave.DivMod(pl)
-	return &p.dimms[idx], int(idx), inner
+	return p.dimms[idx], int(idx), inner
 }
 
 // bufferFor splits a line into its row-buffer window and its offset in the
@@ -249,27 +242,16 @@ func (p *PSM) Read(now sim.Time, line uint64) sim.Time {
 		return p.readPoisoned(now, port, line)
 	}
 
-	// The address splits are bufferFor's and mapLine's, written out here
-	// so the common path pays no call for them.
 	if p.cfg.RowBuffer {
-		w, off := p.window.DivMod(line)
-		if rb := &p.buffers[p.slots.Mod(w)]; rb.isDirty(w, off) {
+		if rb, w, off := p.bufferFor(line); rb.isDirty(w, off) {
 			p.stats.RowBufferServes++
 			done := port.Add(p.cfg.RowBufferLatency)
 			p.readLat.Add(done.Sub(now))
 			return done
 		}
 	}
-	var d *nvdimm.DIMM
-	var inner uint64
-	if p.wl == nil {
-		var idx uint64
-		inner, idx = p.interleave.DivMod(line)
-		d = &p.dimms[idx]
-	} else {
-		d, _, inner = p.mapLine(line)
-	}
 
+	d, _, inner := p.mapLine(line)
 	issue := sim.Max(port, p.hold)
 	done, reconstructed, conflicted, corrupted := d.ReadOrReconstruct(issue, inner, p.cfg.XCC)
 	if reconstructed {
@@ -413,8 +395,8 @@ func (p *PSM) Flush(now sim.Time) sim.Time {
 		}
 	}
 	end := at
-	for i := range p.dimms {
-		end = sim.Max(end, p.dimms[i].Drain(at))
+	for _, d := range p.dimms {
+		end = sim.Max(end, d.Drain(at))
 	}
 	p.hold = end
 	p.tr.SpanArg(now, end, p.trLane, "psm", "flush", "drained_lines", drained)
